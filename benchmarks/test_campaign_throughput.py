@@ -14,8 +14,9 @@ record dicts are asserted, not just identical counts.
 import time
 
 from repro.bench.campaign import Campaign
-from repro.core.config import mls_v1
+from repro.core.config import mls_v1, mls_v3
 from repro.geometry import Pose, Quaternion, Vec3
+from repro.perception.neural.training import load_pretrained_detector_net
 from repro.sensors.camera import DownwardCamera
 from repro.world.scenario_gen import generate_suite
 
@@ -75,6 +76,27 @@ def test_campaign_throughput_serial_parallel_dispatched(bench_results, tmp_path)
             seconds=elapsed,
             runs_per_s=runs / elapsed,
         )
+
+
+def test_campaign_throughput_serial_v3(bench_results):
+    """MLS-V3 serial runs/s on one fixed smoke scenario.
+
+    Octree fusion, inflated collision checks and RRT* dominate MLS-V3's
+    mission time, so this meter holds the map and plan stack's speed.  The
+    detector network is loaded (and on first use trained) before timing.
+    """
+    load_pretrained_detector_net()
+    campaign = (
+        Campaign(mls_v3())
+        .suite(generate_suite(SUITE_PRESET, count=1, seed=SUITE_SEED))
+        .repetitions(1)
+    )
+    results, elapsed = _timed(campaign.run)
+    runs = sum(len(result) for result in results.values())
+    assert runs == 1
+    bench_results(
+        "campaign_serial_v3", runs=float(runs), seconds=elapsed, runs_per_s=runs / elapsed
+    )
 
 
 def test_traced_campaign_overhead_under_5_percent(bench_results, tmp_path):

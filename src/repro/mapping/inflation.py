@@ -35,7 +35,9 @@ class InflatedMap:
 
     The wrapped map is queried on a small spherical neighbourhood (sampled at
     the map resolution) around the query point; if any sample is occupied the
-    point is considered in collision.
+    point is considered in collision.  A query builds all its probes, every
+    sample point plus every offset added in floats, as one array and asks the
+    map once through :meth:`~repro.mapping.interface.OccupancyMap.any_occupied`.
     """
 
     def __init__(self, base_map: OccupancyMap, config: InflationConfig | None = None) -> None:
@@ -43,21 +45,15 @@ class InflatedMap:
         self.config = config or InflationConfig()
         self._offsets = self._build_offsets()
 
-    def _build_offsets(self) -> list[Vec3]:
-        """Sample offsets covering a sphere of the inflation radius."""
+    def _build_offsets(self) -> np.ndarray:
+        """Sample offsets covering a sphere of the inflation radius, one per row."""
         radius = self.config.total_radius
         step = max(self.base_map.resolution, 0.25)
-        offsets = [Vec3.zero()]
         steps = int(np.ceil(radius / step))
-        for ix in range(-steps, steps + 1):
-            for iy in range(-steps, steps + 1):
-                for iz in range(-steps, steps + 1):
-                    if ix == 0 and iy == 0 and iz == 0:
-                        continue
-                    offset = Vec3(ix * step, iy * step, iz * step)
-                    if offset.norm() <= radius:
-                        offsets.append(offset)
-        return offsets
+        ticks = np.arange(-steps, steps + 1) * step
+        grid = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+        x, y, z = grid.T
+        return grid[np.sqrt(x * x + y * y + z * z) <= radius]
 
     # ------------------------------------------------------------------ #
     # queries
@@ -68,10 +64,7 @@ class InflatedMap:
 
     def is_colliding(self, point: Vec3) -> bool:
         """True if ``point`` is within the inflation radius of occupied space."""
-        for offset in self._offsets:
-            if self.base_map.is_occupied(point + offset):
-                return True
-        return False
+        return self.base_map.any_occupied(self._offsets + point.to_tuple())
 
     def segment_colliding(self, start: Vec3, end: Vec3, step: float | None = None) -> bool:
         """Check a straight segment by sampling at (half-)resolution steps."""
@@ -80,11 +73,11 @@ class InflatedMap:
         if length < 1e-9:
             return self.is_colliding(start)
         samples = max(2, int(np.ceil(length / step)) + 1)
-        for i in range(samples):
-            t = i / (samples - 1)
-            if self.is_colliding(start.lerp(end, t)):
-                return True
-        return False
+        # The samples start.lerp(end, i / (samples - 1)), in the same arithmetic.
+        t = np.arange(samples)[:, None] / (samples - 1)
+        a = np.array(start.to_tuple())
+        points = a + (np.array(end.to_tuple()) - a) * t
+        return self.base_map.any_occupied((points[:, None, :] + self._offsets).reshape(-1, 3))
 
     def path_colliding(self, waypoints: list[Vec3]) -> bool:
         """Check a polyline of waypoints."""

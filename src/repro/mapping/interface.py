@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.geometry import Vec3
 from repro.sensors.depth import PointCloud
 
@@ -26,6 +28,15 @@ class OccupancyMap(Protocol):
 
     def is_occupied(self, point: Vec3) -> bool:
         """Whether the voxel containing ``point`` is believed occupied."""
+        ...
+
+    def any_occupied(self, points: np.ndarray) -> bool:
+        """Whether any row of the ``(n, 3)`` array lies in an occupied voxel.
+
+        The batched :meth:`is_occupied`: every point is mapped to its voxel
+        with the same float arithmetic, so this equals
+        ``any(is_occupied(Vec3(*p)) for p in points)``.
+        """
         ...
 
     def is_known(self, point: Vec3) -> bool:

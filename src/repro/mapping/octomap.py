@@ -7,11 +7,21 @@ their parent, which is what gives OctoMap its memory advantage over a dense
 grid.  Unlike the dense window, the octree is **global**: every observation
 ever made stays in the map, so the RRT* planner can account for "the complete
 environmental structure" (§III.C).
+
+The tree is stored flat.  Its leaves are the entries of two key maps, one
+for max-depth voxels and one for the collapsed blocks above them, and its
+inner nodes are implicit.  An update finds its voxel by key instead of
+descending from the root, a prune visits only the ancestors of the voxels
+updated since the previous one, and because every inner node has exactly
+eight children, ``L`` leaves always make ``L + (L - 1) // 7`` nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.geometry import Vec3
 from repro.geometry.ray import bresenham_voxels
@@ -24,53 +34,18 @@ LOG_ODDS_MIN = -2.0
 LOG_ODDS_MAX = 3.5
 OCCUPANCY_THRESHOLD = 0.0  # log-odds > 0  <=>  P(occupied) > 0.5
 
-
-@dataclass
-class OcTreeNode:
-    """One node of the octree; internal nodes have children, leaves a value."""
-
-    log_odds: float = 0.0
-    observed: bool = False
-    children: list["OcTreeNode | None"] | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    def expand(self) -> None:
-        """Split a leaf into eight children inheriting its value."""
-        if self.children is not None:
-            return
-        self.children = [
-            OcTreeNode(log_odds=self.log_odds, observed=self.observed) for _ in range(8)
-        ]
-
-    def try_prune(self) -> bool:
-        """Collapse children that all agree (all leaves, same occupancy state)."""
-        if self.children is None:
-            return False
-        first = self.children[0]
-        if first is None or not first.is_leaf:
-            return False
-        state = first.log_odds > OCCUPANCY_THRESHOLD
-        observed = first.observed
-        for child in self.children:
-            if child is None or not child.is_leaf or child.observed != observed:
-                return False
-            if (child.log_odds > OCCUPANCY_THRESHOLD) != state:
-                return False
-        # Collapse: parent takes the extreme value of the agreeing children.
-        self.log_odds = max(c.log_odds for c in self.children) if state else min(
-            c.log_odds for c in self.children
-        )
-        self.observed = observed
-        self.children = None
-        return True
+#: A collapsed block: its log-odds and whether it was ever observed.
+Leaf = tuple[float, bool]
 
 
 @dataclass(frozen=True)
 class OcTreeConfig:
-    """Extent and resolution of the octree."""
+    """Extent and resolution of the octree.
+
+    ``size / resolution`` must be a power of two and ``origin`` must lie on
+    the resolution grid, so that the voxels are exactly the tree's
+    max-depth leaves.
+    """
 
     resolution: float = 0.5
     size: float = 256.0          # edge length of the root cube, metres
@@ -79,99 +54,94 @@ class OcTreeConfig:
 
 
 class OcTree:
-    """OctoMap-style probabilistic occupancy octree."""
+    """OctoMap-style probabilistic occupancy octree.
+
+    A voxel is keyed by its integer index along each axis, counted from the
+    origin and packed into ``max_depth`` bits per axis:
+    ``(i << 2 * max_depth) | (j << max_depth) | k``.  A node ``level``
+    levels above the voxels is keyed by its level and the same packing of
+    the indices shifted right by ``level``.  The leaves are ``_voxels``
+    (voxel key -> log-odds) and ``_blocks`` ((level, key) -> log-odds and
+    observed flag); a voxel leaf is observed when its key is in ``_known``.
+    ``_known`` and ``_occupied`` keep every voxel, also those inside a
+    collapsed block, so point queries never look at the tree.
+    """
 
     def __init__(self, config: OcTreeConfig | None = None) -> None:
         self.config = config or OcTreeConfig()
-        self.resolution = self.config.resolution
-        # Depth such that a leaf at max depth has edge <= resolution.
-        depth = 0
-        size = self.config.size
-        while size > self.config.resolution * (1 + 1e-9):
-            size /= 2.0
-            depth += 1
-        self.max_depth = depth
-        self.root = OcTreeNode()
+        cfg = self.config
+        self.resolution = cfg.resolution
+        cells = cfg.size / cfg.resolution
+        if not (cells.is_integer() and cells >= 1 and int(cells) & (int(cells) - 1) == 0):
+            raise ValueError(f"octree size / resolution must be a power of two, got {cells:g}")
+        origin = [coordinate / cfg.resolution for coordinate in cfg.origin]
+        if not all(index.is_integer() for index in origin):
+            raise ValueError(
+                f"octree origin {cfg.origin.to_tuple()} is not on the "
+                f"{cfg.resolution:g} m voxel grid"
+            )
+        self._cells = int(cells)
+        self.max_depth = depth = self._cells.bit_length() - 1
+        self._origin_index = tuple(int(index) for index in origin)
+        self._key_weights = np.array([1 << 2 * depth, 1 << depth, 1], dtype=float)
+        # Halving all three packed indices is one right shift, once the low
+        # bit each index pushes into the top of the field below is cleared.
+        self._parent_mask = ~((1 << 2 * depth >> 1) | (1 << depth >> 1))
+        # Child key offsets in octant order: bit 0 is +x, bit 1 +y, bit 2 +z.
+        self._child_offsets = tuple(
+            ((c & 1) << 2 * depth) | ((c >> 1 & 1) << depth) | (c >> 2 & 1) for c in range(8)
+        )
+        # The tree starts as one unobserved leaf, the root.
+        self._voxels: dict[int, float] = {}
+        self._blocks: dict[tuple[int, int], Leaf] = {}
+        if depth:
+            self._blocks[(depth, 0)] = (0.0, False)
+        else:
+            self._voxels[0] = 0.0
+        self._known: set[int] = set()
+        self._occupied: set[int] = set()
+        #: Voxels updated since the last prune: only their ancestors can collapse.
+        self._dirty: set[int] = set()
         self._integrations = 0
-        # Query accelerators: voxel keys (at map resolution) of observed and
-        # occupied leaves.  Pruning collapses only same-state children, so the
-        # sets stay consistent with the tree.
-        self._occupied_keys: set[tuple[int, int, int]] = set()
-        self._known_keys: set[tuple[int, int, int]] = set()
 
     # ------------------------------------------------------------------ #
-    # coordinate helpers
+    # keys
     # ------------------------------------------------------------------ #
-    def _contains(self, point: Vec3) -> bool:
-        o = self.config.origin
-        s = self.config.size
-        return (
-            o.x <= point.x < o.x + s
-            and o.y <= point.y < o.y + s
-            and o.z <= point.z < o.z + s
+    def _pack(self, i, j, k) -> int | None:
+        """Key of the voxel at origin-relative index ``(i, j, k)``; ``None`` outside the tree."""
+        cells = self._cells
+        if 0 <= i < cells and 0 <= j < cells and 0 <= k < cells:
+            depth = self.max_depth
+            return (int(i) << 2 * depth) | (int(j) << depth) | int(k)
+        return None
+
+    def _voxel_key(self, point: Vec3) -> int | None:
+        """Key of the voxel containing ``point``; ``None`` outside the tree."""
+        resolution = self.resolution
+        oi, oj, ok = self._origin_index
+        return self._pack(
+            point.x // resolution - oi, point.y // resolution - oj, point.z // resolution - ok
         )
 
-    def _leaf_for(self, point: Vec3, create: bool) -> OcTreeNode | None:
-        """Descend to the max-depth leaf containing ``point``.
-
-        With ``create`` the path is expanded as needed; otherwise descent
-        stops at the deepest existing node (which may be a pruned ancestor).
-        """
-        if not self._contains(point):
-            return None
-        node = self.root
-        center = self.config.origin + Vec3(1, 1, 1) * (self.config.size / 2.0)
-        half = self.config.size / 2.0
+    def _path(self, key: int) -> list[int]:
+        """``key`` followed by its ancestors' keys, one per level up to the root."""
+        path = [key]
         for _ in range(self.max_depth):
-            if node.is_leaf:
-                if not create:
-                    return node
-                node.expand()
-            octant = (
-                (1 if point.x >= center.x else 0)
-                | (2 if point.y >= center.y else 0)
-                | (4 if point.z >= center.z else 0)
-            )
-            assert node.children is not None
-            child = node.children[octant]
-            if child is None:
-                child = OcTreeNode()
-                node.children[octant] = child
-            node = child
-            quarter = half / 2.0
-            center = Vec3(
-                center.x + (quarter if point.x >= center.x else -quarter),
-                center.y + (quarter if point.y >= center.y else -quarter),
-                center.z + (quarter if point.z >= center.z else -quarter),
-            )
-            half = quarter
-        return node
+            path.append((path[-1] >> 1) & self._parent_mask)
+        return path
+
+    def _block_level(self, path: list[int]) -> int:
+        """Level of the collapsed block holding the voxel at the foot of ``path``."""
+        return next(level for level in range(1, len(path)) if (level, path[level]) in self._blocks)
 
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
-    def _voxel_key(self, point: Vec3) -> tuple[int, int, int]:
-        resolution = self.config.resolution
-        return (
-            int(point.x // resolution),
-            int(point.y // resolution),
-            int(point.z // resolution),
-        )
-
     def update_voxel(self, point: Vec3, hit: bool) -> None:
         """Apply a single log-odds update to the voxel containing ``point``."""
-        leaf = self._leaf_for(point, create=True)
-        if leaf is None:
-            return
-        delta = LOG_ODDS_HIT if hit else LOG_ODDS_MISS
-        leaf.log_odds = min(LOG_ODDS_MAX, max(LOG_ODDS_MIN, leaf.log_odds + delta))
-        leaf.observed = True
         key = self._voxel_key(point)
-        self._known_keys.add(key)
-        if leaf.log_odds > OCCUPANCY_THRESHOLD:
-            self._occupied_keys.add(key)
-        else:
-            self._occupied_keys.discard(key)
+        if key is not None:
+            self._update([key], LOG_ODDS_HIT if hit else LOG_ODDS_MISS)
 
     def insert_ray(self, origin: Vec3, end: Vec3) -> None:
         """Carve free space along a ray and mark the endpoint occupied."""
@@ -182,15 +152,10 @@ class OcTree:
             truncated = True
         else:
             truncated = False
-        resolution = self.config.resolution
-        voxels = list(bresenham_voxels(origin, end, resolution))
-        for key in voxels[:-1]:
-            center = Vec3(
-                (key[0] + 0.5) * resolution,
-                (key[1] + 0.5) * resolution,
-                (key[2] + 0.5) * resolution,
-            )
-            self.update_voxel(center, hit=False)
+        oi, oj, ok = self._origin_index
+        voxels = list(bresenham_voxels(origin, end, self.resolution))
+        free = [self._pack(i - oi, j - oj, k - ok) for i, j, k in voxels[:-1]]
+        self._update([key for key in free if key is not None], LOG_ODDS_MISS)
         if not truncated:
             self.update_voxel(end, hit=True)
 
@@ -211,40 +176,83 @@ class OcTree:
         if self._integrations % 4 == 0:
             self.prune()
 
+    def _update(self, keys: list[int], delta: float) -> None:
+        """Add ``delta`` to each voxel of ``keys`` in turn, within the log-odds bounds."""
+        voxels, occupied = self._voxels, self._occupied
+        for key in keys:
+            value = voxels.get(key)
+            if value is None:
+                value = self._expand(key)
+            value = min(LOG_ODDS_MAX, max(LOG_ODDS_MIN, value + delta))
+            voxels[key] = value
+            if value > OCCUPANCY_THRESHOLD:
+                occupied.add(key)
+            else:
+                occupied.discard(key)
+        self._known.update(keys)
+        self._dirty.update(keys)
+
+    def _expand(self, key: int) -> float:
+        """Split the collapsed block holding voxel ``key`` down to max depth.
+
+        As in OctoMap, a split node hands its value and observed flag to all
+        eight children, and only the child towards the voxel is split again.
+        Returns the value the voxel inherits.
+        """
+        blocks = self._blocks
+        path = self._path(key)
+        top = self._block_level(path)
+        leaf = blocks.pop((top, path[top]))
+        for level in range(top, 1, -1):
+            first = path[level] << 1
+            for offset in self._child_offsets:
+                if first + offset != path[level - 1]:
+                    blocks[(level - 1, first + offset)] = leaf
+        first = path[1] << 1
+        for offset in self._child_offsets:
+            self._voxels[first + offset] = leaf[0]
+        return leaf[0]
+
     # ------------------------------------------------------------------ #
     # queries (OccupancyMap interface)
     # ------------------------------------------------------------------ #
     def is_occupied(self, point: Vec3) -> bool:
-        if not self._contains(point):
-            return False
-        return self._voxel_key(point) in self._occupied_keys
+        key = self._voxel_key(point)
+        return key is not None and key in self._occupied
+
+    def any_occupied(self, points: np.ndarray) -> bool:
+        """Whether any row of the ``(n, 3)`` array lies in an occupied voxel.
+
+        The batched :meth:`is_occupied`: the same float floor division per
+        coordinate, the same bounds.
+        """
+        index = np.floor_divide(points, self.resolution) - self._origin_index
+        inside = ((index >= 0.0) & (index < self._cells)).all(axis=1)
+        keys = (index[inside] @ self._key_weights).astype(np.int64)
+        return not self._occupied.isdisjoint(keys.tolist())
 
     def is_known(self, point: Vec3) -> bool:
-        if not self._contains(point):
-            return False
-        return self._voxel_key(point) in self._known_keys
+        key = self._voxel_key(point)
+        return key is not None and key in self._known
 
     def occupancy_probability(self, point: Vec3) -> float:
         """P(occupied) of the voxel containing ``point`` (0.5 when unknown)."""
-        import math
-
-        leaf = self._leaf_for(point, create=False)
-        if leaf is None or not leaf.observed:
+        key = self._voxel_key(point)
+        if key is None or key not in self._known:
             return 0.5
-        return 1.0 / (1.0 + math.exp(-leaf.log_odds))
+        log_odds = self._voxels.get(key)
+        if log_odds is None:
+            path = self._path(key)
+            level = self._block_level(path)
+            log_odds = self._blocks[(level, path[level])][0]
+        return 1.0 / (1.0 + math.exp(-log_odds))
 
     def occupied_voxel_count(self) -> int:
-        return len(self._occupied_keys)
+        return len(self._occupied)
 
     def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.children is not None:
-                stack.extend(child for child in node.children if child is not None)
-        return count
+        leaves = len(self._voxels) + len(self._blocks)
+        return leaves + (leaves - 1) // 7
 
     def memory_bytes(self) -> int:
         """Approximate footprint: ~64 bytes per allocated node."""
@@ -254,22 +262,55 @@ class OcTree:
     # maintenance
     # ------------------------------------------------------------------ #
     def prune(self) -> int:
-        """Bottom-up pruning of homogeneous subtrees; returns nodes pruned."""
+        """Collapse every inner node whose eight children are agreeing leaves.
+
+        Children agree when all are leaves with the same observed flag and
+        the same occupancy state; their parent keeps their max log-odds if
+        occupied, their min if free.  Only ancestors of the voxels updated
+        since the last prune can have become collapsible, each only once its
+        child towards such a voxel has collapsed, so the pass climbs from the
+        parents of those voxels through the parents of what just collapsed.
+        Returns the number of nodes removed, eight per collapse.
+        """
+        voxels, blocks, known = self._voxels, self._blocks, self._known
+        nodes = {(key >> 1) & self._parent_mask for key in self._dirty}
+        self._dirty = set()
         pruned = 0
-
-        def recurse(node: OcTreeNode) -> None:
-            nonlocal pruned
-            if node.children is None:
-                return
-            for child in node.children:
-                if child is not None:
-                    recurse(child)
-            if node.try_prune():
-                pruned += 8
-
-        recurse(self.root)
+        for level in range(1, self.max_depth + 1):
+            collapsed = []
+            for node in nodes:
+                first = node << 1
+                children = [first + offset for offset in self._child_offsets]
+                if level == 1:
+                    leaves = [(voxels[child], child in known) for child in children]
+                else:
+                    leaves = [blocks.get((level - 1, child)) for child in children]
+                    if None in leaves:
+                        continue  # a child is an inner node
+                leaf = _collapse(leaves)
+                if leaf is None:
+                    continue
+                for child in children:
+                    if level == 1:
+                        del voxels[child]
+                    else:
+                        del blocks[(level - 1, child)]
+                blocks[(level, node)] = leaf
+                collapsed.append(node)
+            pruned += 8 * len(collapsed)
+            nodes = {(node >> 1) & self._parent_mask for node in collapsed}
         return pruned
 
     @property
     def integration_count(self) -> int:
         return self._integrations
+
+
+def _collapse(leaves: list[Leaf]) -> Leaf | None:
+    """The leaf eight agreeing children collapse into; ``None`` if they disagree."""
+    value, observed = leaves[0]
+    occupied = value > OCCUPANCY_THRESHOLD
+    if any(flag != observed or (v > OCCUPANCY_THRESHOLD) != occupied for v, flag in leaves):
+        return None
+    values = [v for v, _ in leaves]
+    return (max(values) if occupied else min(values)), observed

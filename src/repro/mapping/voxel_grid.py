@@ -120,6 +120,20 @@ class VoxelGrid:
             return False  # outside the window nothing is known, hence "free"
         return bool(self._occupied[index])
 
+    def any_occupied(self, points: np.ndarray) -> bool:
+        """Whether any row of the ``(n, 3)`` array lies in an occupied voxel.
+
+        The batched :meth:`is_occupied`, with its arithmetic: the offset from
+        the window corner divided by the resolution, truncated toward zero.
+        """
+        cfg = self.config
+        half = cfg.window_size / 2.0
+        scaled = (points - (self._center.x - half, self._center.y - half, 0.0)) / cfg.resolution
+        # Truncation sends (-1, 0) to index 0, so that interval is inside too.
+        inside = ((scaled > -1.0) & (scaled < self._occupied.shape)).all(axis=1)
+        index = scaled[inside].astype(np.intp)
+        return bool(self._occupied[index[:, 0], index[:, 1], index[:, 2]].any())
+
     def is_known(self, point: Vec3) -> bool:
         index = self._to_index(point)
         if index is None:

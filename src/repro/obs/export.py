@@ -68,7 +68,8 @@ class MetricsExporter:
             else f"{host}-{os.getpid()}-{self.nonce}"
         )
         self._seq = 0
-        self._lock = threading.Lock()
+        # Re-entrant: flush holds it across payload(), which takes it too.
+        self._lock = threading.RLock()
 
     def filename(self) -> str:
         return f"{os.getpid()}-{self.nonce}.json"
@@ -96,25 +97,25 @@ class MetricsExporter:
         when the filesystem refused (flushing never breaks a run loop).
         """
         target_dir = Path(directory) / METRICS_DIRNAME
-        payload = self.payload(registry if registry is not None else METRICS)
         path = target_dir / self.filename()
-        # Unique temp per flush: pool threads share one exporter, and two
-        # concurrent flushes must never interleave writes into one temp
-        # file.  Racing replaces leave a complete (if momentarily stale)
-        # snapshot either way.
         tmp = path.with_name(f".{path.stem}-{uuid.uuid4().hex[:6]}.tmp")
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            os.replace(tmp, path)
-        except OSError:
+        # Pool threads share one exporter.  Taking the sequence, writing and
+        # replacing under one lock keeps the snapshot on disk monotone: a
+        # flush holding seq N can never replace one holding seq N + 1.
+        with self._lock:
+            payload = self.payload(registry if registry is not None else METRICS)
             try:
-                tmp.unlink()
+                target_dir.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(
+                    json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
+                )
+                os.replace(tmp, path)
             except OSError:
-                pass
-            return None
+                try:
+                    tmp.unlink()
+                except OSError:
+                    pass
+                return None
         return path
 
 

@@ -47,6 +47,46 @@ class RrtStarConfig:
     nominal_iteration_cost: float = 0.0002
 
 
+class RrtTree:
+    """The RRT* search tree, with node coordinates in preallocated arrays.
+
+    Nearest-node and rewire-radius queries are then one vectorized distance
+    over every node each, instead of a Python scan of the node list.
+    """
+
+    def __init__(self, root: Vec3, capacity: int) -> None:
+        self.points: list[Vec3] = [root]
+        self.parents: list[int] = [-1]
+        self.costs: list[float] = [0.0]
+        self._xyz = np.empty((3, capacity))
+        self._xyz[:, 0] = root.to_tuple()
+
+    def add(self, point: Vec3, parent: int, cost: float) -> int:
+        """Append a node and return its index."""
+        index = len(self.points)
+        self._xyz[:, index] = point.to_tuple()
+        self.points.append(point)
+        self.parents.append(parent)
+        self.costs.append(cost)
+        return index
+
+    def distances(self, point: Vec3) -> np.ndarray:
+        """Distance from every node to ``point``, in node order.
+
+        Each entry equals ``node.distance_to(point)`` bit for bit: the squares
+        are summed in :meth:`Vec3.norm`'s order, then square-rooted.  Squared
+        distances would not do, since two that differ can share a root, and
+        which node is nearest would then change.
+        """
+        delta = self._xyz[:, : len(self.points)] - np.array(point.to_tuple())[:, None]
+        delta *= delta
+        return np.sqrt(delta[0] + delta[1] + delta[2])
+
+    def nearest(self, point: Vec3) -> int:
+        """Index of the node nearest ``point``; the lowest index among ties."""
+        return int(np.argmin(self.distances(point)))
+
+
 class RrtStarPlanner:
     """RRT* with informed sampling and rewiring."""
 
@@ -69,9 +109,6 @@ class RrtStarPlanner:
         if self.inflated.is_colliding(problem.goal):
             return PlanningResult.failure(PlannerStatus.GOAL_IN_COLLISION)
 
-        nodes: list[Vec3] = [problem.start]
-        parents: list[int] = [-1]
-        costs: list[float] = [0.0]
         best_goal_index: int | None = None
         best_goal_cost = float("inf")
         iterations = 0
@@ -84,40 +121,42 @@ class RrtStarPlanner:
                 cfg.max_iterations,
                 max(1, int(problem.time_budget / cfg.nominal_iteration_cost)),
             )
+        tree = RrtTree(problem.start, capacity=budget_iterations + 1)
+        points, costs = tree.points, tree.costs
 
         for iteration in range(budget_iterations):
             iterations = iteration + 1
 
             sample = self._sample(problem)
-            nearest_index = self._nearest(nodes, sample)
-            new_point = self._steer(nodes[nearest_index], sample, cfg.step_size)
+            nearest_index = tree.nearest(sample)
+            nearest = points[nearest_index]
+            new_point = self._steer(nearest, sample, cfg.step_size)
             new_point = self._clamp_altitude(new_point, problem)
 
             if self.inflated.is_colliding(new_point):
                 continue
-            if self._edge_blocked(nodes[nearest_index], new_point):
+            if self._edge_blocked(nearest, new_point):
                 continue
 
             # Choose the best parent within the rewire radius.
-            neighbour_indices = self._near(nodes, new_point, cfg.rewire_radius)
+            distances = tree.distances(new_point)
+            near = np.flatnonzero(distances <= cfg.rewire_radius)
+            neighbours = list(zip(near.tolist(), distances[near].tolist()))
             best_parent = nearest_index
-            best_cost = costs[nearest_index] + nodes[nearest_index].distance_to(new_point)
-            for index in neighbour_indices:
-                candidate_cost = costs[index] + nodes[index].distance_to(new_point)
-                if candidate_cost < best_cost and not self._edge_blocked(nodes[index], new_point):
+            best_cost = costs[nearest_index] + nearest.distance_to(new_point)
+            for index, distance in neighbours:
+                candidate_cost = costs[index] + distance
+                if candidate_cost < best_cost and not self._edge_blocked(points[index], new_point):
                     best_parent = index
                     best_cost = candidate_cost
 
-            nodes.append(new_point)
-            parents.append(best_parent)
-            costs.append(best_cost)
-            new_index = len(nodes) - 1
+            new_index = tree.add(new_point, best_parent, best_cost)
 
             # Rewire neighbours through the new node when that shortens them.
-            for index in neighbour_indices:
-                rewired_cost = best_cost + new_point.distance_to(nodes[index])
-                if rewired_cost < costs[index] and not self._edge_blocked(new_point, nodes[index]):
-                    parents[index] = new_index
+            for index, distance in neighbours:
+                rewired_cost = best_cost + distance
+                if rewired_cost < costs[index] and not self._edge_blocked(new_point, points[index]):
+                    tree.parents[index] = new_index
                     costs[index] = rewired_cost
 
             # Track the best node that can connect to the goal.
@@ -136,14 +175,14 @@ class RrtStarPlanner:
                 planning_time=time.perf_counter() - started,
             )
 
-        waypoints = self._extract(nodes, parents, best_goal_index)
+        waypoints = self._extract(points, tree.parents, best_goal_index)
         waypoints.append(problem.goal)
         return PlanningResult(
             status=PlannerStatus.SUCCESS,
             waypoints=waypoints,
             cost=path_length(waypoints),
             iterations=iterations,
-            nodes_expanded=len(nodes),
+            nodes_expanded=len(points),
             planning_time=time.perf_counter() - started,
         )
 
@@ -167,21 +206,6 @@ class RrtStarPlanner:
             float(self._rng.uniform(lo_y, hi_y)),
             float(self._rng.uniform(lo_z, max(lo_z + 0.1, hi_z))),
         )
-
-    @staticmethod
-    def _nearest(nodes: list[Vec3], point: Vec3) -> int:
-        best_index = 0
-        best_distance = float("inf")
-        for index, node in enumerate(nodes):
-            distance = node.distance_to(point)
-            if distance < best_distance:
-                best_distance = distance
-                best_index = index
-        return best_index
-
-    @staticmethod
-    def _near(nodes: list[Vec3], point: Vec3, radius: float) -> list[int]:
-        return [index for index, node in enumerate(nodes) if node.distance_to(point) <= radius]
 
     @staticmethod
     def _steer(from_point: Vec3, to_point: Vec3, step: float) -> Vec3:

@@ -137,6 +137,12 @@ class TestOcTree:
         tree.prune()
         assert tree.node_count() <= before
 
+    def test_rejects_geometry_without_flat_keys(self):
+        with pytest.raises(ValueError, match="power of two"):
+            OcTree(OcTreeConfig(size=24.0, resolution=1.0, origin=Vec3(-12, -12, -12)))
+        with pytest.raises(ValueError, match="voxel grid"):
+            OcTree(OcTreeConfig(size=16.0, resolution=1.0, origin=Vec3(-8.5, -8, -8)))
+
     def test_memory_grows_with_observations(self):
         tree = OcTree()
         empty_memory = tree.memory_bytes()
@@ -192,3 +198,72 @@ class TestInflation:
     def test_inflation_radius_property(self):
         inflated = self.make_map_with_obstacle()
         assert inflated.inflation_radius == pytest.approx(1.0)
+
+
+def scalar_colliding(inflated, point):
+    """The per-offset loop the batched ``is_colliding`` replaced."""
+    return any(
+        inflated.base_map.is_occupied(point + Vec3(*offset))
+        for offset in inflated._offsets.tolist()
+    )
+
+
+def scalar_segment_colliding(inflated, start, end, step):
+    """The per-sample loop the batched ``segment_colliding`` replaced."""
+    length = start.distance_to(end)
+    if length < 1e-9:
+        return scalar_colliding(inflated, start)
+    samples = max(2, int(np.ceil(length / step)) + 1)
+    return any(
+        scalar_colliding(inflated, start.lerp(end, i / (samples - 1))) for i in range(samples)
+    )
+
+
+def face_points(faces_per_axis, count, seed):
+    """Points whose coordinates lie on voxel faces or one ulp either side."""
+    rng = np.random.default_rng(seed)
+    columns = [
+        rng.choice(np.concatenate([faces, np.nextafter(faces, np.inf), np.nextafter(faces, -np.inf)]), count)
+        for faces in faces_per_axis
+    ]
+    return [Vec3(float(x), float(y), float(z)) for x, y, z in zip(*columns)]
+
+
+class TestBatchedInflatedQuery:
+    """One batched map query per collision check, against the scalar loops.
+
+    Probes are ``point + offset`` in floats: near a voxel face that can land
+    in a different voxel than the point's own voxel shifted by the offset.
+    """
+
+    def check(self, inflated, faces_per_axis):
+        points = face_points(faces_per_axis, 300, seed=1)
+        expected = [scalar_colliding(inflated, point) for point in points]
+        assert [inflated.is_colliding(point) for point in points] == expected
+        assert any(expected) and not all(expected)
+        segments = list(zip(points[::2], points[1::2]))
+        segments.append((points[0], points[0]))
+        for start, end in segments:
+            assert inflated.segment_colliding(start, end, step=0.5) == scalar_segment_colliding(
+                inflated, start, end, 0.5
+            )
+
+    def test_octree(self):
+        tree = OcTree()
+        for point in (Vec3(1.25, 0.25, 2.25), Vec3(-0.75, 0.75, 1.75), Vec3(0.25, -1.25, 0.25)):
+            for _ in range(3):
+                tree.update_voxel(point, hit=True)
+        faces = np.arange(-3.0, 3.5, 0.5)
+        self.check(InflatedMap(tree), (faces, faces, faces))
+
+    def test_voxel_grid(self):
+        grid = VoxelGrid(VoxelGridConfig(resolution=0.5, window_size=8.0, height=4.0))
+        grid.recenter(Vec3(3.1, -2.7, 5.0))
+        grid.integrate_cloud(cloud_at([Vec3(3.3, -2.4, 0.2), Vec3(2.2, -1.1, 1.4), Vec3(4.6, -3.3, 0.9)]))
+        steps = np.arange(-2, 19) * 0.5
+        faces = (
+            grid.center.x - 4.0 + steps,
+            grid.center.y - 4.0 + steps,
+            np.arange(-2, 10) * 0.5,
+        )
+        self.check(InflatedMap(grid), faces)

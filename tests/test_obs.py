@@ -6,6 +6,7 @@ tracing on or off — is asserted here over a real (short) campaign; the CI
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -360,26 +361,38 @@ class TestMetricsExport:
         from repro.obs.aggregate import snapshot_paths
 
         registry = fleet_registry(1, 1)
-        exporter = MetricsExporter(process="p", nonce="cc")
-        threads = [
-            threading.Thread(
-                target=lambda: [exporter.flush(tmp_path, registry=registry)
-                                for _ in range(20)]
-            )
-            for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        paths = snapshot_paths([tmp_path])
-        assert len(paths) == 1
-        # Only the snapshot remains: every unique temp file was replaced
-        # over it, none linger and none match the aggregator's glob.
-        assert sorted(p.name for p in (tmp_path / "obs" / "metrics").iterdir()) == [
-            paths[0].name
-        ]
-        assert json.loads(paths[0].read_text())["seq"] == 80
+        interval = sys.getswitchinterval()
+        # Switch threads as often as possible, so that an unlocked window
+        # between taking a seq and replacing the snapshot is hit.
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(40):
+                directory = tmp_path / f"attempt-{attempt}"
+                exporter = MetricsExporter(process="p", nonce="cc")
+
+                def flush_ten(exporter=exporter, directory=directory):
+                    for _ in range(10):
+                        exporter.flush(directory, registry=registry)
+
+                threads = [threading.Thread(target=flush_ten) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                paths = snapshot_paths([directory])
+                assert len(paths) == 1
+                # Only the snapshot remains: every unique temp file was
+                # replaced over it, none linger and none match the
+                # aggregator's glob.
+                assert sorted(
+                    p.name for p in (directory / "obs" / "metrics").iterdir()
+                ) == [paths[0].name]
+                # The last replace carries the last seq: the snapshot on disk
+                # never steps back.
+                assert json.loads(paths[0].read_text())["seq"] == 80
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_merge_is_byte_stable_over_arrival_order(self, tmp_path):
         import itertools

@@ -1,6 +1,7 @@
 """Tests for A*, the EGO local planner, RRT*, trajectories and the spiral."""
 
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.mapping.octomap import OcTree
 from repro.mapping.voxel_grid import VoxelGrid, VoxelGridConfig
 from repro.planning.astar import AStarConfig, AStarPlanner
 from repro.planning.ego_planner import EgoLocalPlanner, EgoPlannerConfig
-from repro.planning.rrt_star import RrtStarConfig, RrtStarPlanner
+from repro.planning.rrt_star import RrtStarConfig, RrtStarPlanner, RrtTree
 from repro.planning.spiral import spiral_search_waypoints
 from repro.planning.straight_line import StraightLinePlanner
 from repro.planning.trajectory import Trajectory, TrajectoryFollower, shortcut_smooth
@@ -186,6 +187,29 @@ class TestRrtStar:
         assert [w.to_tuple() for w in results[0].waypoints] == [
             w.to_tuple() for w in results[1].waypoints
         ]
+
+
+class TestRrtTree:
+    def test_nearest_is_the_lowest_index_among_equidistant_nodes(self):
+        tree = RrtTree(Vec3(3, 0, 0), capacity=5)
+        for point in (Vec3(0, 2, 0), Vec3(-2, 0, 0), Vec3(0, 0, 2), Vec3(0, -2, 0)):
+            tree.add(point, parent=0, cost=0.0)
+        assert tree.nearest(Vec3.zero()) == 1
+
+    def test_nearest_compares_distances_not_squares(self):
+        # Two nodes whose squared distances differ but whose distances round
+        # to the same double: like the scan over Vec3.distance_to, nearest
+        # keeps the first, where comparing squares would pick the second.
+        rng = random.Random(3)
+        while True:
+            first = Vec3(rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0), 0.0)
+            second = Vec3(math.nextafter(first.x, 0.0), first.y, 0.0)
+            if second.norm_sq() < first.norm_sq() and second.norm() == first.norm():
+                break
+        tree = RrtTree(first, capacity=2)
+        tree.add(second, parent=0, cost=0.0)
+        assert tree.distances(Vec3.zero()).tolist() == [first.norm(), second.norm()]
+        assert tree.nearest(Vec3.zero()) == 0
 
 
 class TestTrajectory:
