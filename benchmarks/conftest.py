@@ -4,7 +4,8 @@ The campaigns are executed once per pytest session (module-scoped fixtures
 would re-run them per file) and then rendered by the individual benches.
 Campaign size is controlled by REPRO_BENCH_SCENARIOS / REPRO_BENCH_REPETITIONS;
 the defaults keep the whole benchmark suite at roughly ten minutes of wall
-clock, while 100 / 3 reproduces the paper-scale campaign.
+clock, while 100 / 3 reproduces the paper-scale campaign.  REPRO_BENCH_WORKERS
+sets the SIL and HIL campaigns' worker processes.
 
 This conftest also owns ``BENCH_results.json`` (path overridable via
 ``$REPRO_BENCH_RESULTS``): pytest-benchmark timings are harvested
@@ -26,7 +27,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.bench.campaign import CampaignConfig, run_campaign, run_field_campaign, run_hil_campaign  # noqa: E402
+from repro import Campaign, build_evaluation_suite, mls_v3, run_field_campaign  # noqa: E402
+from repro.bench.campaign import bench_scenario_count, bench_workers  # noqa: E402
 
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -195,18 +197,16 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(scope="session")
 def sil_campaign_results():
     """RQ1: the SIL campaign over MLS-V1/V2/V3."""
-    return run_campaign(campaign_config=CampaignConfig())
+    return Campaign().parallel(bench_workers()).run()
 
 
 @pytest.fixture(scope="session")
 def hil_campaign_result():
     """RQ2: the HIL campaign (MLS-V3 on the Jetson Nano model)."""
-    return run_hil_campaign(campaign_config=CampaignConfig())
+    return Campaign(mls_v3()).platform("jetson-nano").parallel(bench_workers()).run()["MLS-V3"]
 
 
 @pytest.fixture(scope="session")
 def field_campaign_result():
     """RQ3: the real-world (field) campaign."""
-    config = CampaignConfig()
-    config.scenario_count = max(4, config.scenario_count // 2)
-    return run_field_campaign(campaign_config=config)
+    return run_field_campaign(build_evaluation_suite().subset(max(4, bench_scenario_count() // 2)))

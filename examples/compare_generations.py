@@ -15,16 +15,21 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.bench.campaign import CampaignConfig, run_campaign
+from repro.bench.campaign import Campaign
 from repro.bench.tables import render_detection_table, render_landing_table
 
 SCENARIOS = int(os.environ.get("SCENARIOS", "4"))
 
 
 def main() -> None:
-    config = CampaignConfig(scenario_count=SCENARIOS, repetitions=1)
     print(f"Running {SCENARIOS} scenarios x 3 system generations (this takes a few minutes)...\n")
-    results = run_campaign(campaign_config=config, progress=lambda line: print("  " + line))
+    results = (
+        Campaign()
+        .scenarios(SCENARIOS)
+        .repetitions(1)
+        .progress(lambda line: print("  " + line))
+        .run()
+    )
 
     print()
     print(render_landing_table(results))

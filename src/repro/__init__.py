@@ -50,13 +50,7 @@ from repro.analysis import (
     summarize_records,
     wilson_interval,
 )
-from repro.bench.campaign import (
-    Campaign,
-    CampaignConfig,
-    run_campaign,
-    run_field_campaign,
-    run_hil_campaign,
-)
+from repro.bench.campaign import Campaign
 from repro.core.config import (
     DetectorKind,
     LandingSystemConfig,
@@ -105,6 +99,7 @@ from repro.faults import (
     render_coverage_report,
     resolve_faults,
 )
+from repro.realworld import run_field_campaign
 from repro.world.scenario import Scenario
 from repro.world.scenario_gen import (
     STRESS_AXES,
@@ -118,7 +113,7 @@ from repro.world.scenario_gen import (
 )
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 
-__version__ = "1.5.0"
+__version__ = "1.11.0"
 
 __all__ = [
     # configuration & presets
@@ -153,9 +148,6 @@ __all__ = [
     "run_scenario",
     # campaigns
     "Campaign",
-    "CampaignConfig",
-    "run_campaign",
-    "run_hil_campaign",
     "run_field_campaign",
     # distributed dispatch
     "DispatchPlan",

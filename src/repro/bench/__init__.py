@@ -10,13 +10,7 @@
   side-by-side comparison and for the shape checks in EXPERIMENTS.md.
 """
 
-from repro.bench.campaign import (
-    Campaign,
-    CampaignConfig,
-    run_campaign,
-    run_hil_campaign,
-    run_field_campaign,
-)
+from repro.bench.campaign import Campaign
 from repro.bench.tables import (
     format_markdown_table,
     format_table,
@@ -28,10 +22,6 @@ from repro.bench import paper_values
 
 __all__ = [
     "Campaign",
-    "CampaignConfig",
-    "run_campaign",
-    "run_hil_campaign",
-    "run_field_campaign",
     "format_markdown_table",
     "format_table",
     "render_landing_table",

@@ -4,8 +4,9 @@ The full paper campaign is 100 scenarios x 3 repetitions per system; in this
 pure-Python reproduction each run takes seconds of wall clock, so the default
 campaign size is reduced and controlled by the ``REPRO_BENCH_SCENARIOS`` /
 ``REPRO_BENCH_REPETITIONS`` environment variables (set them to 100 / 3 to run
-the paper-scale campaign).  ``REPRO_BENCH_WORKERS`` selects multi-process
-execution for any campaign built through this module.
+the paper-scale campaign).  ``REPRO_BENCH_WORKERS`` is read only by the
+benchmark fixtures, which pass :func:`bench_workers` to ``.parallel()``; a
+:class:`Campaign` runs serially unless ``.parallel()`` is called.
 
 The primary API is the fluent :class:`Campaign` builder::
 
@@ -25,9 +26,7 @@ Every mission in a campaign is independent (own world, own seeds), so the
 run grid is embarrassingly parallel: ``.parallel(n)`` fans the jobs out over a
 :class:`concurrent.futures.ProcessPoolExecutor` while keeping aggregation in
 submission order, which makes the parallel results bit-identical to the
-serial ones.  :func:`run_campaign`, :func:`run_hil_campaign` and
-:func:`run_field_campaign` remain as thin wrappers for the existing
-benchmarks.
+serial ones.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict as dataclasses_asdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -59,7 +58,6 @@ from repro.faults.spec import FaultSpec, ensure_unique_names, resolve_faults
 from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
 from repro.jsonl import sha16_of_json
 from repro.perception.neural.training import load_pretrained_detector_net
-from repro.realworld.field_test import FieldTestConfig, run_field_scenario
 from repro.world.scenario import Scenario
 from repro.world.scenario_gen import PRESET_NAMES, SuiteSpec, generate_suite
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
@@ -81,20 +79,8 @@ def bench_repetitions() -> int:
 
 
 def bench_workers() -> int:
-    """Worker processes per campaign, overridable via ``REPRO_BENCH_WORKERS``."""
+    """Worker processes for the benchmark fixtures, via ``REPRO_BENCH_WORKERS``."""
     return int(os.environ.get("REPRO_BENCH_WORKERS", DEFAULT_BENCH_WORKERS))
-
-
-@dataclass
-class CampaignConfig:
-    """What to run (the non-fluent knob bundle used by the benchmarks)."""
-
-    scenario_count: int = field(default_factory=bench_scenario_count)
-    repetitions: int = field(default_factory=bench_repetitions)
-    mission: MissionConfig = field(default_factory=MissionConfig)
-    base_seed: int = 2025
-    verbose: bool = False
-    workers: int = field(default_factory=bench_workers)
 
 
 # ---------------------------------------------------------------------- #
@@ -251,23 +237,15 @@ def _execute_job(job: CampaignJob) -> RunRecord:
         "repro_frames_total", "Camera decision ticks by frame handling."
     ).inc(runner.frames_rendered, system=job.system.name, mode="rendered")
     METRICS.counter(
-        "repro_frames_total", "Camera decision ticks by frame handling."
-    ).inc(runner.frames_skipped, system=job.system.name, mode="skipped")
-    METRICS.counter(
         "repro_depth_captures_total", "Depth ticks by capture handling."
     ).inc(runner.depth_captures, system=job.system.name, mode="captured")
-    METRICS.counter(
-        "repro_depth_captures_total", "Depth ticks by capture handling."
-    ).inc(runner.depth_skipped, system=job.system.name, mode="skipped")
     METRICS.histogram(
         "repro_mission_seconds", "Simulated mission duration per run."
     ).observe(record.mission_time, system=job.system.name)
     if recorder is not None:
         recorder.count("frames-rendered", runner.frames_rendered)
-        recorder.count("frames-skipped", runner.frames_skipped)
         recorder.count("frames-lost", runner.frames_lost)
         recorder.count("depth-captures", runner.depth_captures)
-        recorder.count("depth-skipped", runner.depth_skipped)
         recorder.count("clouds-lost", runner.clouds_lost)
         from repro.obs.trace import append_trace_summary
 
@@ -280,12 +258,6 @@ def _execute_job(job: CampaignJob) -> RunRecord:
             correlation=correlation or None,
         )
     return record
-
-
-#: Shared content-hash helper (see :func:`repro.jsonl.sha16_of_json`); the
-#: old private name is kept because the dispatch planner historically
-#: imported it from here.
-_sha16 = sha16_of_json
 
 
 def campaign_result_filename(system_name: str) -> str:
@@ -317,7 +289,7 @@ def campaign_context_fingerprint(
     }
     if faults:
         payload["faults"] = [spec.to_dict() for spec in faults]
-    return _sha16(payload)
+    return sha16_of_json(payload)
 
 
 def _scenario_fingerprint(scenario: Scenario) -> str:
@@ -898,95 +870,3 @@ class Campaign:
         suite = build_evaluation_suite(base_seed=self._base_seed).subset(count)
         suite.repetitions = self._repetitions if self._repetitions is not None else bench_repetitions()
         return suite
-
-
-# ---------------------------------------------------------------------- #
-# thin wrappers kept for the existing benchmarks / examples
-# ---------------------------------------------------------------------- #
-def _campaign_from_config(
-    campaign_config: CampaignConfig, suite: ScenarioSuite | None
-) -> Campaign:
-    campaign = Campaign().mission(campaign_config.mission).seed(campaign_config.base_seed)
-    if suite is not None:
-        # Legacy semantics: an explicit suite brings its own repetition count.
-        campaign.suite(suite)
-    else:
-        campaign.scenarios(campaign_config.scenario_count).repetitions(
-            campaign_config.repetitions
-        )
-    if campaign_config.workers > 1:
-        campaign.parallel(campaign_config.workers)
-    return campaign
-
-
-def run_campaign(
-    system_configs: Iterable[LandingSystemConfig] | None = None,
-    campaign_config: CampaignConfig | None = None,
-    suite: ScenarioSuite | None = None,
-    platform_factory: Callable[[], ExecutionPlatform] | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, CampaignResult]:
-    """Run a (possibly reduced) campaign and aggregate per-system results.
-
-    Args:
-        system_configs: systems to evaluate; defaults to V1, V2 and V3.
-        campaign_config: campaign size, mission timing and worker count.
-        suite: explicit scenario suite; defaults to a subset of the 10x10
-            evaluation suite.
-        platform_factory: builds the execution platform for each run
-            (defaults to the SIL desktop platform).
-        progress: optional callback receiving one line per completed run.
-    """
-    campaign = _campaign_from_config(campaign_config or CampaignConfig(), suite).progress(progress)
-    if system_configs is not None:
-        campaign.systems(*system_configs)
-    if platform_factory is not None:
-        campaign.platform(platform_factory)
-    return campaign.run()
-
-
-def run_hil_campaign(
-    campaign_config: CampaignConfig | None = None,
-    suite: ScenarioSuite | None = None,
-    system_config: LandingSystemConfig | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> CampaignResult:
-    """The RQ2 campaign: MLS-V3 on the Jetson Nano platform."""
-    system_config = system_config or mls_v3()
-    campaign = (
-        _campaign_from_config(campaign_config or CampaignConfig(), suite)
-        .systems(system_config)
-        .platform("jetson-nano")
-        .progress(progress)
-    )
-    return campaign.run()[system_config.name]
-
-
-def run_field_campaign(
-    campaign_config: CampaignConfig | None = None,
-    suite: ScenarioSuite | None = None,
-    field_config: FieldTestConfig | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> CampaignResult:
-    """The RQ3 campaign: simplified scenarios flown with real-world effects."""
-    campaign_config = campaign_config or CampaignConfig()
-    if suite is None:
-        suite = build_evaluation_suite(base_seed=campaign_config.base_seed).subset(
-            campaign_config.scenario_count
-        )
-        suite.repetitions = campaign_config.repetitions
-    field_config = field_config or FieldTestConfig()
-    network = _shared_network()
-
-    result = CampaignResult(system_name="MLS-V3")
-    for scenario in suite:
-        record = run_field_scenario(
-            scenario,
-            config=field_config,
-            mission_config=campaign_config.mission,
-            detector_network=network,
-        )
-        result.add(record)
-        if progress is not None:
-            progress(f"field {scenario.scenario_id}: {record.outcome.value}")
-    return result

@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.commands import Command
-from repro.core.config import (
-    DetectorKind,
-    LandingSystemConfig,
-    MapperKind,
-    PlannerKind,
-)
+from repro.core.config import LandingSystemConfig
 from repro.core.registry import (
     DETECTOR,
     MAPPER,
@@ -63,27 +58,6 @@ class ModuleTimings:
     @property
     def total(self) -> float:
         return self.detection + self.mapping + self.planning
-
-
-def _builtin_latency_table() -> dict:
-    """Back-compat view of the built-in latencies, keyed by the old enums.
-
-    The declarations themselves now live on the component registry
-    (:mod:`repro.core.registry`): each registered component carries its own
-    nominal desktop-class latency, so custom components automatically get a
-    cost model.  The relative costs matter more than the absolute values: the
-    learned detector is heavier than the classical one, octree fusion is
-    heavier than grid fusion, and RRT* is heavier than bounded local A*.
-    """
-    table = {}
-    for kind, enum_type in ((DETECTOR, DetectorKind), (MAPPER, MapperKind), (PLANNER, PlannerKind)):
-        for member in enum_type:
-            table[member] = REGISTRY.nominal_latency(kind, member)
-    return table
-
-
-#: Deprecated alias: read latencies from ``REGISTRY.nominal_latency`` instead.
-NOMINAL_LATENCY = _builtin_latency_table()
 
 
 class LandingSystem:
@@ -196,33 +170,6 @@ class LandingSystem:
             self._last_detection = best
             self._last_detection_time = frame.timestamp
         return result
-
-    def process_skipped_frame(self, timestamp: float) -> DetectionFrame:
-        """Account for a decision tick whose camera frame was provably blank.
-
-        The mission fast path elides rendering and detection on frames that
-        cannot contain a marker or obstacle pixel (see
-        ``MissionRunner._frame_provably_blank``).  The bookkeeping matches
-        :meth:`process_frame` on an empty detection result exactly: the
-        nominal detection cost is still charged — the real detector would
-        still scan the blank frame — and the cached last frame advances, so
-        downstream state (validation, candidate latching) is byte-identical
-        to having run the detector.
-        """
-        result = DetectionFrame(timestamp=timestamp)
-        self.last_timings.detection = self._detector_spec.nominal_latency
-        self._last_frame = result
-        return result
-
-    @property
-    def frame_elision_safe(self) -> bool:
-        """Whether the configured detector is declared silent on blank frames.
-
-        Read from the registry metadata flag ``blank_frame_silent``; custom
-        detectors default to False, which disables the mission fast path for
-        them.
-        """
-        return bool(self._detector_spec.metadata.get("blank_frame_silent", False))
 
     def process_cloud(self, cloud: PointCloud, estimate: EstimatedState) -> None:
         """Fuse a depth point cloud into the configured occupancy map."""

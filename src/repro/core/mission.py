@@ -9,8 +9,7 @@ detection and resource statistics the other tables need.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -20,9 +19,8 @@ from repro.core.landing_system import LandingSystem
 from repro.core.metrics import DetectionStats, ResourceStats, RunOutcome, RunRecord
 from repro.core.platform import DesktopPlatform, ExecutionPlatform, TickBudget
 from repro.core.states import DecisionState
-from repro.geometry import Pose, Vec3
 from repro.sensors.camera import CameraFrame, DownwardCamera
-from repro.sensors.depth import DepthCamera, PointCloud
+from repro.sensors.depth import DepthCamera
 from repro.vehicle.autopilot import Autopilot, AutopilotConfig, FlightMode
 from repro.world.scenario import Scenario
 from repro.world.world import World
@@ -45,23 +43,6 @@ class MissionConfig:
     min_marker_pixels_for_visibility: float = 7.0
     end_on_failsafe: bool = True
     camera_seed: int = 0
-    #: Elide perception work on ticks that provably cannot change the plan:
-    #: camera frames proven to contain only ground texture skip rendering and
-    #: detection (timings still charged, RNG still advanced), and depth
-    #: captures proven empty skip ray casting.  Byte-identical to the slow
-    #: path — every skip condition is conservative — and automatically
-    #: disabled under fault injection or custom detectors that do not declare
-    #: ``blank_frame_silent``.
-    fast_path: bool = True
-
-
-@dataclass
-class MissionDebugTrace:
-    """Optional per-run trace used by the examples and failure-analysis bench."""
-
-    positions: list[Vec3] = field(default_factory=list)
-    states: list[str] = field(default_factory=list)
-    estimation_errors: list[float] = field(default_factory=list)
 
 
 class MissionRunner:
@@ -76,7 +57,6 @@ class MissionRunner:
         detector_network=None,
         autopilot_config: AutopilotConfig | None = None,
         world: World | None = None,
-        record_trace: bool = False,
         fault_harness: "FaultHarness | None" = None,
         recorder: "FlightRecorder | None" = None,
     ) -> None:
@@ -85,20 +65,16 @@ class MissionRunner:
         self.mission_config = mission_config or MissionConfig()
         self.platform = platform or DesktopPlatform()
         self.world = world or scenario.build_world()
-        self.record_trace = record_trace
-        self.trace = MissionDebugTrace()
         self.fault_harness = fault_harness
         #: Optional flight recorder (see :mod:`repro.obs.trace`).  Strictly a
         #: side channel: it only ever receives wall-clock span durations and
         #: event counts, so attaching one cannot change a single record byte.
         self.recorder = recorder
-        # Fast-path bookkeeping (always on — plain int increments): the
-        # skip-rate figures exported as metrics and trace counters.
+        # Frame and cloud bookkeeping (always on — plain int increments),
+        # exported as metrics and trace counters.
         self.frames_rendered = 0
-        self.frames_skipped = 0
         self.frames_lost = 0
         self.depth_captures = 0
-        self.depth_skipped = 0
         self.clouds_lost = 0
 
         autopilot_config = autopilot_config or AutopilotConfig()
@@ -151,15 +127,6 @@ class MissionRunner:
         collision_name = ""
         budget = TickBudget()
 
-        # Fast-path eligibility is fixed for the whole run: never under a
-        # fault harness (injectors must see every frame) and only for
-        # detectors declared silent on blank frames.
-        fast_path = (
-            mission.fast_path
-            and self.fault_harness is None
-            and self.system.frame_elision_safe
-        )
-        max_view_angle = self.camera.max_view_angle()
         # The flight recorder only ever sees perf_counter durations and event
         # counts behind ``rec is not None`` guards: the untraced loop is
         # byte-for-byte the same code path, and the traced one reads no RNG.
@@ -184,11 +151,6 @@ class MissionRunner:
                     collision_name = obstacle.name
                     break
 
-            if self.record_trace:
-                self.trace.positions.append(state.position)
-                self.trace.states.append(self.system.state.value)
-                self.trace.estimation_errors.append(self.autopilot.estimation_error)
-
             if self.autopilot.mode is FlightMode.TAKEOFF:
                 continue
 
@@ -207,28 +169,14 @@ class MissionRunner:
                     if rec is not None:
                         rec.add("harness", _t)
                 _t = perf_counter() if rec is not None else 0.0
-                if (
-                    fast_path
-                    and self.depth_forward.capture_provably_empty(self.world, state.pose)
-                    and self.depth_down.capture_provably_empty(self.world, state.pose)
-                ):
-                    # Both captures would return empty clouds without touching
-                    # their RNGs; build the identical merged cloud directly.
-                    merged = PointCloud(
-                        points=[],
-                        timestamp=time_now,
-                        sensor_position=estimate.pose.position,
-                    )
-                    self.depth_skipped += 1
-                else:
-                    cloud = self.depth_forward.capture(
-                        self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
-                    )
-                    cloud_down = self.depth_down.capture(
-                        self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
-                    )
-                    merged = cloud.merged_with(cloud_down)
-                    self.depth_captures += 1
+                cloud = self.depth_forward.capture(
+                    self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
+                )
+                cloud_down = self.depth_down.capture(
+                    self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
+                )
+                merged = cloud.merged_with(cloud_down)
+                self.depth_captures += 1
                 if rec is not None:
                     rec.add("sense", _t)
                 if harness is not None:
@@ -257,45 +205,30 @@ class MissionRunner:
                 estimate = self.autopilot.estimated_state
                 if harness is not None:
                     estimate = harness.filter_estimate(estimate, time_now)
-                if fast_path and self._frame_provably_blank(state.pose, max_view_angle):
-                    # The render would contain only ground texture and the
-                    # detector is declared silent on such frames: advance the
-                    # camera RNG exactly as a capture would and charge the
-                    # nominal detection cost without rendering or detecting.
+                _t = perf_counter() if rec is not None else 0.0
+                frame = self.camera.capture(
+                    self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
+                )
+                if rec is not None:
+                    rec.add("sense", _t)
+                self.frames_rendered += 1
+                if harness is not None:
                     _t = perf_counter() if rec is not None else 0.0
-                    self.camera.consume_skipped_frame_rng(self.world)
+                    frame = harness.filter_frame(frame, time_now)
                     if rec is not None:
-                        rec.add("sense", _t)
-                        _t = perf_counter()
-                    self.system.process_skipped_frame(time_now)
+                        rec.add("harness", _t)
+                if frame is not None:
+                    _t = perf_counter() if rec is not None else 0.0
+                    result = self.system.process_frame(frame)
+                    self._score_detections(frame, result, detection_stats)
                     if rec is not None:
                         rec.add("detect", _t)
-                    self.frames_skipped += 1
                 else:
-                    _t = perf_counter() if rec is not None else 0.0
-                    frame = self.camera.capture(
-                        self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
-                    )
-                    if rec is not None:
-                        rec.add("sense", _t)
-                    self.frames_rendered += 1
-                    if harness is not None:
-                        _t = perf_counter() if rec is not None else 0.0
-                        frame = harness.filter_frame(frame, time_now)
-                        if rec is not None:
-                            rec.add("harness", _t)
-                    if frame is not None:
-                        _t = perf_counter() if rec is not None else 0.0
-                        result = self.system.process_frame(frame)
-                        self._score_detections(frame, result, detection_stats)
-                        if rec is not None:
-                            rec.add("detect", _t)
-                    else:
-                        # Frame lost to a sensor fault: no detection ran this
-                        # tick, so no detection cost either (process_frame is
-                        # what normally refreshes the timing each tick).
-                        self.system.last_timings.detection = 0.0
-                        self.frames_lost += 1
+                    # Frame lost to a sensor fault: no detection ran this
+                    # tick, so no detection cost either (process_frame is
+                    # what normally refreshes the timing each tick).
+                    self.system.last_timings.detection = 0.0
+                    self.frames_lost += 1
 
                 _t = perf_counter() if rec is not None else 0.0
                 command = self.system.decide(
@@ -335,39 +268,6 @@ class MissionRunner:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    #: Widest camera view cone (tilt + half-diagonal FOV, radians) the fast
-    #: path will reason about; beyond this the ground-footprint bound blows
-    #: up towards the horizon and the frame is rendered normally.
-    _MAX_SKIP_VIEW_CONE = math.radians(85.0)
-
-    def _frame_provably_blank(self, pose: Pose, max_view_angle: float) -> bool:
-        """True when a capture at ``pose`` provably renders only ground texture.
-
-        Conservative analytic test: with zero glare and image noise the
-        camera draws no RNG beyond its frame counter, and every pixel ray
-        leaves the camera within ``tilt + max_view_angle`` of straight down,
-        so its ground hit lies within ``altitude * tan(...)`` of the nadir
-        point.  If no marker footprint and no obstacle column reaches that
-        disc, the rendered image is pure ground texture — on which the
-        configured detector is declared silent — and the frame cannot change
-        any downstream state.  Any doubt (horizon-grazing tilt, weather
-        image structure, low altitude) falls back to a full render.
-        """
-        weather = self.world.weather
-        if weather.glare > 0 or weather.image_noise > 0:
-            return False
-        altitude = pose.position.z - self.world.ground_altitude
-        if altitude <= 0.5:
-            return False
-        q = pose.orientation
-        cos_tilt = 1.0 - 2.0 * (q.x * q.x + q.y * q.y)
-        tilt = math.acos(min(1.0, max(-1.0, cos_tilt)))
-        view_cone = tilt + max_view_angle
-        if view_cone >= self._MAX_SKIP_VIEW_CONE:
-            return False
-        reach = altitude * math.tan(view_cone)
-        return self.world.geometry().frame_render_clear(pose.position, reach)
-
     def _apply_command(self, command: Command) -> None:
         if command.kind is CommandKind.SETPOINT and command.setpoint is not None:
             self.autopilot.set_position_setpoint(
@@ -498,7 +398,6 @@ def run_scenario(
     mission_config: MissionConfig | None = None,
     platform: ExecutionPlatform | None = None,
     detector_network=None,
-    record_trace: bool = False,
 ) -> RunRecord:
     """Convenience wrapper: build a runner and execute the scenario once."""
     runner = MissionRunner(
@@ -507,6 +406,5 @@ def run_scenario(
         mission_config=mission_config,
         platform=platform,
         detector_network=detector_network,
-        record_trace=record_trace,
     )
     return runner.run()

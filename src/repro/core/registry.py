@@ -303,9 +303,6 @@ def _inflation_config(context: ComponentContext):
     metadata={
         "proposes_unidentified": False,
         "needs_network": False,
-        # Draws no RNG and returns no detections on frames containing only
-        # ground texture, so the mission fast path may elide such frames.
-        "blank_frame_silent": True,
     },
 )
 def _build_classical_detector(context: ComponentContext):
@@ -322,9 +319,6 @@ def _build_classical_detector(context: ComponentContext):
     metadata={
         "proposes_unidentified": True,
         "needs_network": True,
-        # The proposal stage finds nothing on texture-only frames and the
-        # network is deterministic, so blank frames may be elided.
-        "blank_frame_silent": True,
     },
 )
 def _build_learned_detector(context: ComponentContext):

@@ -64,10 +64,6 @@ def render_labels(key: _LabelKey) -> str:
     return "{" + inner + "}"
 
 
-#: Backwards-compatible private alias (instrumented modules imported this).
-_render_labels = render_labels
-
-
 def render_series_lines(
     name: str, type_name: str, help_text: str,
     series: Iterable[tuple[_LabelKey, float]],
@@ -300,7 +296,7 @@ class MetricsRegistry:
             metrics = sorted(self._metrics.items())
         return {
             name: {
-                _render_labels(key) or "{}": value for key, value in metric.samples()
+                render_labels(key) or "{}": value for key, value in metric.samples()
             }
             for name, metric in metrics
         }

@@ -5,8 +5,8 @@
 tree), aggregates every run summary and renders a markdown report through
 :mod:`repro.bench.tables`.
 
-The default report is **deterministic**: it shows span counts, fast-path
-skip counters and the platform model's *nominal* module seconds — all pure
+The default report is **deterministic**: it shows span counts, frame and
+fault counters and the platform model's *nominal* module seconds — all pure
 functions of the campaign definition — so the same campaign produces the
 same bytes on any machine, in any execution mode, and the report can be
 committed as a CI baseline (``baselines/obs-smoke/phase-report.md``).
@@ -95,13 +95,6 @@ def _seconds(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _skip_rate(counters: dict[str, int], skipped: str, executed: str) -> float:
-    """Skips over skip opportunities (``frames-lost``/``clouds-lost`` count
-    captures the harness later dropped, so they are already in ``executed``)."""
-    total = counters.get(skipped, 0) + counters.get(executed, 0)
-    return counters.get(skipped, 0) / total if total else float("nan")
-
-
 def render_phase_report(
     summaries: Sequence[dict[str, Any]], *, wall: bool = False
 ) -> str:
@@ -147,21 +140,13 @@ def render_phase_report(
     lines.append(format_markdown_table(headers, rows))
     lines.append("")
 
-    lines.append("## Fast-path and fault counters")
+    lines.append("## Frame and fault counters")
     lines.append("")
     counter_rows: list[list[object]] = []
     for system in sorted(systems):
         counters = systems[system]["counters"]
         for name in sorted(counters):
             counter_rows.append([system, name, counters[name]])
-        counter_rows.append(
-            [system, "frame-skip-rate",
-             format_percent(_skip_rate(counters, "frames-skipped", "frames-rendered"))]
-        )
-        counter_rows.append(
-            [system, "depth-skip-rate",
-             format_percent(_skip_rate(counters, "depth-skipped", "depth-captures"))]
-        )
     lines.append(format_markdown_table(["System", "Counter", "Total"], counter_rows))
     lines.append("")
     return "\n".join(lines)

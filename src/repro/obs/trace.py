@@ -3,10 +3,10 @@
 A :class:`FlightRecorder` rides along one mission run and accumulates, per
 pipeline phase (sense → detect → map → plan → control, plus the simulator
 physics and the fault-harness interception), a span count and total
-wall-clock seconds, together with deterministic counters (fast-path skip
-decisions, frames lost to faults) and the deterministic *nominal* module
-costs the execution-platform model charges.  One summary line per run is
-appended to a trace file next to the campaign results.
+wall-clock seconds, together with deterministic counters (frames rendered,
+depth captures, frames and clouds lost to faults) and the deterministic
+*nominal* module costs the execution-platform model charges.  One summary
+line per run is appended to a trace file next to the campaign results.
 
 Tracing is strictly a side channel:
 
@@ -22,7 +22,7 @@ Tracing is strictly a side channel:
   a headerless or interleaved file.
 
 Wall-clock span totals are inherently machine-dependent; everything else in
-a summary (span counts, skip counters, nominal seconds) is a pure function
+a summary (span counts, event counters, nominal seconds) is a pure function
 of the campaign definition, which is what lets ``repro.obs report`` commit a
 byte-stable baseline (see :mod:`repro.obs.report`).
 """
@@ -83,7 +83,7 @@ class FlightRecorder:
 
     # -- deterministic quantities --------------------------------------- #
     def count(self, name: str, amount: int = 1) -> None:
-        """Bump a deterministic event counter (skip decisions, lost frames)."""
+        """Bump a deterministic event counter (rendered or lost frames)."""
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def charge_nominal(self, detection: float, mapping: float, planning: float) -> None:

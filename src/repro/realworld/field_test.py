@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import LandingSystemConfig, mls_v3
-from repro.core.metrics import RunRecord
+from repro.core.metrics import CampaignResult, RunRecord
 from repro.core.mission import MissionConfig, MissionRunner
 from repro.geometry import Vec3
 from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
+from repro.perception.neural.training import load_pretrained_detector_net
 from repro.realworld.hardware import CUAV_X7_PRO, FlightControllerProfile
 from repro.vehicle.autopilot import AutopilotConfig
 from repro.world.scenario import Scenario
+from repro.world.scenario_suite import ScenarioSuite
 from repro.world.weather import Weather, WeatherCondition
 from repro.world.world import World
 
@@ -113,3 +115,18 @@ def run_field_scenario(
     )
     platform._map_memory_provider = runner.system.map_memory_bytes
     return runner.run()
+
+
+def run_field_campaign(suite: ScenarioSuite) -> CampaignResult:
+    """The RQ3 campaign: MLS-V3 flies every scenario of ``suite`` once.
+
+    A serial loop rather than a :class:`~repro.bench.campaign.Campaign`:
+    each flight builds its own Jetson platform, seeded per scenario and fed
+    the live system's map memory, which a campaign platform key cannot
+    express.
+    """
+    network = load_pretrained_detector_net()
+    result = CampaignResult(system_name=mls_v3().name)
+    for scenario in suite:
+        result.add(run_field_scenario(scenario, detector_network=network))
+    return result

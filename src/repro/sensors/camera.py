@@ -334,28 +334,8 @@ class DownwardCamera:
         return image
 
     # ------------------------------------------------------------------ #
-    # fast-path support
+    # geometry
     # ------------------------------------------------------------------ #
-    def consume_skipped_frame_rng(self, world: World) -> None:
-        """Advance the per-frame RNG exactly as :meth:`capture` would.
-
-        The mission fast path elides rendering on frames proven to contain
-        nothing but ground texture; the weather draws still have to happen
-        (in the same order, with the same shapes) so that later frames see
-        an identical random stream.
-        """
-        self._frame_count += 1
-        weather = world.weather
-        if weather.glare > 0:
-            self._rng.uniform(0, self.intrinsics.height)
-            self._rng.uniform(0, self.intrinsics.width)
-        if weather.image_noise > 0:
-            self._rng.normal(
-                0.0,
-                weather.image_noise,
-                size=(self.intrinsics.height, self.intrinsics.width),
-            )
-
     def max_view_angle(self) -> float:
         """Largest angle (rad) between any pixel ray and the optical axis."""
         intr = self.intrinsics

@@ -108,9 +108,6 @@ class DepthCamera:
         self._directions_body_arr = np.array(
             [[d.x, d.y, d.z] for d in self._directions_body], dtype=float
         )
-        # Steepest descent rate over the grid: used by the mission fast path
-        # to prove no ray can reach the ground within range.
-        self._max_descent = float(max(0.0, -self._directions_body_arr[:, 2].min()))
 
     def _build_ray_grid(self) -> list[Vec3]:
         spec = self.spec
@@ -227,26 +224,6 @@ class DepthCamera:
             timestamp=timestamp,
             sensor_position=estimated_pose.position,
         )
-
-    def capture_provably_empty(self, world: World, true_pose: Pose) -> bool:
-        """True when :meth:`capture` would return no points and draw no RNG.
-
-        Used by the mission fast path: a capture can be elided only when no
-        ray can reach the ground or an obstacle within range, precipitation
-        is zero (no dropout draws), and weather severity is below the
-        spurious-point threshold (no Poisson draws).  Under those conditions
-        the capture is a pure no-op and skipping it is byte-identical.
-        """
-        weather = world.weather
-        if weather.precipitation > 0:
-            return False
-        if max(weather.precipitation, weather.gps_degradation) >= 0.5:
-            return False
-        altitude = true_pose.position.z - world.ground_altitude
-        if self._max_descent * self.spec.max_range >= altitude:
-            return False
-        margin = self.spec.max_range + 1e-6
-        return world.geometry().min_hazard_distance(true_pose.position) > margin
 
     def _spurious_points(self, weather, estimated_pose: Pose) -> list[Vec3]:
         """Phantom returns caused by rain speckle / severe GPS degradation."""

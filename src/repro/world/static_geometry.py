@@ -4,8 +4,8 @@ The mission loop hits the same static obstacle set thousands of times per
 run: every depth capture raycasts a grid of rays against every obstacle,
 every physics tick checks the vehicle position for collision, and every
 camera frame slab-tests each obstacle against the full pixel-ray bundle.
-:class:`WorldGeometry` snapshots a world's obstacles and markers into flat
-numpy arrays once and answers those queries in single batched passes.
+:class:`WorldGeometry` snapshots a world's obstacles into flat numpy arrays
+once and answers those queries in single batched passes.
 
 Every kernel replicates the scalar arithmetic of the reference
 implementations (:meth:`repro.geometry.AABB.ray_intersection`,
@@ -22,7 +22,6 @@ rebuild entirely.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,10 +31,6 @@ from repro.geometry import Vec3
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.world.obstacles import Obstacle
     from repro.world.world import World
-
-#: Safety margin (m) added to analytic reach tests before declaring a frame
-#: render provably empty; absorbs any conservative slack in the frustum bound.
-REACH_MARGIN = 0.25
 
 _FINGERPRINT_CACHE: dict[tuple, "WorldGeometry"] = {}
 _FINGERPRINT_CACHE_LIMIT = 64
@@ -67,7 +62,7 @@ def geometry_for_world(world: "World") -> "WorldGeometry":
 
 
 class WorldGeometry:
-    """Flat numpy snapshot of a world's static obstacles and markers."""
+    """Flat numpy snapshot of a world's static obstacles."""
 
     def __init__(self, world: "World") -> None:
         self.signature = (len(world.obstacles), len(world.markers))
@@ -83,15 +78,6 @@ class WorldGeometry:
             self.hazard_hi[i] = (box.maximum.x, box.maximum.y, box.maximum.z)
             if obstacle.late_visibility_range is not None:
                 self.late_range[i] = obstacle.late_visibility_range
-
-        markers = world.markers
-        self.marker_xy = np.empty((len(markers), 2), dtype=float)
-        self.marker_reach = np.empty(len(markers), dtype=float)
-        for i, marker in enumerate(markers):
-            self.marker_xy[i] = (marker.position.x, marker.position.y)
-            # Farthest a rendered marker pixel can sit from the marker centre:
-            # half the diagonal of its (rotated) square footprint.
-            self.marker_reach[i] = (marker.size / 2.0) * math.sqrt(2.0)
 
         self._contains_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
@@ -214,7 +200,7 @@ class WorldGeometry:
         return self.hazards[index]
 
     # ------------------------------------------------------------------ #
-    # camera-frustum culling and fast-path reach tests
+    # camera-frustum culling
     # ------------------------------------------------------------------ #
     def hull_obstacle_indices(
         self, hull_lo: np.ndarray, hull_hi: np.ndarray, camera_height: float
@@ -231,41 +217,3 @@ class WorldGeometry:
         )
         overlap &= self.hazard_lo[:, 2] < camera_height
         return np.nonzero(overlap)[0]
-
-    def frame_render_clear(self, origin: Vec3, reach: float) -> bool:
-        """True when provably no marker or obstacle pixel can render.
-
-        ``reach`` is the analytic frustum ground-footprint radius around the
-        camera's nadir point; anything farther than ``reach`` plus its own
-        footprint radius (plus :data:`REACH_MARGIN`) cannot appear in frame.
-        """
-        if len(self.marker_xy):
-            dx = self.marker_xy[:, 0] - origin.x
-            dy = self.marker_xy[:, 1] - origin.y
-            dist = np.sqrt(dx * dx + dy * dy)
-            if np.any(dist <= reach + self.marker_reach + REACH_MARGIN):
-                return False
-        if self.hazards:
-            cx = np.minimum(np.maximum(origin.x, self.hazard_lo[:, 0]), self.hazard_hi[:, 0])
-            cy = np.minimum(np.maximum(origin.y, self.hazard_lo[:, 1]), self.hazard_hi[:, 1])
-            ex = cx - origin.x
-            ey = cy - origin.y
-            dist = np.sqrt(ex * ex + ey * ey)
-            in_reach = (dist <= reach + REACH_MARGIN) & (
-                self.hazard_lo[:, 2] < origin.z
-            )
-            if np.any(in_reach):
-                return False
-        return True
-
-    def min_hazard_distance(self, point: Vec3) -> float:
-        """Smallest 3D distance from ``point`` to any hazard AABB (inf if none)."""
-        if not self.hazards:
-            return math.inf
-        closest = np.minimum(
-            np.maximum((point.x, point.y, point.z), self.hazard_lo), self.hazard_hi
-        )
-        ex = closest[:, 0] - point.x
-        ey = closest[:, 1] - point.y
-        ez = closest[:, 2] - point.z
-        return float(np.min(np.sqrt((ex * ex + ey * ey) + ez * ez)))

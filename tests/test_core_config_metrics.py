@@ -1,7 +1,11 @@
 """Tests for system configuration presets, commands and metrics aggregation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.commands import Command, CommandKind
 from repro.core.config import (
     DetectorKind,
@@ -134,3 +138,12 @@ class TestMetrics:
         row = campaign.summary_row()
         assert row["Landing System"] == "MLS-V3"
         assert row["Successful Landing Rate"] == 100.0
+
+
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        # A regex, not tomllib: Python 3.10 is supported and has no tomllib.
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert match is not None
+        assert repro.__version__ == match.group(1)

@@ -121,10 +121,18 @@ class TestPlanner:
         # refused — workers must never silently fly an altered campaign.
         plan_smoke(tmp_path, suite)
         path = tmp_path / "dispatch" / "plan.json"
-        data = json.loads(path.read_text())
+        planned = path.read_text()
+        data = json.loads(planned)
         data["repetitions"] = 99
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="edited or corrupted"):
+            load_plan(tmp_path / "dispatch")
+        # A plan written while MissionConfig still had a ``fast_path`` field
+        # is refused cleanly rather than crashing a worker.
+        data = json.loads(planned)
+        data["mission"]["fast_path"] = True
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="malformed dispatch plan"):
             load_plan(tmp_path / "dispatch")
 
     def test_tampered_suite_refused(self, tmp_path, suite):

@@ -732,11 +732,12 @@ class TestMissionIntegration:
                        start=0.0, duration=None)],
             scenario_fingerprint=scenario.fingerprint(),
         )
-        record = MissionRunner(
+        runner = MissionRunner(
             scenario, mls_v1(),
             mission_config=MissionConfig(max_mission_time=20.0),
             fault_harness=harness,
-        ).run()
+        )
+        record = runner.run()
         assert len(record.injected_faults) == 1
         meta = record.injected_faults[0]
         assert meta["activated"] and meta["events"] > 0
@@ -744,6 +745,10 @@ class TestMissionIntegration:
         # scored and the record classifies into the taxonomy.
         assert record.detection.frames_with_visible_marker == 0
         assert record.failure_mode in {mode.value for mode in FailureMode}
+        # Every rendered frame was dropped, and a dropped frame charges no
+        # detection cost: the last decision tick's detection timing is zero.
+        assert runner.frames_lost == runner.frames_rendered > 0
+        assert runner.system.last_timings.detection == 0.0
 
     def test_failsafe_fields_persist_without_harness(self):
         scenario = smoke_scenario()

@@ -144,7 +144,7 @@ class TestFlightRecorder:
         start = recorder.start()
         recorder.add("detect", start)
         recorder.add("detect", recorder.start())
-        recorder.count("frames-skipped")
+        recorder.count("frames-lost")
         recorder.count("frames-rendered", 3)
         recorder.charge_nominal(0.012, 0.028, 0.001)
         recorder.charge_nominal(0.012, 0.028, 0.001)
@@ -154,7 +154,7 @@ class TestFlightRecorder:
         assert summary["repetition"] == 2
         assert summary["spans"]["detect"]["count"] == 2
         assert summary["spans"]["detect"]["wall_s"] > 0.0
-        assert summary["counters"] == {"frames-rendered": 3, "frames-skipped": 1}
+        assert summary["counters"] == {"frames-rendered": 3, "frames-lost": 1}
         assert summary["nominal_s"]["detect"] == pytest.approx(0.024)
         assert summary["nominal_s"]["map"] == pytest.approx(0.056)
         assert summary["nominal_s"]["plan"] == pytest.approx(0.002)
@@ -255,7 +255,7 @@ def synthetic_trace(directory, order):
     for scenario_id, repetition in order:
         recorder = FlightRecorder()
         recorder.add("detect", recorder.start())
-        recorder.count("frames-skipped", 2)
+        recorder.count("frames-lost", 2)
         recorder.count("frames-rendered", 6)
         recorder.count("depth-captures", 4)
         recorder.charge_nominal(0.012, 0.028, 0.001)
@@ -280,19 +280,8 @@ class TestPhaseReport:
         plain = render_phase_report(summaries)
         assert "Wall s" not in plain
         assert "Nominal s" in plain
-        assert "frame-skip-rate" in plain
-        assert "25.0%" in plain  # 2 skipped / (2 + 6)
         walled = render_phase_report(summaries, wall=True)
         assert "Wall s" in walled
-
-    def test_skip_rate_without_opportunities_is_na(self, tmp_path):
-        recorder = FlightRecorder()
-        recorder.charge_nominal(0.01, 0.0, 0.0)
-        append_trace_summary(
-            tmp_path, recorder, system="S", scenario_id="sc", repetition=0
-        )
-        report = render_phase_report(collect_summaries(tmp_path))
-        assert "n/a" in report
 
     def test_cli_writes_report(self, tmp_path, capsys):
         synthetic_trace(tmp_path / "trace", [("sc", 0)])

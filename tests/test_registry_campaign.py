@@ -20,7 +20,7 @@ from repro import (
     register_detector,
     run_scenario,
 )
-from repro.bench.campaign import CampaignConfig, CampaignJob, run_campaign
+from repro.bench.campaign import CampaignJob
 from repro.core.config import DetectorKind, MapperKind, PlannerKind, SystemGeneration, preset
 from repro.core.registry import DETECTOR, MAPPER, PLANNER
 from repro.geometry import Vec3
@@ -306,14 +306,3 @@ class TestCampaignExecution:
             "MLS-V1": 2,
             "V1+grid": 2,
         }
-
-    def test_run_campaign_wrapper_keeps_working(self):
-        suite = build_evaluation_suite().subset(1)
-        suite.repetitions = 1
-        results = run_campaign(
-            [mls_v1()],
-            campaign_config=CampaignConfig(mission=MissionConfig(max_mission_time=10.0)),
-            suite=suite,
-        )
-        assert set(results) == {"MLS-V1"}
-        assert len(results["MLS-V1"].records) == 1

@@ -473,8 +473,14 @@ class TestObservabilityEndpoints:
                     continue
                 name_part, _, value = line.rpartition(" ")
                 assert name_part and (value == "NaN" or float(value) is not None)
-            # Scrapes are repeatable (and the scrape itself was counted).
+            # Scrapes are repeatable (and the scrape itself was counted).  A
+            # request is counted after its response is written, so the
+            # first scrape may show up one scrape late.
+            deadline = time.monotonic() + 5.0
             again, _ = client._text("/metrics")
+            while 'route="/metrics"' not in again and time.monotonic() < deadline:
+                time.sleep(0.01)
+                again, _ = client._text("/metrics")
             assert 'route="/metrics"' in again
         finally:
             METRICS.reset()
