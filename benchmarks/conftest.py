@@ -14,11 +14,20 @@ stats through the ``bench_results`` fixture, and the file is merged on write
 — one ``suites`` section per benchmark module — so running the microbenches
 and the campaign-throughput bench in separate sessions never clobbers the
 other's numbers.
+
+The overhead benches compare two campaigns through the ``lockstep`` fixture,
+which runs them in forked processes that take turns on the CPU (POSIX only).
 """
 
+import gc
 import json
 import os
+import pickle
+import select
+import signal
 import sys
+import time
+import traceback
 from pathlib import Path
 
 import pytest
@@ -84,6 +93,92 @@ def _collect_benchmark_stats(request):
         "rounds": getattr(stats, "rounds", len(getattr(stats, "data", []))),
         "throughput_ops_per_s": 1.0 / mean,
     }
+
+
+# --------------------------------------------------------------------- #
+# lockstep CPU timing for the overhead benches
+# --------------------------------------------------------------------- #
+#: CPU slice each lockstep process runs before the next one's turn.
+LOCKSTEP_QUANTUM_S = 0.005
+
+
+def _lockstep_child(run, ready_w: int, go_r: int, out_w: int) -> None:
+    """Forked child: report ready, wait for go, then send ``(cpu_s, result)``."""
+    try:
+        # Leave the inherited heap out of garbage collection: its size is
+        # the parent's, not the run's.
+        gc.freeze()
+        os.write(ready_w, b"r")
+        os.read(go_r, 1)
+        start = time.process_time()
+        result = run()
+        payload = pickle.dumps((time.process_time() - start, result))
+    except BaseException:
+        payload = pickle.dumps((None, traceback.format_exc()))
+    with os.fdopen(out_w, "wb") as out:
+        out.write(payload)
+
+
+def lockstep_cpu_seconds(*runs):
+    """Run each callable in a forked process, taking turns on the CPU.
+
+    Only one process runs at a time: each gets a :data:`LOCKSTEP_QUANTUM_S`
+    slice in turn (``SIGCONT`` / ``SIGSTOP``) until it returns.  A shared
+    runner's speed drifts by tens of percent within a second, so two runs
+    timed one after the other differ by more than a 5% overhead bound; runs
+    that alternate every few milliseconds see the same host.  Returns one
+    ``(cpu_seconds, result)`` per callable, in order (results come back
+    pickled).
+    """
+    children: list[tuple[int, int, int]] = []
+    payloads: dict[int, tuple] = {}
+    try:
+        for run in runs:
+            ready_r, ready_w = os.pipe()
+            go_r, go_w = os.pipe()
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _lockstep_child(run, ready_w, go_r, out_w)
+                finally:
+                    os._exit(0)
+            for fd in (ready_w, go_r, out_w):
+                os.close(fd)
+            os.read(ready_r, 1)
+            os.close(ready_r)
+            os.kill(pid, signal.SIGSTOP)
+            children.append((pid, go_w, out_r))
+        for _, go_w, _ in children:
+            os.write(go_w, b"g")
+            os.close(go_w)
+        while len(payloads) < len(children):
+            for index, (pid, _, out_r) in enumerate(children):
+                if index in payloads:
+                    continue
+                os.kill(pid, signal.SIGCONT)
+                if select.select([out_r], [], [], LOCKSTEP_QUANTUM_S)[0]:
+                    # Done: it keeps running until the payload is written.
+                    with os.fdopen(out_r, "rb") as out:
+                        payloads[index] = pickle.loads(out.read())
+                    os.waitpid(pid, 0)
+                else:
+                    os.kill(pid, signal.SIGSTOP)
+    finally:
+        for index, (pid, _, _) in enumerate(children):
+            if index not in payloads:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for index, (cpu_s, result) in sorted(payloads.items()):
+        if cpu_s is None:
+            raise RuntimeError(f"lockstep run {index} failed:\n{result}")
+    return [payloads[index] for index in range(len(children))]
+
+
+@pytest.fixture
+def lockstep():
+    """:func:`lockstep_cpu_seconds`, for benches that compare two campaigns."""
+    return lockstep_cpu_seconds
 
 
 def _load_existing_suites(path: Path) -> dict[str, dict[str, dict[str, float]]]:

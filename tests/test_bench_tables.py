@@ -134,3 +134,9 @@ class TestCampaignConfig:
         monkeypatch.setenv("REPRO_BENCH_REPETITIONS", "2")
         assert bench_scenario_count() == 42
         assert bench_repetitions() == 2
+
+    def test_defaults_are_reasonable(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_SCENARIOS", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_REPETITIONS", raising=False)
+        assert bench_scenario_count() >= 4
+        assert bench_repetitions() >= 1
