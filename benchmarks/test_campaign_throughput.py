@@ -17,6 +17,7 @@ import time
 from repro.bench.campaign import Campaign
 from repro.core.config import mls_v1, mls_v3
 from repro.geometry import Pose, Quaternion, Vec3
+from repro.obs.trace import FlightRecorder
 from repro.perception.neural.training import load_pretrained_detector_net
 from repro.sensors.camera import DownwardCamera
 from repro.world.scenario_gen import generate_suite
@@ -102,20 +103,36 @@ def test_campaign_throughput_serial_v3(bench_results):
     )
 
 
-def test_traced_campaign_overhead_under_5_percent(bench_results, lockstep, tmp_path):
-    """Flight-recorder tracing must stay within 5% of an untraced campaign.
+def _unrecorded_campaign_run():
+    """A campaign whose flight recorders record nothing.
 
-    Tracing sits on the same per-tick hot path as the fault-harness hooks,
-    so it gets the no-op harness bench's bound and measurement: the median
-    CPU-time ratio of a few ``lockstep`` rounds (robust on shared runners),
-    identical record dicts asserted, and the traced throughput recorded for
-    the perfgate trajectory.
+    Run only in a forked ``lockstep`` child, so the no-op stubs never reach
+    the calling process.
+    """
+    def noop(*args, **kwargs):
+        return None
+
+    FlightRecorder.add = FlightRecorder.count = FlightRecorder.charge_nominal = noop
+    return _campaign().run()
+
+
+def test_traced_campaign_overhead_under_5_percent(bench_results, lockstep, tmp_path):
+    """The always-on flight recorder must cost under 5% of a campaign.
+
+    Every mission records its spans, counters and nominal costs, traced or
+    not, so the baseline is a campaign whose recorder methods are stubbed to
+    no-ops, and the compared run is the real traced campaign, which also
+    writes its summaries.  The recorder sits on the same per-tick hot path
+    as the fault-harness hooks, so it gets the no-op harness bench's bound
+    and measurement: the median CPU-time ratio of a few ``lockstep`` rounds
+    (robust on shared runners), identical record dicts asserted, and the
+    traced throughput recorded for the perfgate trajectory.
     """
     ratios, traced_cpu = [], []
     for round_index in range(OVERHEAD_ROUNDS):
         trace_dir = tmp_path / f"trace-{round_index}"
         (baseline_s, baseline_results), (traced_s, traced_results) = lockstep(
-            lambda: _campaign().run(),
+            _unrecorded_campaign_run,
             lambda: _campaign().trace(trace_dir).run(),
         )
         ratios.append(traced_s / baseline_s)
@@ -123,7 +140,7 @@ def test_traced_campaign_overhead_under_5_percent(bench_results, lockstep, tmp_p
 
     for name, reference in baseline_results.items():
         assert _record_dicts(traced_results[name]) == _record_dicts(reference), (
-            f"tracing changed campaign outcomes for {name}"
+            f"the flight recorder changed campaign outcomes for {name}"
         )
     trace_file = tmp_path / "trace-0" / "MLS-V1.trace.jsonl"
     assert trace_file.exists()
@@ -140,9 +157,9 @@ def test_traced_campaign_overhead_under_5_percent(bench_results, lockstep, tmp_p
         overhead_fraction=overhead,
     )
     assert overhead < 0.05, (
-        f"flight-recorder tracing costs {100.0 * overhead:.1f}% over an untraced "
-        f"campaign (median CPU-time ratio of {OVERHEAD_ROUNDS} lockstep rounds); "
-        f"tracing must stay under 5%"
+        f"the flight recorder costs {100.0 * overhead:.1f}% over a campaign that "
+        f"records nothing (median CPU-time ratio of {OVERHEAD_ROUNDS} lockstep "
+        f"rounds); it must stay under 5%"
     )
 
 

@@ -113,7 +113,7 @@ from repro.world.scenario_gen import (
 )
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     # configuration & presets

@@ -98,28 +98,14 @@ def _jetson_real_world_platform() -> ExecutionPlatform:
     return JetsonNanoPlatform(spec=JetsonNanoSpec.real_world())
 
 
-#: Named platform factories accepted by ``Campaign.platform(...)``.  String
-#: keys (rather than factory callables) are what parallel campaigns ship to
-#: worker processes, so entries here are always multiprocessing-safe.
+#: The platforms ``Campaign.platform(...)`` accepts, by key.  Campaigns,
+#: their jobs, result headers and dispatch plans carry only the key, so every
+#: execution mode (worker processes, other machines) resolves it the same way.
 PLATFORM_FACTORIES: dict[str, Callable[[], ExecutionPlatform]] = {
     "desktop": _desktop_platform,
     "jetson-nano": _jetson_platform,
     "jetson-nano-real": _jetson_real_world_platform,
 }
-
-
-def _resolve_platform_factory(
-    platform: str | Callable[[], ExecutionPlatform],
-) -> Callable[[], ExecutionPlatform]:
-    if callable(platform):
-        return platform
-    key = str(platform).strip().lower()
-    if key not in PLATFORM_FACTORIES:
-        raise ValueError(
-            f"unknown platform {platform!r}; expected one of {sorted(PLATFORM_FACTORIES)} "
-            f"or a zero-argument factory callable"
-        )
-    return PLATFORM_FACTORIES[key]
 
 
 # ---------------------------------------------------------------------- #
@@ -134,7 +120,8 @@ class CampaignJob:
     scenario: Scenario
     repetition: int
     mission: MissionConfig
-    platform: str | Callable[[], ExecutionPlatform] = "desktop"
+    #: A :data:`PLATFORM_FACTORIES` key.
+    platform: str = "desktop"
     needs_network: bool = True
     #: Fault specs to inject into this run (see :mod:`repro.faults`); plain
     #: frozen dataclasses, so jobs stay picklable for ``.parallel()``.
@@ -186,12 +173,6 @@ def _execute_job(job: CampaignJob) -> RunRecord:
     from repro.core.registry import ComponentError
     from repro.obs.metrics import METRICS
 
-    trace_dir = job.trace_dir or os.environ.get("REPRO_TRACE_DIR") or None
-    recorder = None
-    if trace_dir:
-        from repro.obs.trace import FlightRecorder
-
-        recorder = FlightRecorder()
     network = _shared_network() if job.needs_network else None
     harness = None
     if job.faults:
@@ -209,10 +190,9 @@ def _execute_job(job: CampaignJob) -> RunRecord:
             job.scenario,
             job.system,
             mission_config=job.mission,
-            platform=_resolve_platform_factory(job.platform)(),
+            platform=PLATFORM_FACTORIES[job.platform](),
             detector_network=network,
             fault_harness=harness,
-            recorder=recorder,
         )
     except ComponentError as error:
         raise ComponentError(
@@ -222,10 +202,11 @@ def _execute_job(job: CampaignJob) -> RunRecord:
         ) from error
     record = runner.run()
     record.repetition = job.repetition
-    # Observability side channel: per-run metrics and the optional trace
-    # summary.  Nothing below reads back into the record, so the persisted
-    # bytes are identical with or without it.
+    # Observability side channel: per-run metrics and, when traced, the
+    # run's flight-recorder summary.  Nothing below reads back into the
+    # record, so the persisted bytes are identical with or without it.
     correlation = _job_correlation(job)
+    counters = runner.recorder.counters
     METRICS.counter(
         "repro_runs_total", "Completed mission runs by system and outcome."
     ).inc(system=job.system.name, outcome=record.outcome.value, **correlation)
@@ -235,23 +216,20 @@ def _execute_job(job: CampaignJob) -> RunRecord:
         ).inc(system=job.system.name, mode=record.failure_mode)
     METRICS.counter(
         "repro_frames_total", "Camera decision ticks by frame handling."
-    ).inc(runner.frames_rendered, system=job.system.name, mode="rendered")
+    ).inc(counters["frames-rendered"], system=job.system.name, mode="rendered")
     METRICS.counter(
         "repro_depth_captures_total", "Depth ticks by capture handling."
-    ).inc(runner.depth_captures, system=job.system.name, mode="captured")
+    ).inc(counters["depth-captures"], system=job.system.name, mode="captured")
     METRICS.histogram(
         "repro_mission_seconds", "Simulated mission duration per run."
     ).observe(record.mission_time, system=job.system.name)
-    if recorder is not None:
-        recorder.count("frames-rendered", runner.frames_rendered)
-        recorder.count("frames-lost", runner.frames_lost)
-        recorder.count("depth-captures", runner.depth_captures)
-        recorder.count("clouds-lost", runner.clouds_lost)
+    trace_dir = job.trace_dir or os.environ.get("REPRO_TRACE_DIR")
+    if trace_dir:
         from repro.obs.trace import append_trace_summary
 
         append_trace_summary(
             trace_dir,
-            recorder,
+            runner.recorder,
             system=job.system.name,
             scenario_id=job.scenario.scenario_id,
             repetition=job.repetition,
@@ -271,7 +249,7 @@ def campaign_result_filename(system_name: str) -> str:
 
 def campaign_context_fingerprint(
     mission: MissionConfig,
-    platform: str | Callable[[], ExecutionPlatform],
+    platform: str,
     faults: Sequence[FaultSpec] = (),
 ) -> str:
     """Identity of a run *context* (mission config + platform + faults).
@@ -285,7 +263,7 @@ def campaign_context_fingerprint(
     """
     payload: dict[str, Any] = {
         "mission": dataclasses_asdict(mission),
-        "platform": platform if isinstance(platform, str) else "<callable>",
+        "platform": platform,
     }
     if faults:
         payload["faults"] = [spec.to_dict() for spec in faults]
@@ -326,7 +304,7 @@ class Campaign:
         self._scenario_count: int | None = None
         self._repetitions: int | None = None
         self._mission: MissionConfig = MissionConfig()
-        self._platform: str | Callable[[], ExecutionPlatform] = "desktop"
+        self._platform: str = "desktop"
         self._workers: int = 1
         self._base_seed: int = 2025
         self._seed_override: int | None = None
@@ -470,13 +448,16 @@ class Campaign:
         self._mission = replace(base, **overrides) if overrides else base
         return self
 
-    def platform(self, platform: str | Callable[[], ExecutionPlatform]) -> "Campaign":
-        """Execution platform: a ``PLATFORM_FACTORIES`` key or a factory.
+    def platform(self, platform: str) -> "Campaign":
+        """Execution platform: a :data:`PLATFORM_FACTORIES` key.
 
-        String keys are preferred for ``.parallel()`` campaigns — they are
-        resolved inside each worker, so the factory never has to pickle.
+        The key is resolved inside each run, so it crosses process and
+        machine boundaries as is.
         """
-        _resolve_platform_factory(platform)  # validate eagerly
+        if not isinstance(platform, str) or platform not in PLATFORM_FACTORIES:
+            raise ValueError(
+                f"unknown platform {platform!r}; expected one of {sorted(PLATFORM_FACTORIES)}"
+            )
         self._platform = platform
         return self
 
@@ -555,16 +536,6 @@ class Campaign:
 
         scenario_hashes: dict[str, str] = {}
         if self._out is not None:
-            if not isinstance(self._platform, str):
-                import warnings
-
-                warnings.warn(
-                    "persisting campaign results with a callable platform "
-                    "factory: platform changes cannot be detected on resume "
-                    "(use a string platform key for full resume guarding)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
             for job in jobs:
                 if job.scenario.scenario_id not in scenario_hashes:
                     scenario_hashes[job.scenario.scenario_id] = _scenario_fingerprint(
@@ -595,7 +566,7 @@ class Campaign:
             # fork-start platforms and hit the disk cache elsewhere.
             _shared_network()
 
-        if self._workers > 1 and len(pending) > 1 and self._jobs_picklable(pending):
+        if self._workers > 1 and len(pending) > 1:
             records = self._run_parallel(pending)
         else:
             records = map(_execute_job, pending)
@@ -621,9 +592,7 @@ class Campaign:
                             "campaign": context,
                             # The one run condition a record cannot carry;
                             # repro.analysis slices by it via this header.
-                            "platform": self._platform
-                            if isinstance(self._platform, str)
-                            else "<callable>",
+                            "platform": self._platform,
                         },
                     )
             results[job.system.name].add(record)
@@ -720,11 +689,6 @@ class Campaign:
         from repro.dispatch.planner import plan_dispatch
         from repro.dispatch.worker import run_local_workers
 
-        if not isinstance(self._platform, str):
-            raise ValueError(
-                "dispatch requires a string platform key (workers on other "
-                "machines cannot import a local factory callable)"
-            )
         suite = self._resolved_suite()
         repetitions = self._repetitions if self._repetitions is not None else suite.repetitions
         plan_dispatch(
@@ -814,30 +778,6 @@ class Campaign:
                 (record.scenario_id, record.repetition): record for record in records
             }
         return restored
-
-    @staticmethod
-    def _jobs_picklable(jobs: Sequence[CampaignJob]) -> bool:
-        """Whether the jobs can cross a process boundary.
-
-        A closure/lambda ``platform_factory`` (the pre-fluent callable API)
-        cannot pickle; rather than crash a campaign that used to work
-        serially, fall back to in-process execution with a warning.
-        """
-        import pickle
-        import warnings
-
-        try:
-            pickle.dumps(jobs[0])
-            return True
-        except Exception:
-            warnings.warn(
-                "campaign jobs are not picklable (usually a lambda/closure "
-                "platform factory); running serially — use a platform string "
-                "key such as 'jetson-nano' to enable parallel execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return False
 
     def _run_parallel(self, jobs: Sequence[CampaignJob]) -> Iterable[RunRecord]:
         workers = min(self._workers, len(jobs))

@@ -19,15 +19,14 @@ from repro.core.landing_system import LandingSystem
 from repro.core.metrics import DetectionStats, ResourceStats, RunOutcome, RunRecord
 from repro.core.platform import DesktopPlatform, ExecutionPlatform, TickBudget
 from repro.core.states import DecisionState
+from repro.obs.trace import FlightRecorder
 from repro.sensors.camera import CameraFrame, DownwardCamera
 from repro.sensors.depth import DepthCamera
 from repro.vehicle.autopilot import Autopilot, AutopilotConfig, FlightMode
 from repro.world.scenario import Scenario
-from repro.world.world import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.harness import FaultHarness
-    from repro.obs.trace import FlightRecorder
 
 
 @dataclass
@@ -56,26 +55,21 @@ class MissionRunner:
         platform: ExecutionPlatform | None = None,
         detector_network=None,
         autopilot_config: AutopilotConfig | None = None,
-        world: World | None = None,
         fault_harness: "FaultHarness | None" = None,
-        recorder: "FlightRecorder | None" = None,
     ) -> None:
         self.scenario = scenario
         self.system_config = system_config
         self.mission_config = mission_config or MissionConfig()
         self.platform = platform or DesktopPlatform()
-        self.world = world or scenario.build_world()
+        self.world = scenario.build_world()
         self.fault_harness = fault_harness
-        #: Optional flight recorder (see :mod:`repro.obs.trace`).  Strictly a
-        #: side channel: it only ever receives wall-clock span durations and
-        #: event counts, so attaching one cannot change a single record byte.
-        self.recorder = recorder
-        # Frame and cloud bookkeeping (always on — plain int increments),
-        # exported as metrics and trace counters.
-        self.frames_rendered = 0
-        self.frames_lost = 0
-        self.depth_captures = 0
-        self.clouds_lost = 0
+        #: The run's flight recorder (see :mod:`repro.obs.trace`): phase
+        #: spans, frame and cloud counters and nominal module costs.  Strictly
+        #: a side channel: it only ever receives wall-clock span durations and
+        #: event counts, so it cannot change a single record byte.
+        self.recorder = FlightRecorder(
+            counters=("frames-rendered", "frames-lost", "depth-captures", "clouds-lost")
+        )
 
         autopilot_config = autopilot_config or AutopilotConfig()
         autopilot_config.takeoff_altitude = system_config.cruise_altitude
@@ -127,19 +121,16 @@ class MissionRunner:
         collision_name = ""
         budget = TickBudget()
 
-        # The flight recorder only ever sees perf_counter durations and event
-        # counts behind ``rec is not None`` guards: the untraced loop is
-        # byte-for-byte the same code path, and the traced one reads no RNG.
+        # Every phase is timed into the flight recorder, which only sees
+        # perf_counter durations and event counts and reads no RNG.
         rec = self.recorder
+        harness = self.fault_harness
 
         while time_now < mission.max_mission_time:
             time_now += mission.physics_dt
-            if rec is None:
-                state = self.autopilot.step(mission.physics_dt)
-            else:
-                _t = perf_counter()
-                state = self.autopilot.step(mission.physics_dt)
-                rec.add("physics", _t)
+            _t = perf_counter()
+            state = self.autopilot.step(mission.physics_dt)
+            rec.add("physics", _t)
 
             # Ground-truth collision monitoring (only while airborne).
             if state.position.z > 0.25:
@@ -157,18 +148,15 @@ class MissionRunner:
             if self.autopilot.is_landed:
                 break
 
-            harness = self.fault_harness
-
             # Depth sensing and mapping at its own (lower) rate.
             if time_now >= next_depth and not budget.skip_mapping:
                 next_depth = time_now + mission.depth_period
                 estimate = self.autopilot.estimated_state
                 if harness is not None:
-                    _t = perf_counter() if rec is not None else 0.0
+                    _t = perf_counter()
                     estimate = harness.filter_estimate(estimate, time_now)
-                    if rec is not None:
-                        rec.add("harness", _t)
-                _t = perf_counter() if rec is not None else 0.0
+                    rec.add("harness", _t)
+                _t = perf_counter()
                 cloud = self.depth_forward.capture(
                     self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
                 )
@@ -176,82 +164,74 @@ class MissionRunner:
                     self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
                 )
                 merged = cloud.merged_with(cloud_down)
-                self.depth_captures += 1
-                if rec is not None:
-                    rec.add("sense", _t)
+                rec.add("sense", _t)
+                rec.count("depth-captures")
                 if harness is not None:
-                    _t = perf_counter() if rec is not None else 0.0
+                    _t = perf_counter()
                     merged = harness.filter_cloud(merged, time_now)
-                    if rec is not None:
-                        rec.add("harness", _t)
+                    rec.add("harness", _t)
                 if merged is not None:
-                    _t = perf_counter() if rec is not None else 0.0
+                    _t = perf_counter()
                     self.system.process_cloud(merged, estimate)
-                    if rec is not None:
-                        rec.add("map", _t)
+                    rec.add("map", _t)
                 else:
                     # Cloud lost to a sensor fault: no fusion, no cost.
                     self.system.last_timings.mapping = 0.0
-                    self.clouds_lost += 1
+                    rec.count("clouds-lost")
                 if harness is not None:
-                    _t = perf_counter() if rec is not None else 0.0
+                    _t = perf_counter()
                     harness.corrupt_mapping(self.system, estimate, time_now)
-                    if rec is not None:
-                        rec.add("harness", _t)
+                    rec.add("harness", _t)
 
             # Perception + decision at the decision rate.
             if time_now >= next_decision:
                 next_decision = time_now + mission.decision_period
                 estimate = self.autopilot.estimated_state
                 if harness is not None:
+                    _t = perf_counter()
                     estimate = harness.filter_estimate(estimate, time_now)
-                _t = perf_counter() if rec is not None else 0.0
+                    rec.add("harness", _t)
+                _t = perf_counter()
                 frame = self.camera.capture(
                     self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
                 )
-                if rec is not None:
-                    rec.add("sense", _t)
-                self.frames_rendered += 1
+                rec.add("sense", _t)
+                rec.count("frames-rendered")
                 if harness is not None:
-                    _t = perf_counter() if rec is not None else 0.0
+                    _t = perf_counter()
                     frame = harness.filter_frame(frame, time_now)
-                    if rec is not None:
-                        rec.add("harness", _t)
+                    rec.add("harness", _t)
                 if frame is not None:
-                    _t = perf_counter() if rec is not None else 0.0
+                    _t = perf_counter()
                     result = self.system.process_frame(frame)
                     self._score_detections(frame, result, detection_stats)
-                    if rec is not None:
-                        rec.add("detect", _t)
+                    rec.add("detect", _t)
                 else:
                     # Frame lost to a sensor fault: no detection ran this
                     # tick, so no detection cost either (process_frame is
                     # what normally refreshes the timing each tick).
                     self.system.last_timings.detection = 0.0
-                    self.frames_lost += 1
+                    rec.count("frames-lost")
 
-                _t = perf_counter() if rec is not None else 0.0
+                _t = perf_counter()
                 command = self.system.decide(
                     estimate, time_now, allow_replan=budget.allow_replan
                 )
-                if rec is not None:
-                    rec.add("plan", _t)
+                rec.add("plan", _t)
                 if harness is not None:
-                    _t = perf_counter() if rec is not None else 0.0
+                    _t = perf_counter()
                     command = harness.filter_command(command, time_now)
                     harness.adjust_timings(self.system.last_timings, time_now)
-                    if rec is not None:
-                        rec.add("harness", _t)
-                _t = perf_counter() if rec is not None else 0.0
+                    rec.add("harness", _t)
+                _t = perf_counter()
                 self._apply_command(command)
 
                 budget = self.platform.schedule_tick(
                     self.system.last_timings, mission.decision_period
                 )
-                if rec is not None:
-                    rec.add("control", _t)
-                    timings = self.system.last_timings
-                    rec.charge_nominal(timings.detection, timings.mapping, timings.planning)
+                rec.add("control", _t)
+                timings = self.system.last_timings
+                rec.charge_nominal(timings.detection, timings.mapping, timings.planning)
                 resource_stats.cpu_utilisation_samples.append(budget.cpu_utilisation)
                 resource_stats.memory_mb_samples.append(budget.memory_mb)
                 resource_stats.gpu_utilisation_samples.append(budget.gpu_utilisation)

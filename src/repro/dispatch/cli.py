@@ -40,29 +40,6 @@ from repro.dispatch.worker import (
 )
 
 
-def _build_suite(args: argparse.Namespace):
-    """Resolve the planned suite plus any fault axis it declares."""
-    from repro.world.scenario_gen import generate_suite
-    from repro.world.scenario_suite import ScenarioSuite
-    from repro.world.spec_validation import load_suite_spec
-
-    if args.suite:
-        return ScenarioSuite.from_jsonl(args.suite), ()
-    if args.spec:
-        # Structured validation: every field problem reported at once (a
-        # SpecValidationError is a ValueError, so main() exits 2 with the
-        # full issue list rather than a traceback).
-        spec = load_suite_spec(args.spec)
-        suite = generate_suite(
-            spec, count=args.count, seed=args.seed, repetitions=args.repetitions
-        )
-        return suite, tuple(spec.faults)
-    suite = generate_suite(
-        args.preset, count=args.count, seed=args.seed, repetitions=args.repetitions
-    )
-    return suite, ()
-
-
 def _systems(arg: str):
     from repro.core.config import preset
 
@@ -108,8 +85,9 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
 
 def _plan(args: argparse.Namespace, directory: Path):
     from repro.faults.spec import resolve_faults
+    from repro.scenarios import resolve_suite_args
 
-    suite, faults = _build_suite(args)
+    suite, faults = resolve_suite_args(args)
     if args.faults is not None:
         faults = resolve_faults(args.faults)
     return plan_dispatch(

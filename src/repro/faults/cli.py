@@ -40,7 +40,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.bench.tables import format_percent as _format_percent
+from repro.bench.tables import format_percent
 from repro.faults.coverage import accumulate_coverage, render_coverage_report
 from repro.faults.spec import (
     FAULT_MODES,
@@ -159,7 +159,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.scenarios import resolve_suite_args
 
     specs = resolve_faults(args.faults)
-    suite = resolve_suite_args(args)
+    suite, _ = resolve_suite_args(args)
     campaign = Campaign(
         *[name.strip() for name in args.systems.split(",") if name.strip()]
     )
@@ -237,7 +237,7 @@ def _coverage_gate(report: object, args: argparse.Namespace) -> int:
     confidence_pct = f"{100.0 * args.confidence:g}%"
     print(
         f"\ncoverage gate: {covered}/{activated} activated injections covered "
-        f"(observed {_format_percent(observed)}), Wilson {confidence_pct} interval "
+        f"(observed {format_percent(observed)}), Wilson {confidence_pct} interval "
         f"[{100.0 * low:.1f}%, {100.0 * high:.1f}%]"
     )
     if low < args.min_coverage:

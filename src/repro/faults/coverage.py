@@ -128,11 +128,6 @@ def accumulate_coverage(records: Iterable[RunRecord]) -> CoverageReport:
     return report
 
 
-#: Backwards-compatible alias; the shared formatter lives in bench.tables so
-#: the sweep-curve renderers round identically to the coverage report.
-_percent = format_percent
-
-
 def render_coverage_section(report: CoverageReport) -> str:
     """The fault-coverage markdown section (shared by CLI and analysis)."""
     lines: list[str] = []
@@ -140,7 +135,7 @@ def render_coverage_section(report: CoverageReport) -> str:
         f"- records: {report.total_runs} runs, {report.fault_runs} with "
         f"injected faults, {len(report.faults)} fault spec(s)"
     )
-    lines.append(f"- overall fault coverage: {_percent(report.overall_coverage)}")
+    lines.append(f"- overall fault coverage: {format_percent(report.overall_coverage)}")
     lines.append("")
 
     lines.append("### Coverage by fault")
@@ -156,7 +151,7 @@ def render_coverage_section(report: CoverageReport) -> str:
             [
                 coverage.name, coverage.target, coverage.mode, coverage.runs,
                 coverage.armed, coverage.activated, coverage.detected,
-                coverage.absorbed, coverage.escaped, _percent(coverage.coverage),
+                coverage.absorbed, coverage.escaped, format_percent(coverage.coverage),
             ]
         )
     lines.append(format_markdown_table(headers, rows))
@@ -178,7 +173,7 @@ def render_coverage_section(report: CoverageReport) -> str:
         [
             mode,
             report.failure_modes.get(mode, 0),
-            _percent(report.failure_modes.get(mode, 0) / report.total_runs)
+            format_percent(report.failure_modes.get(mode, 0) / report.total_runs)
             if report.total_runs
             else "n/a",
         ]

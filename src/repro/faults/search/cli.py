@@ -100,7 +100,7 @@ def add_search_commands(sub: Any) -> None:
 def _build_backend(args: argparse.Namespace) -> Any:
     from repro.scenarios import resolve_suite_args
 
-    suite = resolve_suite_args(args)
+    suite, _ = resolve_suite_args(args)
     names = [name.strip() for name in args.systems.split(",") if name.strip()]
     if not names:
         raise ValueError("at least one system preset is required")

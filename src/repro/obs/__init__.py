@@ -2,10 +2,11 @@
 
 Three faces, one substrate:
 
-* :mod:`repro.obs.trace` — the :class:`FlightRecorder` span API the mission
-  runner streams per-phase timings through, as framed JSONL trace files that
-  are strictly side-channel (campaign records stay byte-identical with
-  tracing on or off).
+* :mod:`repro.obs.trace` — the :class:`FlightRecorder` every mission run
+  records its per-phase timings and frame counters into, and the framed
+  JSONL trace files a traced campaign writes its summaries to.  Strictly a
+  side channel: campaign records stay byte-identical with tracing on or
+  off.
 * :mod:`repro.obs.metrics` — the process-local :data:`METRICS` registry of
   counters/gauges/histograms fed by the mission runner, the dispatch
   worker/queue, the fault-space probe backends and the campaign service,

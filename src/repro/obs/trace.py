@@ -1,12 +1,14 @@
 """Flight-recorder tracing: per-phase mission timing as framed JSONL.
 
-A :class:`FlightRecorder` rides along one mission run and accumulates, per
+Every mission run owns a :class:`FlightRecorder`, which accumulates, per
 pipeline phase (sense → detect → map → plan → control, plus the simulator
 physics and the fault-harness interception), a span count and total
 wall-clock seconds, together with deterministic counters (frames rendered,
 depth captures, frames and clouds lost to faults) and the deterministic
-*nominal* module costs the execution-platform model charges.  One summary
-line per run is appended to a trace file next to the campaign results.
+*nominal* module costs the execution-platform model charges.  When a
+campaign is traced, one summary line per run is appended to a trace file
+next to the campaign results; otherwise the recorder only feeds the run's
+metrics.
 
 Tracing is strictly a side channel:
 
@@ -34,7 +36,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.jsonl import iter_frame_records
 
@@ -54,21 +56,21 @@ class FlightRecorder:
     """Accumulates one mission run's per-phase spans and counters.
 
     Not thread-safe and not meant to be shared: every run gets its own
-    recorder (they are cheap — a few dicts), and the mission runner only
-    touches it behind ``if recorder is not None`` guards so the untraced
-    hot path is unchanged.
+    recorder (they are cheap — a few dicts; a span costs a fraction of a
+    microsecond), and the mission runner always records into it, traced or
+    not.  ``counters`` start at zero, so a summary lists them even when
+    nothing was counted.
     """
 
-    __slots__ = ("span_counts", "span_seconds", "counters", "nominal_seconds", "_t0")
+    __slots__ = ("span_counts", "span_seconds", "counters", "nominal_seconds")
 
-    def __init__(self) -> None:
+    def __init__(self, counters: Iterable[str] = ()) -> None:
         self.span_counts: dict[str, int] = {}
         self.span_seconds: dict[str, float] = {}
-        self.counters: dict[str, int] = {}
+        self.counters: dict[str, int] = dict.fromkeys(counters, 0)
         self.nominal_seconds: dict[str, float] = {
             "detect": 0.0, "map": 0.0, "plan": 0.0,
         }
-        self._t0 = 0.0
 
     # -- spans ---------------------------------------------------------- #
     def start(self) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.world.scenario_gen import (
     PRESET_NAMES,
@@ -34,6 +34,9 @@ from repro.world.scenario_gen import (
     generate_suite,
 )
 from repro.world.scenario_suite import ScenarioSuite
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.spec import FaultSpec
 
 
 def _suite_summary(suite: ScenarioSuite) -> str:
@@ -51,32 +54,35 @@ def _suite_summary(suite: ScenarioSuite) -> str:
     return "\n".join(lines)
 
 
-def resolve_suite_args(args: argparse.Namespace) -> ScenarioSuite:
-    """Build the suite a CLI invocation asked for: file, spec or preset.
+def resolve_suite_args(
+    args: argparse.Namespace,
+) -> tuple[ScenarioSuite, tuple[FaultSpec, ...]]:
+    """Build the suite a CLI invocation asked for, plus its fault axis.
 
     Shared by every campaign-running CLI that exposes the standard
     ``--suite`` / ``--spec`` / ``--preset`` / ``--count`` / ``--seed`` /
-    ``--repetitions`` arguments (``repro.scenarios`` and ``repro.faults``).
-    A ``--spec`` SuiteSpec JSON file goes through the structured validator
-    (:mod:`repro.world.spec_validation`), so every field problem is reported
-    at once — the same checks the campaign service applies to submissions.
+    ``--repetitions`` arguments (``repro.scenarios``, ``repro.dispatch`` and
+    ``repro.faults``).  The fault axis is the one a ``--spec`` file declares
+    (empty for suite files and presets), exactly what ``Campaign.suite(spec)``
+    flies.  A ``--spec`` SuiteSpec JSON file goes through the structured
+    validator (:mod:`repro.world.spec_validation`), so every field problem is
+    reported at once — the same checks the campaign service applies to
+    submissions.
     """
     if getattr(args, "suite", None):
-        return ScenarioSuite.from_jsonl(args.suite)
+        return ScenarioSuite.from_jsonl(args.suite), ()
     if getattr(args, "spec", None):
         from repro.world.spec_validation import load_suite_spec
 
         spec = load_suite_spec(args.spec)
-        return generate_suite(
+        suite = generate_suite(
             spec, count=args.count, seed=args.seed, repetitions=args.repetitions
         )
-    return generate_suite(
+        return suite, tuple(spec.faults)
+    suite = generate_suite(
         args.preset, count=args.count, seed=args.seed, repetitions=args.repetitions
     )
-
-
-#: Backwards-compatible internal alias.
-_build_suite = resolve_suite_args
+    return suite, ()
 
 
 def _add_generation_args(parser: argparse.ArgumentParser) -> None:
@@ -115,7 +121,7 @@ def _cmd_generate(args: argparse.Namespace, require_out: bool = False) -> int:
     if require_out and not args.out:
         print("export requires --out FILE", file=sys.stderr)
         return 2
-    suite = _build_suite(args)
+    suite, _ = resolve_suite_args(args)
     failures = 0
     if args.check_buildable:
         for scenario in suite:
@@ -153,7 +159,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         print(f"  decoys: {scenario.decoy_count}, gps error: "
               f"[{scenario.gps_error.low}, {scenario.gps_error.high}] m")
         print()
-    suite = _build_suite(args)
+    suite, _ = resolve_suite_args(args)
     print(_suite_summary(suite))
     return 0
 
@@ -164,9 +170,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.bench.campaign import Campaign
     from repro.bench.tables import render_outcome_rates
 
-    suite = _build_suite(args)
+    suite, faults = resolve_suite_args(args)
     campaign = Campaign(*[name.strip() for name in args.systems.split(",") if name.strip()])
-    campaign.suite(suite)
+    campaign.suite(suite).faults(*faults)
     if args.repetitions is not None:
         campaign.repetitions(args.repetitions)
     if args.workers > 1:

@@ -503,13 +503,6 @@ class TestCampaignDispatchTerminal:
             tmp_path / "serial" / "MLS-V1.jsonl"
         ).read_bytes()
 
-    def test_dispatch_refuses_callable_platform(self, tmp_path, suite, stub_execute):
-        from repro.core.platform import DesktopPlatform
-
-        campaign = Campaign(mls_v1()).suite(suite).platform(DesktopPlatform)
-        with pytest.raises(ValueError, match="string platform key"):
-            campaign.dispatch(tmp_path / "dispatch", shards=2)
-
     def test_redispatch_resumes_from_done_shards(self, tmp_path, suite, stub_execute):
         campaign = lambda: Campaign(mls_v1()).suite(suite).repetitions(1)
         campaign().dispatch(tmp_path / "d", shards=2, workers=1)

@@ -747,7 +747,8 @@ class TestMissionIntegration:
         assert record.failure_mode in {mode.value for mode in FailureMode}
         # Every rendered frame was dropped, and a dropped frame charges no
         # detection cost: the last decision tick's detection timing is zero.
-        assert runner.frames_lost == runner.frames_rendered > 0
+        counters = runner.recorder.counters
+        assert counters["frames-lost"] == counters["frames-rendered"] > 0
         assert runner.system.last_timings.detection == 0.0
 
     def test_failsafe_fields_persist_without_harness(self):

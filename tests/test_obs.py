@@ -216,18 +216,25 @@ def short_campaign():
 
 class TestTracingSideChannel:
     def test_traced_records_byte_identical_to_untraced(self, tmp_path):
-        short_campaign().out(tmp_path / "plain").run()
-        short_campaign().out(tmp_path / "traced").trace(tmp_path / "trace").run()
+        # Faulted, so the harness hooks run under the byte-identity check too.
+        faulted = lambda: short_campaign().faults("smoke")
+        faulted().out(tmp_path / "plain").run()
+        faulted().out(tmp_path / "traced").trace(tmp_path / "trace").run()
         assert (tmp_path / "plain" / "MLS-V1.jsonl").read_bytes() == (
             tmp_path / "traced" / "MLS-V1.jsonl"
         ).read_bytes()
-        summaries = list(
-            iter_trace_summaries(tmp_path / "trace" / "MLS-V1.trace.jsonl")
-        )
-        assert len(summaries) == 1
-        spans = summaries[0]["spans"]
+        short_campaign().trace(tmp_path / "nominal").run()
+        [summary] = iter_trace_summaries(tmp_path / "trace" / "MLS-V1.trace.jsonl")
+        [nominal] = iter_trace_summaries(tmp_path / "nominal" / "MLS-V1.trace.jsonl")
         for phase in ("physics", "sense", "detect", "plan", "control"):
-            assert spans[phase]["count"] > 0, phase
+            assert nominal["spans"][phase]["count"] > 0, phase
+        assert "harness" not in nominal["spans"]
+        # Three hooks per depth tick (estimate, cloud, mapping) and three per
+        # decision tick (estimate, frame, command), every one timed.
+        counters = summary["counters"]
+        assert summary["spans"]["harness"]["count"] == 3 * (
+            counters["depth-captures"] + counters["frames-rendered"]
+        ) > 0
 
     def test_trace_dir_env_var_reaches_execution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "envtrace"))

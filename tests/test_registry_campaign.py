@@ -218,8 +218,11 @@ class TestCampaignBuilder:
         assert v3_jobs[0].needs_network
 
     def test_platform_validation(self):
-        with pytest.raises(ValueError, match="unknown platform"):
-            Campaign().platform("abacus")
+        from repro.core.platform import DesktopPlatform
+
+        for platform in ("abacus", DesktopPlatform):
+            with pytest.raises(ValueError, match="unknown platform"):
+                Campaign().platform(platform)
         Campaign().platform("jetson-nano")  # known key validates
 
     def test_fluent_setters_validate(self):
@@ -245,21 +248,6 @@ class TestCampaignBuilder:
         campaign = Campaign(mls_v1(), mls_v1().with_validation(required_hits=9)).scenarios(1)
         with pytest.raises(ValueError, match="duplicate system names.*MLS-V1"):
             campaign.run()
-
-    def test_unpicklable_platform_falls_back_to_serial(self):
-        from repro.core.platform import DesktopPlatform
-
-        campaign = (
-            Campaign(mls_v1())
-            .scenarios(1)
-            .repetitions(2)
-            .mission(MissionConfig(max_mission_time=5.0))
-            .platform(lambda: DesktopPlatform())
-            .parallel(2)
-        )
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            results = campaign.run()
-        assert len(results["MLS-V1"].records) == 2
 
     def test_mapping_stack_memory_duck_typed(self):
         from repro.core.registry import MappingStack

@@ -118,6 +118,33 @@ class TestScenariosCliSpec:
         ) == 0
         assert "3" in capsys.readouterr().out
 
+    def test_run_from_spec_file_flies_its_faults(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import repro.bench.campaign as campaign_module
+        from repro.core.metrics import RunOutcome, RunRecord
+
+        flown = []
+
+        def fake_execute(job):
+            flown.append(job)
+            return RunRecord(
+                scenario_id=job.scenario.scenario_id,
+                system_name=job.system.name,
+                outcome=RunOutcome.SUCCESS,
+                repetition=job.repetition,
+            )
+
+        monkeypatch.setattr(campaign_module, "_execute_job", fake_execute)
+        monkeypatch.setattr(campaign_module, "_shared_network", lambda: None)
+        faults = tuple(FAULT_PRESETS["smoke"])
+        path = tmp_path / "spec.json"
+        spec = dataclasses.replace(SUITE_PRESETS["smoke"], faults=faults)
+        path.write_text(json.dumps(spec.to_dict()))
+        assert scenarios_main(["run", "--spec", str(path), "--systems", "mls-v1"]) == 0
+        assert len(faults) == 3
+        assert flown and all(job.faults == faults for job in flown)
+
     def test_invalid_spec_exits_2_with_issue_list(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"count": 0, "wrong": 1}))
