@@ -4,10 +4,10 @@ These are conventional pytest-benchmark timings; they do not correspond to a
 paper table but document where the simulation time goes and guard against
 performance regressions.
 
-The map and plan benches replay one MLS-V3 mission: its depth-capture
-poses, the clouds it fused and the RRT* problems it posed.  Each asserts
-that its input is not empty, and records its own figure of merit (points
-fused per second, RRT* iterations per second).
+The map and plan benches replay one MLS-V3 mission: the clouds it fused
+and the RRT* problems it posed.  Each asserts that its input is not empty,
+and records its own figure of merit (points fused per second, RRT*
+iterations per second).
 
 Besides pytest-benchmark's own terminal table, every timing lands in the
 machine-readable ``BENCH_results.json`` (see ``conftest.py``; path
@@ -30,7 +30,6 @@ from repro.perception.learned import LearnedMarkerDetector
 from repro.perception.neural.training import load_pretrained_detector_net
 from repro.planning.rrt_star import RrtStarConfig, RrtStarPlanner
 from repro.sensors.camera import DownwardCamera
-from repro.sensors.depth import DepthCamera
 from repro.world.scenario_suite import build_evaluation_suite
 
 
@@ -51,17 +50,11 @@ def marker_frame(scenario_world):
 @pytest.fixture(scope="module")
 def v3_flight(scenario_world):
     """One MLS-V3 mission over the bench scenario, recorded in flight order:
-    the poses of its forward depth captures, the clouds it fused, and each
-    RRT* problem with the number of clouds fused before it and the
-    iterations the mission's planner ran on it."""
+    the clouds it fused, and each RRT* problem with the number of clouds
+    fused before it and the iterations the mission's planner ran on it."""
     scenario, _ = scenario_world
-    flight = SimpleNamespace(poses=[], clouds=[], plans=[])
-    capture, fuse, plan = DepthCamera.capture, LandingSystem.process_cloud, RrtStarPlanner.plan
-
-    def recording_capture(camera, world, true_pose, estimated_pose=None, **kwargs):
-        if camera.facing == "forward":
-            flight.poses.append((true_pose, estimated_pose))
-        return capture(camera, world, true_pose, estimated_pose, **kwargs)
+    flight = SimpleNamespace(clouds=[], plans=[])
+    fuse, plan = LandingSystem.process_cloud, RrtStarPlanner.plan
 
     def recording_fuse(system, cloud, estimate):
         flight.clouds.append(cloud)
@@ -73,7 +66,6 @@ def v3_flight(scenario_world):
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DepthCamera, "capture", recording_capture)
         patch.setattr(LandingSystem, "process_cloud", recording_fuse)
         patch.setattr(RrtStarPlanner, "plan", recording_plan)
         run_scenario(scenario, mls_v3(), detector_network=load_pretrained_detector_net())
@@ -106,25 +98,18 @@ def test_perf_learned_detection(benchmark, marker_frame):
     assert result is not None
 
 
-def test_perf_depth_capture_and_octree_fusion(benchmark, bench_results, scenario_world, v3_flight):
-    """Capture and fuse depth clouds from the mission's poses, in flight order."""
-    _, world = scenario_world
-    # An evenly spaced third or so of the flight keeps a round near a second.
-    poses = v3_flight.poses[:: max(1, len(v3_flight.poses) // 48)]
+def test_perf_octree_fusion(benchmark, bench_results, v3_flight):
+    """Fuse the mission's clouds into a fresh octree, in flight order."""
+    clouds = v3_flight.clouds
+    points = sum(len(cloud) for cloud in clouds)
 
-    def capture_and_fuse():
-        forward = DepthCamera(facing="forward", seed=3)
-        down = DepthCamera(facing="down", seed=4)
-        tree, points = OcTree(), 0
-        for true_pose, estimated_pose in poses:
-            cloud = forward.capture(world, true_pose, estimated_pose).merged_with(
-                down.capture(world, true_pose, estimated_pose)
-            )
+    def fuse():
+        tree = OcTree()
+        for cloud in clouds:
             tree.integrate_cloud(cloud)
-            points += len(cloud)
-        return tree, points
+        return tree
 
-    tree, points = benchmark(capture_and_fuse)
+    tree = benchmark(fuse)
     assert points > 0
     assert tree.occupied_voxel_count() > 0
     seconds = _mean_seconds(benchmark)

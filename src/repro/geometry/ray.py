@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from repro.geometry.vec import Vec3
 
@@ -32,74 +32,56 @@ class Ray:
         return Ray(start, (end - start))
 
 
-def bresenham_voxels(
-    start: Vec3, end: Vec3, resolution: float
-) -> Iterator[tuple[int, int, int]]:
-    """Yield the integer voxel coordinates traversed from ``start`` to ``end``.
+def voxel_traversal(
+    start: np.ndarray, ends: np.ndarray, resolution: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The integer voxels each segment from ``start`` to a row of ``ends`` passes.
 
-    This is a 3D DDA (Amanatides–Woo) traversal at the given voxel
-    ``resolution``; it is the core of both the octree ray insertion and the
-    dense-grid free-space carving.  The start voxel is yielded first and the
-    end voxel last.
+    A 3D DDA (Amanatides–Woo) traversal at the given voxel ``resolution``, of
+    every segment at once.  Returns ``(voxels, steps)``: row ``r`` of the
+    ``(n, w, 3)`` array ``voxels`` lists segment ``r``'s voxels in its first
+    ``steps[r] + 1`` entries, the start voxel first and the end voxel last.
+
+    Each segment takes the steps a one-ray-at-a-time walk takes, with the
+    same float operations: from the start voxel, cross whichever face comes
+    next (the lowest axis on a tie) until the end voxel, until the next face
+    lies beyond the end, or for at most the Manhattan distance in voxels
+    plus 3 steps.  Each axis's face crossings are a sequential ``cumsum`` of
+    its first crossing and its per-voxel step; a stable sort merges the axes.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+    start = np.broadcast_to(np.asarray(start, dtype=float), ends.shape)
+    first, target = np.floor(start / resolution), np.floor(ends / resolution)
+    delta = ends - start
+    length = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1] + delta[:, 2] * delta[:, 2])
+    moving = (first != target).any(axis=1) & (length >= 1e-12)
+    cap = np.abs(target - first).sum(axis=1).astype(np.int64) + 3
+    first, target = first.astype(np.int64), target.astype(np.int64)
+    count = int(cap[moving].max(initial=0))
+    if not count:
+        return first[:, None, :], np.zeros(len(ends), dtype=np.int64)
 
-    def to_key(p: Vec3) -> tuple[int, int, int]:
-        return (
-            int(math.floor(p.x / resolution)),
-            int(math.floor(p.y / resolution)),
-            int(math.floor(p.z / resolution)),
-        )
-
-    current = list(to_key(start))
-    target = to_key(end)
-    yield tuple(current)
-    if tuple(current) == target:
-        return
-
-    delta = end - start
-    length = delta.norm()
-    if length < 1e-12:
-        return
-    direction = delta / length
-
-    step = [0, 0, 0]
-    t_max = [math.inf, math.inf, math.inf]
-    t_delta = [math.inf, math.inf, math.inf]
-    origin = (start.x, start.y, start.z)
-    dir_components = (direction.x, direction.y, direction.z)
-
-    for i in range(3):
-        d = dir_components[i]
-        if d > 1e-12:
-            step[i] = 1
-            boundary = (current[i] + 1) * resolution
-            t_max[i] = (boundary - origin[i]) / d
-            t_delta[i] = resolution / d
-        elif d < -1e-12:
-            step[i] = -1
-            boundary = current[i] * resolution
-            t_max[i] = (boundary - origin[i]) / d
-            t_delta[i] = resolution / -d
-
-    # Guard against degenerate floating point loops: the traversal can take at
-    # most the Manhattan distance in voxels plus a small slack.
-    max_steps = (
-        abs(target[0] - current[0])
-        + abs(target[1] - current[1])
-        + abs(target[2] - current[2])
-        + 3
-    )
-    for _ in range(max_steps):
-        t_next = min(t_max)
-        if t_next > length + 1e-9:
-            # The next voxel boundary lies beyond the segment end: endpoints
-            # sitting exactly on voxel corners would otherwise overshoot.
-            return
-        axis = t_max.index(t_next)
-        current[axis] += step[axis]
-        t_max[axis] += t_delta[axis]
-        yield tuple(current)
-        if tuple(current) == target:
-            return
+    with np.errstate(all="ignore"):  # axes with no crossing are set to inf
+        direction = delta / length[:, None]
+        forward, backward = direction > 1e-12, direction < -1e-12
+        crossing = forward | backward
+        boundary = np.where(forward, first + 1, first) * resolution
+        times = np.empty((len(ends), 3, count))
+        times[:, :, 0] = np.where(crossing, (boundary - start) / direction, np.inf)
+        times[:, :, 1:] = np.where(crossing, resolution / np.abs(direction), np.inf)[:, :, None]
+    times = np.cumsum(times, axis=2).reshape(len(ends), 3 * count)
+    # A row holds the x, then the y, then the z crossings, so a stable sort
+    # steps the lowest axis first on a tie.  No walk is longer than ``count``.
+    order = np.argsort(times, axis=1, kind="stable")[:, :count]
+    # A walk stops at its cap, before a face beyond the segment's end, ...
+    within = np.take_along_axis(times, order, axis=1) <= (length + 1e-9)[:, None]
+    limit = np.where(moving, np.minimum(cap, within.sum(axis=1)), 0)
+    moves = np.eye(3, dtype=np.int64) * np.where(forward, 1, np.where(backward, -1, 0))[:, :, None]
+    walk = np.take_along_axis(moves, order[:, : limit.max(), None] // count, axis=1)
+    voxels = np.cumsum(np.concatenate([first[:, None, :], walk], axis=1), axis=1)
+    # ... or in the end voxel.
+    reached = (voxels == target[:, None, :]).all(axis=2)
+    steps = np.where(reached.any(axis=1), np.minimum(limit, reached.argmax(axis=1)), limit)
+    return voxels[:, : steps.max() + 1], steps

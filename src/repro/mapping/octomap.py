@@ -14,17 +14,22 @@ inner nodes are implicit.  An update finds its voxel by key instead of
 descending from the root, a prune visits only the ancestors of the voxels
 updated since the previous one, and because every inner node has exactly
 eight children, ``L`` leaves always make ``L + (L - 1) // 7`` nodes.
+
+A depth cloud is fused in one batch: all of its rays are traversed at once,
+and its updates are folded per voxel in the order a ray-by-ray insertion
+would apply them, so the map is the same as from that insertion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.geometry import Vec3
-from repro.geometry.ray import bresenham_voxels
+from repro.geometry.ray import voxel_traversal
 from repro.sensors.depth import PointCloud
 
 #: Log-odds increments, straight from the OctoMap defaults.
@@ -107,21 +112,27 @@ class OcTree:
     # ------------------------------------------------------------------ #
     # keys
     # ------------------------------------------------------------------ #
-    def _pack(self, i, j, k) -> int | None:
-        """Key of the voxel at origin-relative index ``(i, j, k)``; ``None`` outside the tree."""
-        cells = self._cells
+    def _voxel_key(self, point: Vec3) -> int | None:
+        """Key of the voxel containing ``point``; ``None`` outside the tree."""
+        resolution, cells, depth = self.resolution, self._cells, self.max_depth
+        oi, oj, ok = self._origin_index
+        i, j, k = point.x // resolution - oi, point.y // resolution - oj, point.z // resolution - ok
         if 0 <= i < cells and 0 <= j < cells and 0 <= k < cells:
-            depth = self.max_depth
             return (int(i) << 2 * depth) | (int(j) << depth) | int(k)
         return None
 
-    def _voxel_key(self, point: Vec3) -> int | None:
-        """Key of the voxel containing ``point``; ``None`` outside the tree."""
-        resolution = self.resolution
-        oi, oj, ok = self._origin_index
-        return self._pack(
-            point.x // resolution - oi, point.y // resolution - oj, point.z // resolution - ok
-        )
+    def _keys(self, points: np.ndarray) -> np.ndarray:
+        """Keys of the voxels containing the rows of ``points``; ``-1`` outside the tree.
+
+        The batched :meth:`_voxel_key`: the same float floor division per
+        coordinate, the same bounds.
+        """
+        return self._index_keys(np.floor_divide(points, self.resolution) - self._origin_index)
+
+    def _index_keys(self, index: np.ndarray) -> np.ndarray:
+        """Keys of the voxels at origin-relative indices ``index[..., 0:3]``; ``-1`` outside the tree."""
+        inside = ((index >= 0) & (index < self._cells)).all(axis=-1)
+        return np.where(inside, index @ self._key_weights, -1.0).astype(np.int64)
 
     def _path(self, key: int) -> list[int]:
         """``key`` followed by its ancestors' keys, one per level up to the root."""
@@ -141,23 +152,11 @@ class OcTree:
         """Apply a single log-odds update to the voxel containing ``point``."""
         key = self._voxel_key(point)
         if key is not None:
-            self._update([key], LOG_ODDS_HIT if hit else LOG_ODDS_MISS)
+            self._update(np.array([key]), np.array([LOG_ODDS_HIT if hit else LOG_ODDS_MISS]))
 
     def insert_ray(self, origin: Vec3, end: Vec3) -> None:
         """Carve free space along a ray and mark the endpoint occupied."""
-        direction = end - origin
-        length = direction.norm()
-        if length > self.config.max_insert_range:
-            end = origin + direction * (self.config.max_insert_range / length)
-            truncated = True
-        else:
-            truncated = False
-        oi, oj, ok = self._origin_index
-        voxels = list(bresenham_voxels(origin, end, self.resolution))
-        free = [self._pack(i - oi, j - oj, k - ok) for i, j, k in voxels[:-1]]
-        self._update([key for key in free if key is not None], LOG_ODDS_MISS)
-        if not truncated:
-            self.update_voxel(end, hit=True)
+        self._fuse(origin, np.array([end.to_tuple()]), np.array([True]))
 
     def integrate_cloud(self, cloud: PointCloud) -> None:
         """Insert the points of a depth cloud as rays from the sensor.
@@ -168,29 +167,92 @@ class OcTree:
         and pruning runs every few clouds.
         """
         self._integrations += 1
-        for index, point in enumerate(cloud.points):
-            if index % 2 == 0:
-                self.insert_ray(cloud.sensor_position, point)
-            else:
-                self.update_voxel(point, hit=True)
+        points = cloud.to_array()
+        self._fuse(cloud.sensor_position, points, np.arange(len(points)) % 2 == 0)
         if self._integrations % 4 == 0:
             self.prune()
 
-    def _update(self, keys: list[int], delta: float) -> None:
-        """Add ``delta`` to each voxel of ``keys`` in turn, within the log-odds bounds."""
-        voxels, occupied = self._voxels, self._occupied
-        for key in keys:
-            value = voxels.get(key)
-            if value is None:
-                value = self._expand(key)
-            value = min(LOG_ODDS_MAX, max(LOG_ODDS_MIN, value + delta))
-            voxels[key] = value
-            if value > OCCUPANCY_THRESHOLD:
-                occupied.add(key)
-            else:
-                occupied.discard(key)
+    def _fuse(self, origin: Vec3, points: np.ndarray, rays: np.ndarray) -> None:
+        """Fuse the rows of ``points`` as seen from ``origin``, in row order.
+
+        A row flagged in ``rays`` carves free space along the ray from
+        ``origin`` and then marks its own voxel occupied; a ray longer than
+        ``max_insert_range`` is cut to that length and carves only.  Any
+        other row only marks its voxel occupied.
+        """
+        max_range = self.config.max_insert_range
+        sensor = np.array(origin.to_tuple())
+        ends = points[rays]
+        direction = ends - sensor
+        length = np.sqrt(
+            direction[:, 0] * direction[:, 0] + direction[:, 1] * direction[:, 1]
+            + direction[:, 2] * direction[:, 2]
+        )
+        truncated = length > max_range
+        ends[truncated] = sensor + direction[truncated] * (max_range / length[truncated])[:, None]
+        voxels, steps = voxel_traversal(sensor, ends, self.resolution)
+        # One row of slots per point, in order: the voxels its ray carves
+        # (all but the ray's last), then the voxel it hits.
+        width = voxels.shape[1]
+        slots = np.full((len(points), width + 1), -1, dtype=np.int64)
+        carved = self._index_keys(voxels - self._origin_index)
+        carved[np.arange(width) >= steps[:, None]] = -1
+        slots[rays, :width] = carved
+        hits = self._keys(points)
+        hits[np.flatnonzero(rays)[truncated]] = -1
+        slots[:, width] = hits
+        deltas = np.full(slots.shape, LOG_ODDS_MISS)
+        deltas[:, width] = LOG_ODDS_HIT
+        valid = slots >= 0
+        self._update(slots[valid], deltas[valid])
+
+    def _update(self, keys: np.ndarray, deltas: np.ndarray) -> None:
+        """Add ``deltas`` to the voxels of ``keys`` in order, within the log-odds bounds.
+
+        The updates are grouped by voxel and each group is folded in its
+        order, clamping after every addition, so every voxel ends where the
+        same additions one by one would leave it.  A voxel starts from its
+        stored value, or, inside a collapsed block, from the block's.
+        """
+        if not len(keys):
+            return
+        order = np.argsort(keys, kind="stable")
+        keys, deltas = keys[order], deltas[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        sizes = np.diff(np.append(starts, len(keys)))
+        # Round j of the fold adds the (j + 1)-th update of every voxel that
+        # has one.  In descending group size those voxels are a prefix, and
+        # the rounds laid end to end hold each update once.
+        by_size = np.argsort(-sizes, kind="stable")
+        place = np.empty_like(by_size)
+        place[by_size] = np.arange(len(sizes))
+        widths = np.cumsum(np.bincount(sizes)[::-1])[-2::-1]
+        offsets = np.cumsum(widths) - widths
+        laid = np.empty(len(keys))
+        laid[offsets[np.arange(len(keys)) - np.repeat(starts, sizes)] + np.repeat(place, sizes)] = deltas
+        keys = keys[starts[by_size]].tolist()
+        values = np.array(self._values(keys))
+        for offset, width in zip(offsets.tolist(), widths.tolist()):
+            head = values[:width]
+            head += laid[offset : offset + width]
+            np.maximum(head, LOG_ODDS_MIN, out=head)
+            np.minimum(head, LOG_ODDS_MAX, out=head)
+        self._voxels.update(zip(keys, values.tolist()))
+        occupied = values > OCCUPANCY_THRESHOLD
+        self._occupied.update(itertools.compress(keys, occupied.tolist()))
+        self._occupied.difference_update(itertools.compress(keys, (~occupied).tolist()))
         self._known.update(keys)
         self._dirty.update(keys)
+
+    def _values(self, keys: list[int]) -> list[float]:
+        """The log-odds of each voxel of ``keys``, splitting the collapsed blocks they lie in."""
+        voxels = self._voxels
+        values = list(map(voxels.get, keys))
+        for index in [index for index, value in enumerate(values) if value is None]:
+            # An earlier split may already have made this voxel a leaf.
+            value = voxels.get(keys[index])
+            values[index] = self._expand(keys[index]) if value is None else value
+        return values
 
     def _expand(self, key: int) -> float:
         """Split the collapsed block holding voxel ``key`` down to max depth.
@@ -221,15 +283,8 @@ class OcTree:
         return key is not None and key in self._occupied
 
     def any_occupied(self, points: np.ndarray) -> bool:
-        """Whether any row of the ``(n, 3)`` array lies in an occupied voxel.
-
-        The batched :meth:`is_occupied`: the same float floor division per
-        coordinate, the same bounds.
-        """
-        index = np.floor_divide(points, self.resolution) - self._origin_index
-        inside = ((index >= 0.0) & (index < self._cells)).all(axis=1)
-        keys = (index[inside] @ self._key_weights).astype(np.int64)
-        return not self._occupied.isdisjoint(keys.tolist())
+        """Whether any row of the ``(n, 3)`` array lies in an occupied voxel."""
+        return not self._occupied.isdisjoint(self._keys(points).tolist())
 
     def is_known(self, point: Vec3) -> bool:
         key = self._voxel_key(point)

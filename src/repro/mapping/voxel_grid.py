@@ -85,6 +85,19 @@ class VoxelGrid:
             return ix, iy, iz
         return None
 
+    def _indices(self, points: np.ndarray) -> np.ndarray:
+        """Cell indices of the rows of the ``(n, 3)`` array inside the window.
+
+        The batched :meth:`_to_index`, with its arithmetic: the offset from
+        the window corner divided by the resolution, truncated toward zero.
+        """
+        cfg = self.config
+        half = cfg.window_size / 2.0
+        scaled = (points - (self._center.x - half, self._center.y - half, 0.0)) / cfg.resolution
+        # Truncation sends (-1, 0) to index 0, so that interval is inside too.
+        inside = ((scaled > -1.0) & (scaled < self._occupied.shape)).all(axis=1)
+        return scaled[inside].astype(np.intp)
+
     def voxel_center(self, index: tuple[int, int, int]) -> Vec3:
         cfg = self.config
         half = cfg.window_size / 2.0
@@ -100,12 +113,9 @@ class VoxelGrid:
     def integrate_cloud(self, cloud: PointCloud) -> None:
         """Mark the voxels containing returned points as occupied and known."""
         self._integrations += 1
-        for point in cloud.points:
-            index = self._to_index(point)
-            if index is None:
-                continue
-            self._occupied[index] = True
-            self._known[index] = True
+        index = tuple(self._indices(cloud.to_array()).T)
+        self._occupied[index] = True
+        self._known[index] = True
 
     def mark_free(self, point: Vec3) -> None:
         """Explicitly mark a voxel free (used by tests and the planners)."""
@@ -121,17 +131,8 @@ class VoxelGrid:
         return bool(self._occupied[index])
 
     def any_occupied(self, points: np.ndarray) -> bool:
-        """Whether any row of the ``(n, 3)`` array lies in an occupied voxel.
-
-        The batched :meth:`is_occupied`, with its arithmetic: the offset from
-        the window corner divided by the resolution, truncated toward zero.
-        """
-        cfg = self.config
-        half = cfg.window_size / 2.0
-        scaled = (points - (self._center.x - half, self._center.y - half, 0.0)) / cfg.resolution
-        # Truncation sends (-1, 0) to index 0, so that interval is inside too.
-        inside = ((scaled > -1.0) & (scaled < self._occupied.shape)).all(axis=1)
-        index = scaled[inside].astype(np.intp)
+        """Whether any row of the ``(n, 3)`` array lies in an occupied voxel."""
+        index = self._indices(points)
         return bool(self._occupied[index[:, 0], index[:, 1], index[:, 2]].any())
 
     def is_known(self, point: Vec3) -> bool:

@@ -61,6 +61,10 @@ class PointCloud:
     def __iter__(self):
         return iter(self.points)
 
+    def to_array(self) -> np.ndarray:
+        """The points as an ``(n, 3)`` float array."""
+        return np.array([(point.x, point.y, point.z) for point in self.points], dtype=float).reshape(-1, 3)
+
     def merged_with(self, other: "PointCloud") -> "PointCloud":
         return PointCloud(
             points=self.points + other.points,

@@ -9,16 +9,18 @@ same ``occupancy_probability()`` for every known voxel.
 Every node is an object; an update descends from the root, expanding leaves
 on the way, and ``prune`` walks the whole tree bottom-up, collapsing any
 eight agreeing leaf children into their parent (which keeps the max of
-occupied children, or the min of free ones).
+occupied children, or the min of free ones).  Rays are walked one at a time
+by ``bresenham_voxels``, the scalar traversal the octree used before it
+fused each cloud in one batch, and each voxel is updated as it is reached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.geometry import Vec3
-from repro.geometry.ray import bresenham_voxels
 from repro.mapping.octomap import (
     LOG_ODDS_HIT,
     LOG_ODDS_MAX,
@@ -28,6 +30,78 @@ from repro.mapping.octomap import (
     OcTreeConfig,
 )
 from repro.sensors.depth import PointCloud
+
+
+def bresenham_voxels(
+    start: Vec3, end: Vec3, resolution: float
+) -> Iterator[tuple[int, int, int]]:
+    """Yield the integer voxel coordinates traversed from ``start`` to ``end``.
+
+    The scalar 3D DDA (Amanatides–Woo) walk at the given voxel
+    ``resolution`` that ``repro.geometry.ray.voxel_traversal`` batches: the
+    start voxel is yielded first and the end voxel last.
+    """
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+
+    def to_key(p: Vec3) -> tuple[int, int, int]:
+        return (
+            int(math.floor(p.x / resolution)),
+            int(math.floor(p.y / resolution)),
+            int(math.floor(p.z / resolution)),
+        )
+
+    current = list(to_key(start))
+    target = to_key(end)
+    yield tuple(current)
+    if tuple(current) == target:
+        return
+
+    delta = end - start
+    length = delta.norm()
+    if length < 1e-12:
+        return
+    direction = delta / length
+
+    step = [0, 0, 0]
+    t_max = [math.inf, math.inf, math.inf]
+    t_delta = [math.inf, math.inf, math.inf]
+    origin = (start.x, start.y, start.z)
+    dir_components = (direction.x, direction.y, direction.z)
+
+    for i in range(3):
+        d = dir_components[i]
+        if d > 1e-12:
+            step[i] = 1
+            boundary = (current[i] + 1) * resolution
+            t_max[i] = (boundary - origin[i]) / d
+            t_delta[i] = resolution / d
+        elif d < -1e-12:
+            step[i] = -1
+            boundary = current[i] * resolution
+            t_max[i] = (boundary - origin[i]) / d
+            t_delta[i] = resolution / -d
+
+    # Guard against degenerate floating point loops: the traversal can take at
+    # most the Manhattan distance in voxels plus a small slack.
+    max_steps = (
+        abs(target[0] - current[0])
+        + abs(target[1] - current[1])
+        + abs(target[2] - current[2])
+        + 3
+    )
+    for _ in range(max_steps):
+        t_next = min(t_max)
+        if t_next > length + 1e-9:
+            # The next voxel boundary lies beyond the segment end: endpoints
+            # sitting exactly on voxel corners would otherwise overshoot.
+            return
+        axis = t_max.index(t_next)
+        current[axis] += step[axis]
+        t_max[axis] += t_delta[axis]
+        yield tuple(current)
+        if tuple(current) == target:
+            return
 
 
 @dataclass

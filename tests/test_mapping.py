@@ -64,6 +64,25 @@ class TestVoxelGrid:
         large = VoxelGrid(VoxelGridConfig(window_size=40.0, height=10.0, resolution=1.0))
         assert large.memory_bytes() > small.memory_bytes() * 10
 
+    def test_integrate_cloud_matches_the_per_point_loop(self):
+        grid = VoxelGrid(VoxelGridConfig(resolution=0.5, window_size=8.0, height=4.0))
+        grid.recenter(Vec3(3.1, -2.7, 5.0))
+        x0, y0 = grid.center.x - 4.0, grid.center.y - 4.0
+        steps = np.arange(-2, 19) * 0.5
+        points = face_points((x0 + steps, y0 + steps, np.arange(-2, 10) * 0.5), 400, seed=2)
+        # Less than one cell below the window corner: truncation makes it cell 0.
+        points += [Vec3(x0 - 0.3, y0 + 1.2, 0.7), Vec3(x0 + 2.2, y0 - 0.1, -0.45)]
+        expected = np.zeros_like(grid._occupied)
+        for point in points:
+            index = grid._to_index(point)
+            if index is not None:
+                expected[index] = True
+        grid.integrate_cloud(cloud_at(points))
+        assert expected[0, 2, 1] and expected[4, 0, 0]
+        assert expected.any() and not expected.all()
+        assert np.array_equal(grid._occupied, expected)
+        assert np.array_equal(grid._known, expected)
+
     def test_occupied_points_lists_voxel_centers(self):
         grid = VoxelGrid()
         grid.integrate_cloud(cloud_at([Vec3(2, 3, 4)]))

@@ -19,6 +19,7 @@ from repro.core.mission import MissionConfig, run_scenario
 from repro.geometry import Vec3
 from repro.mapping.octomap import LOG_ODDS_MAX, LOG_ODDS_MISS, OcTree, OcTreeConfig
 from repro.perception.neural.training import load_pretrained_detector_net
+from repro.sensors.depth import PointCloud
 from repro.world.scenario_gen import generate_suite
 
 #: A 16 m tree at 1 m resolution: four levels, so blocks collapse often.
@@ -107,6 +108,46 @@ def test_collapsed_block_is_updated_from_its_collapsed_value():
     expected = 1.0 / (1.0 + math.exp(-(LOG_ODDS_MAX + LOG_ODDS_MISS)))
     assert flat.occupancy_probability(block[1]) == expected
     assert_same_map(flat, reference)
+
+
+def random_cloud(rng: random.Random) -> PointCloud:
+    """A cloud from inside the small tree: empty one time in five, else
+    points near and far (past ``max_insert_range``), in and out of the tree."""
+    sensor = Vec3(*(rng.uniform(-7.0, 7.0) for _ in range(3)))
+    points = []
+    for _ in range(0 if rng.random() < 0.2 else rng.randint(1, 30)):
+        roll = rng.random()
+        if roll < 0.3:
+            # Fill part of an aligned 2 m block, so that blocks collapse.
+            corner = [rng.randrange(-8, 8, 2) for _ in range(3)]
+            point = Vec3(*(c + rng.choice((0.5, 1.5)) for c in corner))
+        elif roll < 0.5:
+            # Up to 20 m away: truncated rays, endpoints outside the tree.
+            direction = Vec3(*(rng.gauss(0.0, 1.0) for _ in range(3))).normalized()
+            point = sensor + direction * rng.uniform(4.0, 20.0)
+        else:
+            point = random_point(rng)
+        points.append(point)
+    return PointCloud(points=points, sensor_position=sensor)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_clouds_build_the_same_map(seed):
+    rng = random.Random(seed)
+    flat, reference = OcTree(SMALL), PointerOcTree(SMALL)
+    clouds = [random_cloud(rng) for _ in range(40)]
+    for cloud in clouds:
+        flat.integrate_cloud(cloud)
+        reference.integrate_cloud(cloud)
+        assert flat.node_count() == reference.node_count()
+    assert_same_map(flat, reference)
+    # Every branch the mission clouds never take is taken here.
+    assert sum(not cloud.points for cloud in clouds) > 0
+    rays = [(cloud.sensor_position, point) for cloud in clouds for point in cloud.points[::2]]
+    assert sum(start.distance_to(end) > SMALL.max_insert_range for start, end in rays) > 0
+    outside = [point for cloud in clouds for point in cloud.points if flat._voxel_key(point) is None]
+    assert outside
+    assert any(observed for _, observed in flat._blocks.values())
 
 
 @pytest.fixture(scope="module")
