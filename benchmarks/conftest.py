@@ -36,7 +36,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro import Campaign, build_evaluation_suite, mls_v3, run_field_campaign  # noqa: E402
+from repro import Campaign, build_evaluation_suite, field_suite, mls_v3  # noqa: E402
 from repro.bench.campaign import bench_scenario_count, bench_workers  # noqa: E402
 
 
@@ -303,5 +303,13 @@ def hil_campaign_result():
 
 @pytest.fixture(scope="session")
 def field_campaign_result():
-    """RQ3: the real-world (field) campaign."""
-    return run_field_campaign(build_evaluation_suite().subset(max(4, bench_scenario_count() // 2)))
+    """RQ3: the real-world (field) campaign, one flight per scenario."""
+    suite = build_evaluation_suite().subset(max(4, bench_scenario_count() // 2))
+    return (
+        Campaign(mls_v3())
+        .suite(field_suite(suite))
+        .platform("field")
+        .repetitions(1)
+        .parallel(bench_workers())
+        .run()["MLS-V3"]
+    )

@@ -99,7 +99,7 @@ from repro.faults import (
     render_coverage_report,
     resolve_faults,
 )
-from repro.realworld import run_field_campaign
+from repro.realworld import field_suite
 from repro.world.scenario import Scenario
 from repro.world.scenario_gen import (
     STRESS_AXES,
@@ -113,7 +113,7 @@ from repro.world.scenario_gen import (
 )
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     # configuration & presets
@@ -148,7 +148,7 @@ __all__ = [
     "run_scenario",
     # campaigns
     "Campaign",
-    "run_field_campaign",
+    "field_suite",
     # distributed dispatch
     "DispatchPlan",
     "ShardQueue",

@@ -55,9 +55,10 @@ from repro.core.mission import MissionConfig, MissionRunner
 from repro.core.platform import DesktopPlatform, ExecutionPlatform
 from repro.core.registry import DETECTOR, REGISTRY
 from repro.faults.spec import FaultSpec, ensure_unique_names, resolve_faults
-from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
+from repro.hil.jetson import JetsonNanoPlatform
 from repro.jsonl import sha16_of_json
 from repro.perception.neural.training import load_pretrained_detector_net
+from repro.realworld.field_test import FieldPlatform
 from repro.world.scenario import Scenario
 from repro.world.scenario_gen import PRESET_NAMES, SuiteSpec, generate_suite
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
@@ -83,28 +84,16 @@ def bench_workers() -> int:
     return int(os.environ.get("REPRO_BENCH_WORKERS", DEFAULT_BENCH_WORKERS))
 
 
-# ---------------------------------------------------------------------- #
-# execution platforms
-# ---------------------------------------------------------------------- #
-def _desktop_platform() -> ExecutionPlatform:
-    return DesktopPlatform()
-
-
-def _jetson_platform() -> ExecutionPlatform:
-    return JetsonNanoPlatform(spec=JetsonNanoSpec())
-
-
-def _jetson_real_world_platform() -> ExecutionPlatform:
-    return JetsonNanoPlatform(spec=JetsonNanoSpec.real_world())
-
-
-#: The platforms ``Campaign.platform(...)`` accepts, by key.  Campaigns,
-#: their jobs, result headers and dispatch plans carry only the key, so every
-#: execution mode (worker processes, other machines) resolves it the same way.
-PLATFORM_FACTORIES: dict[str, Callable[[], ExecutionPlatform]] = {
-    "desktop": _desktop_platform,
-    "jetson-nano": _jetson_platform,
-    "jetson-nano-real": _jetson_real_world_platform,
+#: The platforms ``Campaign.platform(...)`` accepts, by key, each built from
+#: the run's scenario seed.  Campaigns, their jobs, result headers and
+#: dispatch plans carry only the key, so every execution mode (worker
+#: processes, other machines) resolves it the same way.
+PLATFORM_FACTORIES: dict[str, Callable[[int], ExecutionPlatform]] = {
+    "desktop": lambda seed: DesktopPlatform(),
+    # Every HIL record so far was flown with the Nano's jitter on seed 0, so
+    # it ignores the scenario seed to keep them reproducible.
+    "jetson-nano": lambda seed: JetsonNanoPlatform(),
+    "field": FieldPlatform,
 }
 
 
@@ -190,7 +179,7 @@ def _execute_job(job: CampaignJob) -> RunRecord:
             job.scenario,
             job.system,
             mission_config=job.mission,
-            platform=PLATFORM_FACTORIES[job.platform](),
+            platform=PLATFORM_FACTORIES[job.platform](job.scenario.seed),
             detector_network=network,
             fault_harness=harness,
         )

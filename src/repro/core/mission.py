@@ -54,7 +54,6 @@ class MissionRunner:
         mission_config: MissionConfig | None = None,
         platform: ExecutionPlatform | None = None,
         detector_network=None,
-        autopilot_config: AutopilotConfig | None = None,
         fault_harness: "FaultHarness | None" = None,
     ) -> None:
         self.scenario = scenario
@@ -71,11 +70,12 @@ class MissionRunner:
             counters=("frames-rendered", "frames-lost", "depth-captures", "clouds-lost")
         )
 
-        autopilot_config = autopilot_config or AutopilotConfig()
-        autopilot_config.takeoff_altitude = system_config.cruise_altitude
         self.autopilot = Autopilot(
             self.world,
-            config=autopilot_config,
+            config=AutopilotConfig(
+                takeoff_altitude=system_config.cruise_altitude,
+                imu_quality=self.platform.imu_quality,
+            ),
             home=scenario.start_position,
             seed=scenario.seed,
         )
@@ -96,6 +96,7 @@ class MissionRunner:
             # the registry declares; the harness sees sensor products and the
             # estimate only — the same boundary discipline as the system.
             fault_harness.attach(self.system)
+        self.platform.bind(self.system)
 
     def _target_marker_id(self) -> int:
         marker = self.world.target_marker

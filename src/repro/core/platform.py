@@ -1,20 +1,28 @@
 """Execution-platform models.
 
 The landing software runs on different compute platforms in the paper's three
-experiments: a desktop (SIL), a Jetson Nano (HIL) and the same Jetson with the
-additional real-time camera I/O of the real drone (real world).  The mission
-runner is platform-agnostic: after every decision tick it hands the module
-timings to a :class:`ExecutionPlatform`, which decides whether the platform
+experiments: a desktop (SIL), a Jetson Nano (HIL) and the real drone's Jetson
+with live camera I/O behind an upgraded flight controller (real world).  The
+mission runner is platform-agnostic.  It takes the autopilot's IMU quality
+from the platform's :attr:`~ExecutionPlatform.imu_quality`, calls
+:meth:`~ExecutionPlatform.bind` once with the landing system it built, and
+after every decision tick hands the module timings to
+:meth:`~ExecutionPlatform.schedule_tick`, which decides whether the platform
 kept up and reports utilisation samples.
 
 :class:`DesktopPlatform` (SIL) always keeps up; the Jetson model lives in
-:mod:`repro.hil.jetson`.
+:mod:`repro.hil.jetson` and the field platform in
+:mod:`repro.realworld.field_test`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+
+from repro.sensors.imu import ImuQuality
+
+#: Memory the desktop reports for the landing software on every tick, MB.
+DESKTOP_MEMORY_MB = 1200.0
 
 
 @dataclass(frozen=True)
@@ -30,22 +38,23 @@ class TickBudget:
     deadline_missed: bool = False
 
 
-@runtime_checkable
-class ExecutionPlatform(Protocol):
+class ExecutionPlatform:
     """Scheduling and resource model of the companion computer."""
+
+    #: IMU of the flight controller the platform flies with: consumer grade
+    #: (the Pixhawk 2.4.8) unless a platform carries another board.
+    imu_quality: ImuQuality = ImuQuality.consumer_grade()
+
+    def bind(self, system) -> None:
+        """Receive the mission's landing system once the runner has built it (no-op here)."""
 
     def schedule_tick(self, timings, tick_period: float) -> TickBudget:
         """Account for one decision tick's module workload."""
-        ...
+        raise NotImplementedError
 
 
-class DesktopPlatform:
+class DesktopPlatform(ExecutionPlatform):
     """The SIL platform: a desktop that never misses a deadline."""
-
-    name = "desktop-sil"
-
-    def __init__(self, memory_mb: float = 1200.0) -> None:
-        self._memory_mb = memory_mb
 
     def schedule_tick(self, timings, tick_period: float) -> TickBudget:
         total = timings.total
@@ -55,7 +64,7 @@ class DesktopPlatform:
             skip_mapping=False,
             processing_latency=total,
             cpu_utilisation=utilisation * 0.5,
-            memory_mb=self._memory_mb,
+            memory_mb=DESKTOP_MEMORY_MB,
             gpu_utilisation=0.25 if timings.detection > 0.02 else 0.05,
             deadline_missed=False,
         )

@@ -12,7 +12,10 @@ This package models that platform:
   (:class:`JetsonNanoPlatform`), an :class:`~repro.core.platform.ExecutionPlatform`
   that scales the modules' nominal desktop latencies to Nano-class hardware,
   tracks CPU/GPU/memory utilisation and misses deadlines when the decision
-  period is exceeded.
+  period is exceeded.  The ``jetson-nano`` campaign platform flies it with
+  the default consumer-grade IMU and its jitter on seed 0; the field platform
+  (:class:`repro.realworld.FieldPlatform`) extends it with live camera I/O,
+  the live map's memory and the flight controller's IMU.
 * :mod:`repro.hil.tensorrt` — the TensorRT-style optimisation model that
   reduces the learned detector's inference latency on the GPU.
 * :mod:`repro.hil.monitor` — utilisation bookkeeping (the `tegrastats`

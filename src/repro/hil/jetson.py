@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.platform import TickBudget
+from repro.core.platform import ExecutionPlatform, TickBudget
 from repro.hil.monitor import ResourceMonitor, UtilisationSample
 
 
@@ -47,24 +47,18 @@ class JetsonNanoSpec:
         return JetsonNanoSpec(camera_io_cpu_load=0.30, camera_io_memory_mb=450.0)
 
 
-class JetsonNanoPlatform:
+class JetsonNanoPlatform(ExecutionPlatform):
     """ExecutionPlatform implementation modelling the Jetson Nano (MAXN)."""
 
-    name = "jetson-nano-hil"
-
-    def __init__(
-        self,
-        spec: JetsonNanoSpec | None = None,
-        seed: int = 0,
-        monitor: ResourceMonitor | None = None,
-        map_memory_provider=None,
-    ) -> None:
+    def __init__(self, spec: JetsonNanoSpec | None = None, seed: int = 0) -> None:
         self.spec = spec or JetsonNanoSpec()
-        self.monitor = monitor or ResourceMonitor()
+        self.monitor = ResourceMonitor()
         self._rng = np.random.default_rng(seed)
         self._lag = 0.0           # accumulated processing backlog, seconds
         self._time = 0.0
-        self._map_memory_provider = map_memory_provider
+        # Returns the live map's size in bytes once a subclass binds it; the
+        # HIL Nano charges no map memory.
+        self._map_memory_provider = None
         self.deadline_misses = 0
         self.ticks = 0
 

@@ -11,21 +11,18 @@ results from HIL are modelled here:
   (the Fig. 5d effect) used by the analysis benches.
 * :mod:`repro.realworld.sensor_faults` — erroneous point-cloud
   characterisation (the Fig. 5c effect).
-* :mod:`repro.realworld.field_test` — the field-test flights: takes a SIL
-  scenario, degrades GNSS conditions, adds wind during the final descent,
-  runs on the real-world Jetson profile (live camera I/O) and the selected
-  flight controller; :func:`run_field_campaign` flies a whole suite.
+* :mod:`repro.realworld.field_test` — the field-test flights:
+  :func:`field_suite` shrinks each SIL scenario to the field airspace,
+  degrades GNSS conditions and adds wind during the final descent, and
+  :class:`FieldPlatform` is the real-world Jetson profile (live camera I/O)
+  behind the selected flight controller.  ``Campaign.platform("field")``
+  flies a suite on it.
 """
 
 from repro.realworld.hardware import FlightControllerProfile, PIXHAWK_2_4_8, CUAV_X7_PRO
 from repro.realworld.gps_drift import GpsDriftReport, characterise_gps_drift
 from repro.realworld.sensor_faults import PointCloudFaultReport, characterise_point_cloud_faults
-from repro.realworld.field_test import (
-    FieldTestConfig,
-    build_field_world,
-    run_field_campaign,
-    run_field_scenario,
-)
+from repro.realworld.field_test import FieldPlatform, field_suite
 
 __all__ = [
     "FlightControllerProfile",
@@ -35,8 +32,6 @@ __all__ = [
     "characterise_gps_drift",
     "PointCloudFaultReport",
     "characterise_point_cloud_faults",
-    "FieldTestConfig",
-    "build_field_world",
-    "run_field_campaign",
-    "run_field_scenario",
+    "FieldPlatform",
+    "field_suite",
 ]

@@ -1,4 +1,4 @@
-"""Field-test (RQ3) campaign wrapper.
+"""Field-test (RQ3) platform and scenario transform.
 
 "For real-world testing, scenarios were simplified to fit within the limited
 airspace available" (§IV.C.3): shorter transits, the MLS-V3 system only, and
@@ -6,39 +6,52 @@ the environmental effects that the paper reports — GPS drift in poor weather,
 wind during the final descent, heavier CPU/RAM load from live camera feeds,
 and the flight-controller IMU quality (Pixhawk 2.4.8 before the upgrade,
 Cuav X7+ after).
+
+:func:`field_suite` applies the airspace and weather simplification to a
+suite, and :class:`FieldPlatform` carries the hardware, so an RQ3 campaign is
+an ordinary :class:`~repro.bench.campaign.Campaign` on the ``field`` platform
+key::
+
+    Campaign(mls_v3()).suite(field_suite(suite)).platform("field").repetitions(1)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-from repro.core.config import LandingSystemConfig, mls_v3
-from repro.core.metrics import CampaignResult, RunRecord
-from repro.core.mission import MissionConfig, MissionRunner
 from repro.geometry import Vec3
 from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
-from repro.perception.neural.training import load_pretrained_detector_net
 from repro.realworld.hardware import CUAV_X7_PRO, FlightControllerProfile
-from repro.vehicle.autopilot import AutopilotConfig
 from repro.world.scenario import Scenario
 from repro.world.scenario_suite import ScenarioSuite
 from repro.world.weather import Weather, WeatherCondition
-from repro.world.world import World
+
+#: Field conditions: GNSS degradation and wind are always at least this bad.
+MINIMUM_GPS_DEGRADATION = 0.45
+MINIMUM_WIND_SPEED = 3.0
+MINIMUM_GUST_INTENSITY = 0.35
+#: The marker is moved no farther than this from take-off, metres.
+MAX_TARGET_DISTANCE = 25.0
 
 
-@dataclass(frozen=True)
-class FieldTestConfig:
-    """Configuration of a real-world test flight."""
+class FieldPlatform(JetsonNanoPlatform):
+    """The real drone: a Jetson Nano with live camera I/O and a flight controller.
 
-    flight_controller: FlightControllerProfile = CUAV_X7_PRO
-    minimum_gps_degradation: float = 0.45
-    minimum_wind_speed: float = 3.0
-    minimum_gust_intensity: float = 0.35
-    max_target_distance: float = 25.0
-    jetson_spec: JetsonNanoSpec = field(default_factory=JetsonNanoSpec.real_world)
+    Seeded per scenario, it charges the bound landing system's live map to
+    the Nano's memory, and its IMU is the flight controller's.
+    """
+
+    def __init__(
+        self, seed: int, flight_controller: FlightControllerProfile = CUAV_X7_PRO
+    ) -> None:
+        super().__init__(spec=JetsonNanoSpec.real_world(), seed=seed)
+        self.imu_quality = flight_controller.effective_imu_quality
+
+    def bind(self, system) -> None:
+        self._map_memory_provider = system.map_memory_bytes
 
 
-def _degrade_weather(weather: Weather, config: FieldTestConfig) -> Weather:
+def _degrade_weather(weather: Weather) -> Weather:
     """Apply the field conditions: GNSS degradation and wind always present."""
     condition = weather.condition
     if not condition.is_adverse:
@@ -48,21 +61,21 @@ def _degrade_weather(weather: Weather, config: FieldTestConfig) -> Weather:
         visibility=weather.visibility,
         glare=weather.glare,
         image_noise=max(weather.image_noise, 0.02),
-        wind_speed=max(weather.wind_speed, config.minimum_wind_speed),
-        gust_intensity=max(weather.gust_intensity, config.minimum_gust_intensity),
-        gps_degradation=max(weather.gps_degradation, config.minimum_gps_degradation),
+        wind_speed=max(weather.wind_speed, MINIMUM_WIND_SPEED),
+        gust_intensity=max(weather.gust_intensity, MINIMUM_GUST_INTENSITY),
+        gps_degradation=max(weather.gps_degradation, MINIMUM_GPS_DEGRADATION),
         precipitation=weather.precipitation,
     )
 
 
-def simplify_scenario(scenario: Scenario, config: FieldTestConfig) -> Scenario:
+def _simplify_scenario(scenario: Scenario) -> Scenario:
     """Shrink a SIL scenario to fit the limited field-test airspace."""
     distance = scenario.marker_position.horizontal_norm()
-    if distance <= config.max_target_distance or distance < 1e-9:
+    if distance <= MAX_TARGET_DISTANCE or distance < 1e-9:
         marker_position = scenario.marker_position
         gps_target = scenario.gps_target
     else:
-        scale = config.max_target_distance / distance
+        scale = MAX_TARGET_DISTANCE / distance
         marker_position = Vec3(
             scenario.marker_position.x * scale, scenario.marker_position.y * scale, 0.0
         )
@@ -72,61 +85,11 @@ def simplify_scenario(scenario: Scenario, config: FieldTestConfig) -> Scenario:
         scenario,
         marker_position=marker_position,
         gps_target=gps_target,
-        weather=_degrade_weather(scenario.weather, config),
+        weather=_degrade_weather(scenario.weather),
         decoy_count=min(scenario.decoy_count, 1),
     )
 
 
-def build_field_world(scenario: Scenario, config: FieldTestConfig | None = None) -> World:
-    """The world for a simplified field scenario (degraded weather applied)."""
-    config = config or FieldTestConfig()
-    return simplify_scenario(scenario, config).build_world()
-
-
-def run_field_scenario(
-    scenario: Scenario,
-    system_config: LandingSystemConfig | None = None,
-    config: FieldTestConfig | None = None,
-    mission_config: MissionConfig | None = None,
-    detector_network=None,
-) -> RunRecord:
-    """Run one real-world test flight and return its record.
-
-    Only MLS-V3 was flown in the field ("Due to safety concerns, MLS-V1 and
-    MLS-V2 were not tested"); passing a different ``system_config`` is allowed
-    for ablation purposes but defaults to V3.
-    """
-    config = config or FieldTestConfig()
-    system_config = system_config or mls_v3()
-    field_scenario = simplify_scenario(scenario, config)
-
-    autopilot_config = AutopilotConfig(
-        imu_quality=config.flight_controller.effective_imu_quality,
-    )
-
-    platform = JetsonNanoPlatform(spec=config.jetson_spec, seed=scenario.seed)
-    runner = MissionRunner(
-        field_scenario,
-        system_config,
-        mission_config=mission_config,
-        platform=platform,
-        detector_network=detector_network,
-        autopilot_config=autopilot_config,
-    )
-    platform._map_memory_provider = runner.system.map_memory_bytes
-    return runner.run()
-
-
-def run_field_campaign(suite: ScenarioSuite) -> CampaignResult:
-    """The RQ3 campaign: MLS-V3 flies every scenario of ``suite`` once.
-
-    A serial loop rather than a :class:`~repro.bench.campaign.Campaign`:
-    each flight builds its own Jetson platform, seeded per scenario and fed
-    the live system's map memory, which a campaign platform key cannot
-    express.
-    """
-    network = load_pretrained_detector_net()
-    result = CampaignResult(system_name=mls_v3().name)
-    for scenario in suite:
-        result.add(run_field_scenario(scenario, detector_network=network))
-    return result
+def field_suite(suite: ScenarioSuite) -> ScenarioSuite:
+    """``suite`` with every scenario simplified to the field airspace and weather."""
+    return replace(suite, scenarios=[_simplify_scenario(scenario) for scenario in suite])

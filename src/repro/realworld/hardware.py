@@ -20,9 +20,6 @@ class FlightControllerProfile:
     name: str
     imu_quality: ImuQuality
     imu_count: int
-    barometer_count: int
-    gps_noise_multiplier: float = 1.0
-    baro_noise_std: float = 0.08
 
     @property
     def effective_imu_quality(self) -> ImuQuality:
@@ -42,9 +39,6 @@ PIXHAWK_2_4_8 = FlightControllerProfile(
     name="Pixhawk 2.4.8",
     imu_quality=ImuQuality.consumer_grade(),
     imu_count=1,
-    barometer_count=1,
-    gps_noise_multiplier=1.2,
-    baro_noise_std=0.12,
 )
 
 #: The upgraded board.
@@ -52,7 +46,4 @@ CUAV_X7_PRO = FlightControllerProfile(
     name="Cuav X7+ Pro",
     imu_quality=ImuQuality.industrial_grade(),
     imu_count=3,
-    barometer_count=2,
-    gps_noise_multiplier=1.0,
-    baro_noise_std=0.06,
 )

@@ -1,9 +1,15 @@
 """Tests for the Jetson platform model, TensorRT model and real-world effects."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro.bench.campaign as campaign_module
+from repro.bench.campaign import PLATFORM_FACTORIES, Campaign, _execute_job
+from repro.core.config import mls_v1
 from repro.core.landing_system import ModuleTimings
+from repro.core.mission import MissionRunner
 from repro.core.platform import DesktopPlatform
 from repro.geometry import Pose, Vec3
 from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
@@ -11,13 +17,22 @@ from repro.hil.monitor import ResourceMonitor, UtilisationSample
 from repro.hil.tensorrt import TensorRtEngine
 from repro.perception.neural.network import PATCH_SIZE
 from repro.perception.neural.training import load_pretrained_detector_net
-from repro.realworld.field_test import FieldTestConfig, build_field_world, simplify_scenario
+from repro.realworld.field_test import (
+    MAX_TARGET_DISTANCE,
+    MINIMUM_GPS_DEGRADATION,
+    MINIMUM_GUST_INTENSITY,
+    MINIMUM_WIND_SPEED,
+    FieldPlatform,
+    field_suite,
+)
 from repro.realworld.gps_drift import characterise_gps_drift
 from repro.realworld.hardware import CUAV_X7_PRO, PIXHAWK_2_4_8
 from repro.realworld.sensor_faults import characterise_point_cloud_faults
+from repro.sensors.imu import ImuQuality
 from repro.world.map_generator import MapStyle
 from repro.world.obstacles import building
 from repro.world.scenario import Scenario
+from repro.world.scenario_suite import ScenarioSuite
 from repro.world.weather import Weather, WeatherCondition
 
 
@@ -50,12 +65,6 @@ class TestJetsonPlatform:
             budget = platform.schedule_tick(timings(detection=0.012, mapping=0.0, planning=0.001), 0.2)
             misses += budget.deadline_missed
         assert misses < 10
-
-    def test_memory_stays_within_budget_and_is_high(self):
-        platform = JetsonNanoPlatform(seed=3, map_memory_provider=lambda: 4_000_000)
-        budget = platform.schedule_tick(timings(), 0.2)
-        assert budget.memory_mb <= JetsonNanoSpec().usable_memory_mb
-        assert budget.memory_mb > 1800.0
 
     def test_real_world_spec_uses_more_resources(self):
         hil = JetsonNanoPlatform(spec=JetsonNanoSpec(), seed=4)
@@ -157,26 +166,98 @@ class TestPointCloudFaults:
             characterise_point_cloud_faults(world, Pose.at(Vec3(0, 0, 5)), Vec3.zero(), captures=0)
 
 
-class TestFieldTestPreparation:
-    def make_scenario(self):
-        return Scenario.generate("field", MapStyle.RURAL, 2, adverse_weather=False, seed=21)
+def field_scenario():
+    return Scenario.generate("field", MapStyle.RURAL, 2, adverse_weather=False, seed=21)
 
+
+class TestFieldTestPreparation:
     def test_simplification_shrinks_distance(self):
-        config = FieldTestConfig(max_target_distance=20.0)
-        scenario = self.make_scenario()
-        simplified = simplify_scenario(scenario, config)
-        assert simplified.marker_position.horizontal_norm() <= 20.0 + 1e-6
+        scenario = field_scenario()
+        assert scenario.marker_position.horizontal_norm() > MAX_TARGET_DISTANCE
+        (simplified,) = field_suite(ScenarioSuite(scenarios=[scenario]))
+        assert simplified.marker_position.horizontal_norm() <= MAX_TARGET_DISTANCE + 1e-6
         # The GPS error offset is preserved.
         original_offset = scenario.gps_target - scenario.marker_position
         new_offset = simplified.gps_target - simplified.marker_position
         assert new_offset.is_close(original_offset, tol=1e-6)
 
     def test_field_weather_always_has_wind_and_gps_degradation(self):
-        config = FieldTestConfig()
-        simplified = simplify_scenario(self.make_scenario(), config)
-        assert simplified.weather.gps_degradation >= config.minimum_gps_degradation
-        assert simplified.weather.wind_speed >= config.minimum_wind_speed
+        (simplified,) = field_suite(ScenarioSuite(scenarios=[field_scenario()]))
+        assert simplified.weather.gps_degradation >= MINIMUM_GPS_DEGRADATION
+        assert simplified.weather.wind_speed >= MINIMUM_WIND_SPEED
+        assert simplified.weather.gust_intensity >= MINIMUM_GUST_INTENSITY
+        assert simplified.decoy_count <= 1
 
-    def test_build_field_world_has_target(self):
-        world = build_field_world(self.make_scenario())
-        assert world.target_marker is not None
+    def test_field_suite_keeps_ids_seeds_and_repetitions(self):
+        suite = ScenarioSuite(scenarios=[field_scenario()], repetitions=2, name="rq3")
+        simplified = field_suite(suite)
+        assert (simplified.name, simplified.repetitions) == ("rq3", 2)
+        assert [(s.scenario_id, s.seed) for s in simplified] == [
+            (s.scenario_id, s.seed) for s in suite
+        ]
+        assert simplified.scenarios[0].build_world().target_marker is not None
+
+
+class TestFieldPlatform:
+    def test_bound_map_memory_is_charged_within_budget(self):
+        field = FieldPlatform(seed=3)
+        field.bind(SimpleNamespace(map_memory_bytes=lambda: 4_000_000))
+        unbound = JetsonNanoPlatform(spec=JetsonNanoSpec.real_world(), seed=3)
+        memory = field.schedule_tick(timings(), 0.2).memory_mb
+        assert memory > unbound.schedule_tick(timings(), 0.2).memory_mb
+        assert memory <= JetsonNanoSpec.real_world().usable_memory_mb
+
+    def test_runner_flies_the_flight_controller_imu(self):
+        scenario = field_scenario()
+        field = MissionRunner(scenario, mls_v1(), platform=FieldPlatform(scenario.seed))
+        assert field.autopilot.imu.quality == CUAV_X7_PRO.effective_imu_quality
+        pixhawk = FieldPlatform(scenario.seed, flight_controller=PIXHAWK_2_4_8)
+        assert MissionRunner(scenario, mls_v1(), platform=pixhawk).autopilot.imu.quality == (
+            PIXHAWK_2_4_8.effective_imu_quality
+        )
+        desktop = MissionRunner(scenario, mls_v1())
+        assert desktop.autopilot.imu.quality == ImuQuality.consumer_grade()
+
+    def test_runner_binds_its_landing_system(self):
+        bound = []
+
+        class RecordingField(FieldPlatform):
+            def bind(self, system):
+                bound.append(system)
+                super().bind(system)
+
+        scenario = field_scenario()
+        runner = MissionRunner(scenario, mls_v1(), platform=RecordingField(scenario.seed))
+        assert bound == [runner.system]
+
+    def test_factory_jitter_follows_the_scenario_seed(self):
+        def jitter(seed):
+            platform = PLATFORM_FACTORIES["field"](seed)
+            return [platform.schedule_tick(timings(), 0.2).cpu_utilisation for _ in range(5)]
+
+        assert jitter(11) == jitter(11)
+        assert jitter(11) != jitter(12)
+
+    def test_campaign_jobs_seed_the_platform_per_scenario(self, monkeypatch):
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def capture(scenario, system_config, *, platform, **kwargs):
+            built.append(platform)
+            raise Built
+
+        monkeypatch.setattr(campaign_module, "MissionRunner", capture)
+        jobs = Campaign(mls_v1()).platform("field").scenarios(2).repetitions(1).jobs()
+        assert len({job.scenario.seed for job in jobs}) == 2
+        for job in jobs:
+            with pytest.raises(Built):
+                _execute_job(job)
+        draws = [platform.schedule_tick(timings(), 0.2).cpu_utilisation for platform in built]
+        expected = [
+            FieldPlatform(job.scenario.seed).schedule_tick(timings(), 0.2).cpu_utilisation
+            for job in jobs
+        ]
+        assert draws == expected
+        assert draws[0] != draws[1]

@@ -220,7 +220,7 @@ class TestCampaignBuilder:
     def test_platform_validation(self):
         from repro.core.platform import DesktopPlatform
 
-        for platform in ("abacus", DesktopPlatform):
+        for platform in ("abacus", "jetson-nano-real", DesktopPlatform):
             with pytest.raises(ValueError, match="unknown platform"):
                 Campaign().platform(platform)
         Campaign().platform("jetson-nano")  # known key validates
