@@ -61,7 +61,7 @@ from repro.perception.neural.training import load_pretrained_detector_net
 from repro.realworld.field_test import FieldPlatform
 from repro.world.scenario import Scenario
 from repro.world.scenario_gen import PRESET_NAMES, SuiteSpec, generate_suite
-from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
+from repro.world.scenario_suite import ScenarioSuite
 
 #: Default number of scenarios when the environment does not say otherwise.
 DEFAULT_BENCH_SCENARIOS = 6
@@ -259,11 +259,6 @@ def campaign_context_fingerprint(
     return sha16_of_json(payload)
 
 
-def _scenario_fingerprint(scenario: Scenario) -> str:
-    """Content hash of one scenario, stored with each persisted run record."""
-    return scenario.fingerprint()
-
-
 def _system_needs_network(config: LandingSystemConfig) -> bool:
     try:
         spec = REGISTRY.spec(DETECTOR, config.detector)
@@ -295,8 +290,7 @@ class Campaign:
         self._mission: MissionConfig = MissionConfig()
         self._platform: str = "desktop"
         self._workers: int = 1
-        self._base_seed: int = 2025
-        self._seed_override: int | None = None
+        self._seed: int | None = None
         self._progress: Callable[[str], None] | None = None
         self._out: Path | None = None
         self._trace: Path | None = None
@@ -418,7 +412,8 @@ class Campaign:
         return self
 
     def scenarios(self, count: int) -> "Campaign":
-        """Evaluate on a ``count``-scenario subset of the evaluation suite."""
+        """Evaluate on a ``count``-scenario subset of the 100-scenario
+        evaluation suite (the ``"paper"`` preset, which refuses more)."""
         if count <= 0:
             raise ValueError("scenario count must be positive")
         self._scenario_count = count
@@ -452,8 +447,7 @@ class Campaign:
 
     def seed(self, base_seed: int) -> "Campaign":
         """Base seed for the generated suite (evaluation subset or preset/spec)."""
-        self._base_seed = base_seed
-        self._seed_override = base_seed
+        self._seed = base_seed
         return self
 
     def parallel(self, workers: int | None = None) -> "Campaign":
@@ -527,9 +521,7 @@ class Campaign:
         if self._out is not None:
             for job in jobs:
                 if job.scenario.scenario_id not in scenario_hashes:
-                    scenario_hashes[job.scenario.scenario_id] = _scenario_fingerprint(
-                        job.scenario
-                    )
+                    scenario_hashes[job.scenario.scenario_id] = job.scenario.fingerprint()
         context = self._context_fingerprint() if self._out is not None else ""
         restored = self._load_persisted(systems, context)
         pending: list[CampaignJob] = []
@@ -794,8 +786,10 @@ class Campaign:
         if self._suite is not None:
             # A SuiteSpec or preset name: generate now (deterministic), with
             # .seed(...) overriding the spec's own seed when it was called.
-            return generate_suite(self._suite, seed=self._seed_override)
-        count = self._scenario_count if self._scenario_count is not None else bench_scenario_count()
-        suite = build_evaluation_suite(base_seed=self._base_seed).subset(count)
-        suite.repetitions = self._repetitions if self._repetitions is not None else bench_repetitions()
-        return suite
+            return generate_suite(self._suite, seed=self._seed)
+        return generate_suite(
+            "paper",
+            count=self._scenario_count if self._scenario_count is not None else bench_scenario_count(),
+            seed=self._seed,
+            repetitions=self._repetitions if self._repetitions is not None else bench_repetitions(),
+        )

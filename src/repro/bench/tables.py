@@ -63,8 +63,8 @@ def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object
 def render_outcome_rates(results: Mapping[str, CampaignResult]) -> str:
     """The CLI results table: per-system run counts and outcome rates.
 
-    Shared by every campaign-running CLI (``repro.scenarios run``,
-    ``repro.dispatch``, ``repro.faults run``) so the columns cannot drift.
+    Shared by ``repro.scenarios run`` (every execution mode) and
+    ``repro.dispatch merge``, so the columns cannot drift.
     """
     rows = [
         [

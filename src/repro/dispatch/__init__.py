@@ -13,7 +13,8 @@ scalable execution service built on nothing but a shared directory:
 * :mod:`repro.dispatch.merge` — recombine per-shard outputs into per-system
   JSONL byte-identical to a single-process run;
 * :mod:`repro.dispatch.cli` — the ``python -m repro.dispatch`` CLI
-  (``plan`` / ``work`` / ``status`` / ``merge`` / ``run``).
+  (``plan`` / ``work`` / ``status`` / ``merge``); a whole local dispatch is
+  ``python -m repro.scenarios run --dispatch DIR``.
 
 Fluent entry point: :meth:`repro.Campaign.dispatch`.
 """

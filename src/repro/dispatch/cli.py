@@ -10,8 +10,10 @@ Subcommands:
 * ``status`` — per-shard queue state (pending / running / stale / done).
 * ``merge`` — combine the per-shard outputs into ``<dir>/merged/``,
   byte-identical to a single-process run of the same campaign.
-* ``run`` — local convenience: plan (if needed) + N worker processes +
-  merge, in one command.
+
+Plan, local workers and merge in one command is a campaign flight, so it is
+``python -m repro.scenarios run --dispatch DIR --shards N --workers W``.
+``plan`` takes that command's suite and campaign flags.
 
 Example — three shards, two machines::
 
@@ -27,82 +29,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
+from repro.core.config import preset
 from repro.dispatch.merge import load_merged, merge_dispatch
-from repro.dispatch.planner import merged_dir, plan_dispatch
+from repro.dispatch.planner import plan_dispatch
 from repro.dispatch.queue import DEFAULT_LEASE_SECONDS, ShardQueue
-from repro.dispatch.worker import (
-    DEFAULT_POLL_SECONDS,
-    run_local_workers,
-    run_worker,
-)
+from repro.dispatch.worker import DEFAULT_POLL_SECONDS, run_worker
+from repro.scenarios import add_campaign_args, add_suite_args, resolve_campaign_args
 
 
-def _systems(arg: str):
-    from repro.core.config import preset
-
-    return [preset(name.strip()) for name in arg.split(",") if name.strip()]
-
-
-def _add_plan_args(parser: argparse.ArgumentParser) -> None:
-    from repro.bench.campaign import PLATFORM_FACTORIES
-    from repro.world.scenario_gen import PRESET_NAMES
-
-    parser.add_argument(
-        "--preset", default="stress", choices=sorted(PRESET_NAMES),
-        help="suite preset to sample from (default: stress)",
-    )
-    parser.add_argument("--suite", default=None, help="plan over a suite JSONL file instead")
-    parser.add_argument(
-        "--spec", default=None,
-        help="plan over a SuiteSpec JSON file (see SuiteSpec.to_dict) instead",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="suite master seed")
-    parser.add_argument("--count", type=int, default=None, help="number of scenarios")
-    parser.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions per scenario"
-    )
-    parser.add_argument(
-        "--shards", type=int, required=True,
-        help="number of shards to split the campaign into (clamped to the scenario count)",
-    )
-    parser.add_argument(
-        "--systems", default="mls-v1,mls-v2,mls-v3",
-        help="comma-separated system presets (default: all three generations)",
-    )
-    parser.add_argument(
-        "--platform", default="desktop", choices=sorted(PLATFORM_FACTORIES),
-        help="execution platform key (default: desktop)",
-    )
-    parser.add_argument(
-        "--faults", default=None,
-        help="fault axis: a preset name or fault-plan JSON file "
-        "(see python -m repro.faults list); overrides any --spec fault axis",
-    )
-
-
-def _plan(args: argparse.Namespace, directory: Path):
-    from repro.faults.spec import resolve_faults
-    from repro.scenarios import resolve_suite_args
-
-    suite, faults = resolve_suite_args(args)
-    if args.faults is not None:
-        faults = resolve_faults(args.faults)
-    return plan_dispatch(
-        directory,
+def _cmd_plan(args: argparse.Namespace) -> int:
+    suite, systems, faults = resolve_campaign_args(args)
+    plan = plan_dispatch(
+        args.dir,
         suite,
-        _systems(args.systems),
+        [preset(name) for name in systems],
         shards=args.shards,
         repetitions=args.repetitions,
         platform=args.platform,
         faults=faults,
     )
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    plan = _plan(args, Path(args.dir))
     print(
         f"planned {plan.name!r}: {plan.suite_count} scenarios x "
         f"{plan.repetitions} repetition(s) x {len(plan.systems)} system(s) "
@@ -189,33 +136,15 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_results(directory: Path) -> None:
+def _cmd_merge(args: argparse.Namespace) -> int:
     from repro.bench.tables import render_outcome_rates
 
-    print(render_outcome_rates(load_merged(directory)))
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
     merged = merge_dispatch(args.dir, out_dir=args.out)
     for name, path in merged.items():
         print(f"merged {name}: {path}")
     if args.out is None:
-        _print_results(Path(args.dir))
+        print(render_outcome_rates(load_merged(args.dir)))
         print(f"analyze with: python -m repro.analysis summarize {args.dir}")
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    directory = Path(args.dir)
-    plan = _plan(args, directory)
-    print(
-        f"dispatching {plan.total_runs} runs over {len(plan.shards)} shard(s) "
-        f"to {args.workers} local worker(s)"
-    )
-    run_local_workers(directory, workers=args.workers, lease_seconds=args.lease)
-    merge_dispatch(directory)
-    print(f"merged results under {merged_dir(directory)}")
-    _print_results(directory)
     return 0
 
 
@@ -228,7 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="split a campaign into shard manifests")
     plan.add_argument("dir", help="dispatch directory (created if missing)")
-    _add_plan_args(plan)
+    add_suite_args(plan)
+    plan.add_argument(
+        "--shards", type=int, required=True,
+        help="number of shards to split the campaign into (clamped to the scenario count)",
+    )
+    add_campaign_args(plan)
 
     work = sub.add_parser("work", help="run one worker against a dispatch directory")
     work.add_argument("dir", help="a planned dispatch directory")
@@ -265,17 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None,
         help="write merged files here instead of <dir>/merged/",
     )
-
-    run = sub.add_parser("run", help="plan + local workers + merge, in one command")
-    run.add_argument("dir", help="dispatch directory (created if missing)")
-    _add_plan_args(run)
-    run.add_argument(
-        "--workers", type=int, default=2, help="local worker processes (default: 2)"
-    )
-    run.add_argument(
-        "--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-        help="worker lease seconds (default: %(default)s)",
-    )
     return parser
 
 
@@ -288,9 +211,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_work(args)
         if args.command == "status":
             return _cmd_status(args)
-        if args.command == "merge":
-            return _cmd_merge(args)
-        return _cmd_run(args)
+        return _cmd_merge(args)
     except (FileNotFoundError, ValueError) as error:
         # Unplanned directories, wrong JSONL kinds, unfinished shards,
         # tampered fingerprints: known user-facing failures get a diagnostic

@@ -181,6 +181,22 @@ def merge_dispatch(
     return merged
 
 
+def ensure_merged(directory: str | Path) -> Path:
+    """Merge ``directory`` unless every per-system merged file already
+    exists; returns the merged directory.
+
+    Raises :class:`ShardResultError` while shards are outstanding.  Not
+    safe against a concurrent merge of the same directory: the merger
+    writes through fixed ``.tmp`` names, so callers sharing a directory
+    across threads serialise their calls.
+    """
+    out = merged_dir(directory)
+    plan = load_plan(directory)
+    if not all((out / campaign_result_filename(s.name)).exists() for s in plan.systems):
+        merge_dispatch(directory)
+    return out
+
+
 def load_merged(directory: str | Path) -> dict[str, CampaignResult]:
     """Load a merged dispatch directory as ``{system name: CampaignResult}``.
 

@@ -247,8 +247,8 @@ def run_local_workers(
 ) -> None:
     """Drain a dispatch directory with ``workers`` local worker processes.
 
-    The in-machine convenience behind ``python -m repro.dispatch run`` and
-    ``Campaign.dispatch(...)``; cross-machine pools just start
+    The in-machine convenience behind ``Campaign.dispatch(...)`` (and so
+    ``python -m repro.scenarios run --dispatch``); cross-machine pools start
     ``python -m repro.dispatch work`` everywhere instead.  With
     ``workers=1`` the queue is drained in-process (no fork), which keeps
     single-worker dispatch debuggable.

@@ -22,8 +22,9 @@ Quickstart::
         accumulate_coverage(r for c in results.values() for r in c.records)
     )
 
-CLI: ``python -m repro.faults`` (``list`` / ``describe`` / ``run`` /
-``coverage``).
+CLI: ``python -m repro.faults`` (``list`` / ``describe`` / ``coverage`` /
+``sweep`` / ``bisect``); a fault campaign flies through
+``python -m repro.scenarios run --faults ...``.
 """
 
 from repro.faults.classifier import (

@@ -4,9 +4,6 @@ Subcommands:
 
 * ``list`` — the failure-mode taxonomy (targets, modes) and fault presets.
 * ``describe`` — inspect a fault preset or fault-plan JSON file.
-* ``run`` — run a fault-injection campaign over a scenario suite, serially,
-  in parallel, or as a sharded dispatch (``--dispatch``); persists per-run
-  JSONL (resumable) and can render the coverage report in one go.
 * ``coverage`` — render the fault-coverage report (per-fault detection /
   absorption accounting plus the failure-mode breakdown) from persisted
   campaign results; ``--gate`` turns it into a CI gate on the Wilson lower
@@ -17,14 +14,17 @@ Subcommands:
 * ``bisect`` — per (fault, scenario, system, repetition) cell, bisect
   severity to the threshold where the failure-mode classification flips.
 
+A fault-injection campaign is flown like any other, by
+``python -m repro.scenarios run --faults ...`` (serially, in parallel or
+with ``--dispatch``); it prints the coverage report, and ``coverage``
+renders it again from the persisted records.
+
 Examples::
 
     python -m repro.faults list
     python -m repro.faults describe --faults sensor --ladder 5
-    python -m repro.faults run --preset smoke --seed 7 --faults smoke \\
+    python -m repro.scenarios run --preset smoke --seed 7 --faults smoke \\
         --systems mls-v1 --out fault-results/
-    python -m repro.faults run --preset smoke --seed 7 --faults smoke \\
-        --systems mls-v1 --dispatch fault-queue/ --shards 2 --workers 2
     python -m repro.faults coverage fault-results/ --out coverage.md
     python -m repro.faults coverage fault-results/ --gate --min-coverage 0.5
     python -m repro.faults sweep --preset smoke --count 2 --seed 7 \\
@@ -152,53 +152,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    # Deferred imports: the campaign module pulls in the whole system stack.
-    from repro.bench.campaign import Campaign
-    from repro.bench.tables import render_outcome_rates
-    from repro.scenarios import resolve_suite_args
-
-    specs = resolve_faults(args.faults)
-    suite, _ = resolve_suite_args(args)
-    campaign = Campaign(
-        *[name.strip() for name in args.systems.split(",") if name.strip()]
-    )
-    campaign.suite(suite).faults(*specs)
-    if args.repetitions is not None:
-        campaign.repetitions(args.repetitions)
-    if args.trace:
-        campaign.trace(args.trace)
-    if args.verbose:
-        campaign.progress(print)
-
-    if args.dispatch:
-        results = campaign.dispatch(
-            args.dispatch, shards=args.shards, workers=args.workers
-        )
-    else:
-        if args.workers > 1:
-            campaign.parallel(args.workers)
-        if args.out:
-            campaign.out(args.out)
-        results = campaign.run()
-
-    print(render_outcome_rates(results))
-
-    coverage = accumulate_coverage(
-        record for result in results.values() for record in result.records
-    )
-    print()
-    print(render_coverage_report(coverage))
-    if args.report:
-        path = Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_coverage_report(coverage), encoding="utf-8")
-        print(f"coverage report written to {path}")
-    if args.out and not args.dispatch:
-        print(f"per-run JSONL results under {args.out} (re-run to resume)")
-    return 0
-
-
 def _cmd_coverage(args: argparse.Namespace) -> int:
     from repro.analysis.io import iter_records
 
@@ -272,47 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the N-point severity ladder a sweep would probe",
     )
 
-    run = sub.add_parser("run", help="run a fault-injection campaign")
-    from repro.world.scenario_gen import PRESET_NAMES
-
-    run.add_argument(
-        "--preset", default="smoke", choices=sorted(PRESET_NAMES),
-        help="scenario-suite preset to fly (default: smoke)",
-    )
-    run.add_argument("--suite", default=None, help="fly a suite JSONL file instead")
-    run.add_argument("--seed", type=int, default=None, help="suite master seed")
-    run.add_argument("--count", type=int, default=None, help="number of scenarios")
-    run.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions per scenario"
-    )
-    run.add_argument(
-        "--faults", default="smoke",
-        help="fault preset name or fault-plan JSON file (default: smoke)",
-    )
-    run.add_argument(
-        "--systems", default="mls-v3",
-        help="comma-separated system presets (default: mls-v3)",
-    )
-    run.add_argument("--workers", type=int, default=1, help="worker processes")
-    run.add_argument("--out", default=None, help="directory for per-run JSONL results")
-    run.add_argument(
-        "--trace", default=None,
-        help="directory for flight-trace JSONL (side-channel: campaign "
-        "records are byte-identical with or without it)",
-    )
-    run.add_argument(
-        "--dispatch", default=None,
-        help="run as a sharded dispatch under this directory instead of --out",
-    )
-    run.add_argument(
-        "--shards", type=int, default=2,
-        help="shard count for --dispatch (default: 2)",
-    )
-    run.add_argument(
-        "--report", default=None, help="write the coverage report markdown here"
-    )
-    run.add_argument("--verbose", action="store_true", help="print one line per run")
-
     coverage = sub.add_parser(
         "coverage", help="render the fault-coverage report from persisted results"
     )
@@ -348,8 +260,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_list(args)
         if args.command == "describe":
             return _cmd_describe(args)
-        if args.command == "run":
-            return _cmd_run(args)
         if args.command == "sweep":
             from repro.faults.search.cli import cmd_sweep
 

@@ -206,17 +206,9 @@ class DispatchProbeBackend:
         flush_metrics(directory)
 
     def _load(self, probe: Probe, directory: Path) -> ProbeOutcome:
-        from repro.bench.campaign import campaign_result_filename
-        from repro.dispatch.merge import load_merged, merge_dispatch
-        from repro.dispatch.planner import merged_dir
+        from repro.dispatch.merge import ensure_merged, load_merged
 
-        out = merged_dir(directory)
-        expected = {
-            campaign_result_filename(system.name) for system in self.systems
-        }
-        have = {path.name for path in out.glob("*.jsonl")} if out.is_dir() else set()
-        if not expected <= have:
-            merge_dispatch(directory)
+        ensure_merged(directory)
         results = load_merged(directory)
         records = tuple(
             record for name in sorted(results) for record in results[name].records

@@ -22,21 +22,11 @@ from repro.faults.search.bisect import (
 from repro.faults.search.curves import parse_severities, severity_ladder, severity_label
 from repro.faults.search.sweep import PROBES_DIRNAME, run_sweep
 from repro.faults.spec import resolve_faults
+from repro.scenarios import add_suite_args, resolve_suite_args
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
-    from repro.world.scenario_gen import PRESET_NAMES
-
-    parser.add_argument(
-        "--preset", default="smoke", choices=sorted(PRESET_NAMES),
-        help="scenario-suite preset to probe (default: smoke)",
-    )
-    parser.add_argument("--suite", default=None, help="probe a suite JSONL file instead")
-    parser.add_argument("--seed", type=int, default=None, help="suite master seed")
-    parser.add_argument("--count", type=int, default=None, help="number of scenarios")
-    parser.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions per scenario"
-    )
+    add_suite_args(parser, preset="smoke")
     parser.add_argument(
         "--faults", default="smoke",
         help="fault preset name or fault-plan JSON file (default: smoke)",
@@ -98,8 +88,7 @@ def add_search_commands(sub: Any) -> None:
 
 
 def _build_backend(args: argparse.Namespace) -> Any:
-    from repro.scenarios import resolve_suite_args
-
+    # A --spec file's fault axis is ignored: the probed faults are --faults.
     suite, _ = resolve_suite_args(args)
     names = [name.strip() for name in args.systems.split(",") if name.strip()]
     if not names:

@@ -1,4 +1,4 @@
-"""Scenario-suite CLI: ``python -m repro.scenarios``.
+"""Scenario-suite and campaign CLI: ``python -m repro.scenarios``.
 
 Subcommands:
 
@@ -7,8 +7,14 @@ Subcommands:
   optionally export it as JSONL (``--out``).
 * ``describe`` — inspect a preset's spec or a previously exported suite file.
 * ``export`` — ``generate`` that requires ``--out`` (for scripts/CI).
-* ``run`` — run a campaign over a generated (or loaded) suite, persisting
-  per-run JSONL results under ``--out`` so the campaign is resumable.
+* ``run`` — the one command that flies a campaign: serially, over
+  ``--workers`` processes, or as a sharded dispatch (``--dispatch DIR
+  --shards N``), on any ``--platform`` and under any ``--faults`` axis.
+  ``--out`` persists per-run JSONL so the campaign is resumable; a faulted
+  campaign also prints its fault-coverage report.
+
+The six suite flags of :func:`add_suite_args` are shared with
+``repro.dispatch plan`` and ``repro.faults sweep/bisect``.
 
 Examples::
 
@@ -17,6 +23,10 @@ Examples::
     python -m repro.scenarios describe --suite night.jsonl
     python -m repro.scenarios run --preset smoke --systems mls-v1 \\
         --workers 2 --out results/
+    python -m repro.scenarios run --preset smoke --seed 7 --faults smoke \\
+        --systems mls-v1 --dispatch queue/ --shards 2 --workers 2
+    python -m repro.scenarios run --suite field.jsonl --platform field \\
+        --systems mls-v3 --out field/
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from repro.bench.campaign import PLATFORM_FACTORIES, Campaign
+from repro.bench.tables import render_outcome_rates
 from repro.world.scenario_gen import (
     PRESET_NAMES,
     STRESS_AXES,
@@ -54,24 +66,43 @@ def _suite_summary(suite: ScenarioSuite) -> str:
     return "\n".join(lines)
 
 
+def add_suite_args(parser: argparse.ArgumentParser, preset: str = "stress") -> None:
+    """Add the six suite flags :func:`resolve_suite_args` reads.
+
+    ``preset`` is the command's default ``--preset``.
+    """
+    parser.add_argument(
+        "--preset", default=preset, choices=sorted(PRESET_NAMES),
+        help=f"suite preset to sample from (default: {preset})",
+    )
+    parser.add_argument(
+        "--spec", default=None,
+        help="generate from a SuiteSpec JSON file instead of a preset "
+        "(validated field by field; see SuiteSpec.to_dict)",
+    )
+    parser.add_argument("--suite", default=None, help="use a suite JSONL file instead")
+    parser.add_argument("--seed", type=int, default=None, help="suite master seed")
+    parser.add_argument("--count", type=int, default=None, help="number of scenarios")
+    parser.add_argument(
+        "--repetitions", type=int, default=None, help="repetitions per scenario"
+    )
+
+
 def resolve_suite_args(
     args: argparse.Namespace,
 ) -> tuple[ScenarioSuite, tuple[FaultSpec, ...]]:
-    """Build the suite a CLI invocation asked for, plus its fault axis.
+    """Build the suite the :func:`add_suite_args` flags ask for, plus its
+    fault axis.
 
-    Shared by every campaign-running CLI that exposes the standard
-    ``--suite`` / ``--spec`` / ``--preset`` / ``--count`` / ``--seed`` /
-    ``--repetitions`` arguments (``repro.scenarios``, ``repro.dispatch`` and
-    ``repro.faults``).  The fault axis is the one a ``--spec`` file declares
-    (empty for suite files and presets), exactly what ``Campaign.suite(spec)``
-    flies.  A ``--spec`` SuiteSpec JSON file goes through the structured
-    validator (:mod:`repro.world.spec_validation`), so every field problem is
-    reported at once — the same checks the campaign service applies to
-    submissions.
+    The fault axis is the one a ``--spec`` file declares (empty for suite
+    files and presets), exactly what ``Campaign.suite(spec)`` flies.  A
+    ``--spec`` SuiteSpec JSON file goes through the structured validator
+    (:mod:`repro.world.spec_validation`), so every field problem is reported
+    at once — the same checks the campaign service applies to submissions.
     """
-    if getattr(args, "suite", None):
+    if args.suite:
         return ScenarioSuite.from_jsonl(args.suite), ()
-    if getattr(args, "spec", None):
+    if args.spec:
         from repro.world.spec_validation import load_suite_spec
 
         spec = load_suite_spec(args.spec)
@@ -85,23 +116,35 @@ def resolve_suite_args(
     return suite, ()
 
 
-def _add_generation_args(parser: argparse.ArgumentParser) -> None:
+def add_campaign_args(parser: argparse.ArgumentParser) -> None:
+    """Add what a campaign flies over its suite: ``--systems``,
+    ``--platform`` and ``--faults`` (``run`` and ``repro.dispatch plan``)."""
     parser.add_argument(
-        "--preset",
-        default="stress",
-        choices=sorted(PRESET_NAMES),
-        help="suite preset to sample from (default: stress, every axis engaged)",
+        "--systems", default="mls-v1,mls-v2,mls-v3",
+        help="comma-separated system presets (default: all three generations)",
     )
     parser.add_argument(
-        "--spec", default=None,
-        help="generate from a SuiteSpec JSON file instead of a preset "
-        "(validated field by field; see SuiteSpec.to_dict)",
+        "--platform", default="desktop", choices=sorted(PLATFORM_FACTORIES),
+        help="execution platform key (default: desktop)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="suite master seed")
-    parser.add_argument("--count", type=int, default=None, help="number of scenarios")
     parser.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions per scenario"
+        "--faults", default=None,
+        help="fault axis: a preset name or fault-plan JSON file "
+        "(see python -m repro.faults list); overrides any --spec fault axis",
     )
+
+
+def resolve_campaign_args(
+    args: argparse.Namespace,
+) -> tuple[ScenarioSuite, list[str], tuple[FaultSpec, ...]]:
+    """The suite, system preset names and fault axis of a campaign command."""
+    suite, faults = resolve_suite_args(args)
+    if args.faults is not None:
+        from repro.faults.spec import resolve_faults
+
+        faults = resolve_faults(args.faults)
+    systems = [name.strip() for name in args.systems.split(",") if name.strip()]
+    return suite, systems, faults
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
@@ -165,26 +208,40 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # Deferred import: the campaign module pulls in the whole system stack,
-    # which suite generation/description does not need.
-    from repro.bench.campaign import Campaign
-    from repro.bench.tables import render_outcome_rates
-
-    suite, faults = resolve_suite_args(args)
-    campaign = Campaign(*[name.strip() for name in args.systems.split(",") if name.strip()])
-    campaign.suite(suite).faults(*faults)
+    if args.dispatch and args.out:
+        raise ValueError("--dispatch merges its results under DIR/merged; drop --out")
+    suite, systems, faults = resolve_campaign_args(args)
+    campaign = (
+        Campaign(*systems)
+        .suite(suite)
+        .faults(*faults)
+        .platform(args.platform)
+        .out(args.out)
+        .trace(args.trace)
+    )
     if args.repetitions is not None:
         campaign.repetitions(args.repetitions)
     if args.workers > 1:
         campaign.parallel(args.workers)
-    if args.out:
-        campaign.out(args.out)
-    if args.trace:
-        campaign.trace(args.trace)
     if args.verbose:
         campaign.progress(print)
-    results = campaign.run()
+    if args.dispatch:
+        results = campaign.dispatch(args.dispatch, shards=args.shards)
+    else:
+        results = campaign.run()
     print(render_outcome_rates(results))
+    if faults:
+        from repro.faults.coverage import accumulate_coverage, render_coverage_report
+
+        coverage = accumulate_coverage(
+            record for result in results.values() for record in result.records
+        )
+        print()
+        print(render_coverage_report(coverage))
+    if args.dispatch:
+        from repro.dispatch.planner import merged_dir
+
+        print(f"merged results under {merged_dir(args.dispatch)} (re-run to resume)")
     if args.out:
         print(f"per-run JSONL results under {args.out} (re-run to resume)")
     if args.trace:
@@ -217,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("export", "sample a suite and write it as JSONL (requires --out)"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        _add_generation_args(cmd)
+        add_suite_args(cmd)
         cmd.add_argument("--out", default=None, help="write the suite as JSONL here")
         cmd.add_argument(
             "--check-buildable",
@@ -226,18 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     describe = sub.add_parser("describe", help="inspect a preset spec or a suite file")
-    _add_generation_args(describe)
-    describe.add_argument("--suite", default=None, help="a suite JSONL file to inspect")
+    add_suite_args(describe)
 
-    run = sub.add_parser("run", help="run a campaign over a generated suite")
-    _add_generation_args(run)
-    run.add_argument("--suite", default=None, help="run over a suite JSONL file instead")
-    run.add_argument(
-        "--systems", default="mls-v1,mls-v2,mls-v3",
-        help="comma-separated system presets (default: all three generations)",
+    run = sub.add_parser(
+        "run", help="fly a campaign: serially, in parallel or as a sharded dispatch"
     )
+    add_suite_args(run)
+    add_campaign_args(run)
     run.add_argument("--workers", type=int, default=1, help="worker processes")
     run.add_argument("--out", default=None, help="directory for per-run JSONL results")
+    run.add_argument(
+        "--dispatch", default=None, metavar="DIR",
+        help="fly as a sharded dispatch under DIR (merged results in "
+        "DIR/merged) instead of --out",
+    )
+    run.add_argument(
+        "--shards", type=int, default=2, help="shard count for --dispatch (default: 2)"
+    )
     run.add_argument(
         "--trace", default=None,
         help="directory for flight-trace JSONL (side-channel: campaign "

@@ -29,12 +29,12 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
-from repro.bench.campaign import PLATFORM_FACTORIES, campaign_result_filename
+from repro.bench.campaign import PLATFORM_FACTORIES
 from repro.core.config import PRESETS, LandingSystemConfig, preset
-from repro.dispatch.merge import merge_dispatch
-from repro.dispatch.planner import build_plan, merged_dir, plan_dispatch, write_json_atomic
+from repro.dispatch.merge import ensure_merged
+from repro.dispatch.planner import build_plan, plan_dispatch, write_json_atomic
 from repro.dispatch.queue import ShardQueue
 from repro.faults.spec import FaultSpec
 from repro.world.scenario_gen import PRESET_NAMES, SuiteSpec, generate_suite
@@ -392,12 +392,4 @@ class JobStore:
         concurrent merges of the same directory must not interleave.
         """
         with self._merge_lock:
-            out = merged_dir(job.dispatch_dir)
-            queue = job.queue()
-            expected = {
-                campaign_result_filename(system.name) for system in queue.plan.systems
-            }
-            have = {path.name for path in out.glob("*.jsonl")} if out.is_dir() else set()
-            if not expected <= have:
-                merge_dispatch(job.dispatch_dir)
-            return out
+            return ensure_merged(job.dispatch_dir)

@@ -18,6 +18,7 @@ from repro.core.metrics import CampaignResult, DetectionStats, RunOutcome, RunRe
 from repro.dispatch.cli import main as dispatch_main
 from repro.dispatch.merge import (
     ShardResultError,
+    ensure_merged,
     load_merged,
     merge_dispatch,
     verify_merge,
@@ -322,6 +323,27 @@ class TestWorkerAndMerge:
         assert set(results) == {"MLS-V1"}
         assert len(results["MLS-V1"]) == 4
         assert isinstance(results["MLS-V1"], CampaignResult)
+
+    def test_ensure_merged_merges_only_an_incomplete_merge(
+        self, tmp_path, suite, stub_execute, monkeypatch
+    ):
+        plan_smoke(tmp_path, suite, shards=2, systems=[mls_v1(), mls_v2()])
+        directory = tmp_path / "dispatch"
+        with pytest.raises(ShardResultError, match="not done yet"):
+            ensure_merged(directory)
+        run_worker(directory, worker_id="w1")
+        merges = []
+        monkeypatch.setattr(
+            "repro.dispatch.merge.merge_dispatch",
+            lambda d: merges.append(d) or merge_dispatch(d),
+        )
+        out = ensure_merged(directory)
+        assert sorted(path.name for path in out.iterdir()) == ["MLS-V1.jsonl", "MLS-V2.jsonl"]
+        ensure_merged(directory)
+        assert len(merges) == 1
+        (out / "MLS-V2.jsonl").unlink()  # one system missing: merge again
+        ensure_merged(directory)
+        assert len(merges) == 2 and (out / "MLS-V2.jsonl").exists()
 
     def test_crashed_worker_resumes_via_lease_expiry(
         self, tmp_path, suite, stub_execute, monkeypatch

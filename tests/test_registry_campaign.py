@@ -235,6 +235,18 @@ class TestCampaignBuilder:
         with pytest.raises(TypeError):
             Campaign().systems(42)
 
+    def test_scenario_subset_is_the_paper_preset(self):
+        # A count past the evaluation suite's 100 scenarios is refused, not
+        # silently clamped to 100.
+        with pytest.raises(ValueError, match="fixed at 100 scenarios"):
+            Campaign(mls_v1()).scenarios(150).jobs()
+        assert len(Campaign(mls_v1()).scenarios(100).repetitions(1).jobs()) == 100
+        jobs = Campaign(mls_v1()).scenarios(4).seed(7).repetitions(1).jobs()
+        expected = build_evaluation_suite(base_seed=7).subset(4)
+        assert [job.scenario.fingerprint() for job in jobs] == [
+            scenario.fingerprint() for scenario in expected
+        ]
+
     def test_jobs_are_picklable(self):
         import pickle
 
