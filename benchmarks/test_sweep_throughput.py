@@ -38,7 +38,7 @@ def test_sweep_probe_throughput(bench_results, tmp_path):
     cold_s = time.perf_counter() - start
 
     probes = len(severities)
-    runs = sum(point.runs for point in result.points)
+    runs = sum(point.counters.runs for point in result.points)
     assert len(result.points) == probes
     assert runs == probes * SUITE_COUNT
 

@@ -46,7 +46,6 @@ from repro.analysis import (
     CampaignAnalysis,
     CampaignComparison,
     SystemSummary,
-    compare_campaigns,
     summarize_records,
     wilson_interval,
 )
@@ -113,7 +112,7 @@ from repro.world.scenario_gen import (
 )
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     # configuration & presets
@@ -172,7 +171,6 @@ __all__ = [
     "CampaignAnalysis",
     "CampaignComparison",
     "SystemSummary",
-    "compare_campaigns",
     "summarize_records",
     "wilson_interval",
     # scenarios

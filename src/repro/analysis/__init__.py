@@ -23,7 +23,6 @@ from repro.analysis.compare import (
     MetricDelta,
     PaperDelta,
     RateDelta,
-    compare_campaigns,
     compare_summaries,
     compare_to_paper,
 )
@@ -44,7 +43,6 @@ from repro.analysis.slicing import (
     FACTOR_NAMES,
     FACTORS,
     ScenarioIndex,
-    slice_records,
 )
 from repro.analysis.stats import (
     MetricEstimate,
@@ -72,7 +70,6 @@ __all__ = [
     "SystemSummary",
     "bootstrap_mean_ci",
     "cached_report",
-    "compare_campaigns",
     "compare_summaries",
     "compare_to_paper",
     "iter_contexts",
@@ -82,7 +79,6 @@ __all__ = [
     "render_summary_report",
     "report_cache_key",
     "resolve_result_files",
-    "slice_records",
     "summarize_records",
     "two_proportion_test",
     "wilson_interval",

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.bench import paper_values
 
-from repro.analysis.io import iter_records
 from repro.analysis.stats import (
     CONTINUOUS_METRICS,
     DEFAULT_CONFIDENCE,
@@ -38,7 +37,6 @@ from repro.analysis.stats import (
     SystemSummary,
     bootstrap_diff_ci,
     metric_seed,
-    summarize_records,
     two_proportion_test,
 )
 
@@ -236,30 +234,6 @@ def compare_summaries(
                 )
             )
     return comparison
-
-
-def compare_campaigns(
-    baseline_source: Any,
-    current_source: Any,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-    confidence: float = DEFAULT_CONFIDENCE,
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int = 0,
-    baseline_label: str = "baseline",
-    current_label: str = "current",
-) -> CampaignComparison:
-    """Diff two record sources (live results, files, or directories)."""
-    return compare_summaries(
-        summarize_records(iter_records(baseline_source)),
-        summarize_records(iter_records(current_source)),
-        alpha=alpha,
-        confidence=confidence,
-        resamples=resamples,
-        seed=seed,
-        baseline_label=baseline_label,
-        current_label=current_label,
-    )
 
 
 # ---------------------------------------------------------------------- #

@@ -25,7 +25,7 @@ from repro.world.scenario import Scenario
 from repro.world.scenario_gen import SuiteSpec
 from repro.world.scenario_suite import ScenarioSuite
 
-from repro.analysis.io import RecordContext, iter_contexts
+from repro.analysis.io import RecordContext
 from repro.analysis.stats import SystemSummary
 
 #: Label used when a factor needs a scenario and the join found none.
@@ -280,12 +280,3 @@ def slice_contexts(
             summary.add(record)
     return slices
 
-
-def slice_records(
-    source: Any,
-    factor: str | FactorFn,
-    suites: Iterable[Any] = (),
-) -> dict[str, dict[str, SystemSummary]]:
-    """Convenience wrapper: slice any record source by a named factor."""
-    index = ScenarioIndex.from_sources(suites) if suites else None
-    return slice_contexts(iter_contexts(source), factor, index)

@@ -122,9 +122,9 @@ class CampaignJob:
     #: workers on other machines).
     trace_dir: str | None = None
     #: Correlation context (sorted ``(key, value)`` pairs) identifying where
-    #: this run came from — dispatch workers set ``job`` (plan fingerprint
-    #: prefix) and ``shard``; probe backends add ``probe`` via the
-    #: ``REPRO_CORR_PROBE`` environment variable.  Like tracing it is a pure
+    #: this run came from: the ids given to ``Campaign.correlate`` (a fault
+    #: probe's ``probe``, say), plus ``job`` (plan fingerprint prefix) and
+    #: ``shard`` when a dispatch worker flies it.  Like tracing it is a pure
     #: side channel: excluded from every content fingerprint, attached only
     #: to metric label sets and trace summaries.
     correlation: tuple[tuple[str, str], ...] = ()
@@ -139,22 +139,6 @@ def _shared_network():
     if _worker_network is None:
         _worker_network = load_pretrained_detector_net()
     return _worker_network
-
-
-def _job_correlation(job: CampaignJob) -> dict[str, str]:
-    """The run's correlation context: job-carried pairs plus the probe id.
-
-    The probe id travels by environment (``REPRO_CORR_PROBE``) because probe
-    backends drain pre-planned dispatch directories — there is no job object
-    of theirs to thread it through — exactly like ``REPRO_TRACE_DIR``.
-    Cardinality is bounded upstream: every id is a short content-hash
-    prefix or a shard name, never a free-form string.
-    """
-    correlation = {key: value for key, value in job.correlation}
-    probe = os.environ.get("REPRO_CORR_PROBE")
-    if probe:
-        correlation["probe"] = probe
-    return correlation
 
 
 def _execute_job(job: CampaignJob) -> RunRecord:
@@ -194,7 +178,7 @@ def _execute_job(job: CampaignJob) -> RunRecord:
     # Observability side channel: per-run metrics and, when traced, the
     # run's flight-recorder summary.  Nothing below reads back into the
     # record, so the persisted bytes are identical with or without it.
-    correlation = _job_correlation(job)
+    correlation = dict(job.correlation)
     counters = runner.recorder.counters
     METRICS.counter(
         "repro_runs_total", "Completed mission runs by system and outcome."
@@ -656,19 +640,22 @@ class Campaign:
 
         The campaign is planned into ``shards`` content-fingerprinted shard
         manifests (see :mod:`repro.dispatch`), executed by ``workers`` local
-        worker processes (default: this campaign's ``.parallel(...)`` count)
-        and merged back into per-system JSONL files that are byte-identical
-        to what a single-process ``.out(directory).run()`` would have
-        written.  ``directory`` can simultaneously be served by workers on
-        other machines (``python -m repro.dispatch work <directory>``), and
-        re-dispatching the same campaign into the same directory resumes
-        instead of re-flying.
+        workers (default: this campaign's ``.parallel(...)`` count) and
+        merged back into per-system JSONL files that are byte-identical to
+        what a single-process ``.out(directory).run()`` would have written.
+        Like ``.run()``, one worker drains the queue in-process and reports
+        each run to ``.progress()``; more spawn worker processes.  Either
+        way the ``.correlate()`` ids reach every run, next to the ``job``
+        and ``shard`` ids the workers add.  ``directory`` can
+        simultaneously be served by workers on other machines (``python -m
+        repro.dispatch work <directory>``), and re-dispatching the same
+        campaign into the same directory resumes instead of re-flying.
         """
         # Imported here: the dispatch layer orchestrates campaigns and
         # imports this module, so the dependency cannot be import-time.
         from repro.dispatch.merge import load_merged, merge_dispatch
         from repro.dispatch.planner import plan_dispatch
-        from repro.dispatch.worker import run_local_workers
+        from repro.dispatch.worker import run_local_workers, run_worker
 
         suite = self._resolved_suite()
         repetitions = self._repetitions if self._repetitions is not None else suite.repetitions
@@ -682,6 +669,8 @@ class Campaign:
             platform=self._platform,
             faults=self._resolved_faults(),
         )
+        workers = workers if workers is not None else self._workers
+        correlation = dict(self._correlation)
         # Dispatch does not ship jobs, so tracing travels by environment:
         # local worker processes inherit REPRO_TRACE_DIR at spawn (workers
         # on other machines set it themselves).
@@ -689,11 +678,20 @@ class Campaign:
         if self._trace is not None:
             os.environ["REPRO_TRACE_DIR"] = str(self._trace)
         try:
-            run_local_workers(
-                directory,
-                workers=workers if workers is not None else max(self._workers, 1),
-                lease_seconds=lease_seconds,
-            )
+            if workers == 1:
+                run_worker(
+                    directory,
+                    lease_seconds=lease_seconds,
+                    progress=self._progress,
+                    correlation=correlation,
+                )
+            else:
+                run_local_workers(
+                    directory,
+                    workers=workers,
+                    lease_seconds=lease_seconds,
+                    correlation=correlation,
+                )
         finally:
             if self._trace is not None:
                 if previous_trace is None:

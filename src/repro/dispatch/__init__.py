@@ -19,7 +19,7 @@ scalable execution service built on nothing but a shared directory:
 Fluent entry point: :meth:`repro.Campaign.dispatch`.
 """
 
-from repro.dispatch.merge import ShardResultError, load_merged, merge_dispatch, verify_merge
+from repro.dispatch.merge import ShardResultError, load_merged, merge_dispatch
 from repro.dispatch.planner import (
     DispatchPlan,
     ShardSpec,
@@ -59,5 +59,4 @@ __all__ = [
     "run_local_workers",
     "run_worker",
     "suite_fingerprint",
-    "verify_merge",
 ]

@@ -214,20 +214,3 @@ def load_merged(directory: str | Path) -> dict[str, CampaignResult]:
         results[system.name] = CampaignResult.from_jsonl(path)
     return results
 
-
-def verify_merge(directory: str | Path) -> dict[str, int]:
-    """Validate shard outputs without writing: ``{system: record count}``.
-
-    Runs the full merge validation (completion markers, context hashes,
-    scenario fingerprints, grid coverage) against a throwaway directory.
-    """
-    import tempfile
-
-    directory = Path(directory)
-    with tempfile.TemporaryDirectory(prefix="repro-dispatch-verify-") as scratch:
-        merged = merge_dispatch(directory, out_dir=scratch)
-        counts = {
-            name: len(CampaignResult.from_jsonl(path)) for name, path in merged.items()
-        }
-    return counts
-

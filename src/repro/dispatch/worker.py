@@ -27,7 +27,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.bench.campaign import Campaign
 from repro.dispatch.planner import DispatchPlan, ShardSpec, load_plan, load_suite
@@ -97,6 +97,7 @@ def _shard_campaign(
     shard: ShardSpec,
     results_dir: Path,
     progress: Callable[[str], None] | None,
+    correlation: Mapping[str, str] | None = None,
 ) -> Campaign:
     """The campaign executing exactly one shard's slice of the plan."""
     campaign = (
@@ -107,10 +108,11 @@ def _shard_campaign(
         .platform(plan.platform)
         .faults(*plan.faults)
         .out(results_dir)
-        # Correlation context: the plan fingerprint prefix and shard name
-        # ride every run's metric labels and trace summaries, so fleet
-        # series link back to the dispatch unit that produced them.
-        .correlate(job=plan.fingerprint[:10], shard=shard.name)
+        # Correlation context: the caller's ids plus the plan fingerprint
+        # prefix and shard name ride every run's metric labels and trace
+        # summaries, so fleet series link back to the dispatch unit (and
+        # the fault probe, say) that produced them.
+        .correlate(**{**(correlation or {}), "job": plan.fingerprint[:10], "shard": shard.name})
     )
     if progress is not None:
         campaign.progress(progress)
@@ -126,6 +128,7 @@ def run_worker(
     max_shards: int | None = None,
     wait: bool = True,
     progress: Callable[[str], None] | None = None,
+    correlation: Mapping[str, str] | None = None,
 ) -> WorkerReport:
     """Drain shards from a dispatch directory until the plan is complete.
 
@@ -143,6 +146,8 @@ def run_worker(
             worker pick up a crashed one's shard once its lease expires)
             or return immediately (``False``).
         progress: optional callback receiving one line per completed run.
+        correlation: ids stamped on every run's metric labels and trace
+            summary, next to the ``job`` and ``shard`` ids the worker adds.
     """
     directory = Path(directory)
     plan = load_plan(directory)
@@ -180,7 +185,9 @@ def run_worker(
                     f"({shard.stop - shard.start} scenarios, "
                     f"{plan.runs_per_shard(shard)} runs)"
                 )
-            campaign = _shard_campaign(plan, suite, shard, lease.results_dir, per_run)
+            campaign = _shard_campaign(
+                plan, suite, shard, lease.results_dir, per_run, correlation
+            )
             with heartbeat:
                 results = campaign.run()
         except _ShardAbandoned:
@@ -234,9 +241,15 @@ def run_worker(
 # local multi-worker convenience
 # ---------------------------------------------------------------------- #
 def _local_worker_entry(
-    directory: str, worker_id: str, lease_seconds: float
+    directory: str,
+    worker_id: str,
+    lease_seconds: float,
+    correlation: Mapping[str, str] | None,
 ) -> None:  # pragma: no cover - exercised via subprocesses
-    run_worker(directory, worker_id=worker_id, lease_seconds=lease_seconds)
+    run_worker(
+        directory, worker_id=worker_id, lease_seconds=lease_seconds,
+        correlation=correlation,
+    )
 
 
 def run_local_workers(
@@ -244,22 +257,19 @@ def run_local_workers(
     *,
     workers: int = 2,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
+    correlation: Mapping[str, str] | None = None,
 ) -> None:
     """Drain a dispatch directory with ``workers`` local worker processes.
 
-    The in-machine convenience behind ``Campaign.dispatch(...)`` (and so
-    ``python -m repro.scenarios run --dispatch``); cross-machine pools start
-    ``python -m repro.dispatch work`` everywhere instead.  With
-    ``workers=1`` the queue is drained in-process (no fork), which keeps
-    single-worker dispatch debuggable.
+    The multi-process half of ``Campaign.dispatch(...)``, which drains
+    in-process (:func:`run_worker`) when it has one worker;
+    cross-machine pools start ``python -m repro.dispatch work`` everywhere
+    instead.  ``correlation`` reaches every worker's :func:`run_worker`.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
     directory = Path(directory)
     load_plan(directory)  # fail fast before spawning anything
-    if workers == 1:
-        run_worker(directory, lease_seconds=lease_seconds)
-        return
 
     import multiprocessing
 
@@ -267,7 +277,7 @@ def run_local_workers(
     processes = [
         multiprocessing.Process(
             target=_local_worker_entry,
-            args=(str(directory), f"{prefix}-w{index}", lease_seconds),
+            args=(str(directory), f"{prefix}-w{index}", lease_seconds, correlation),
             name=f"dispatch-worker-{index}",
         )
         for index in range(workers)

@@ -29,7 +29,6 @@ CLI: ``python -m repro.faults`` (``list`` / ``describe`` / ``coverage`` /
 
 from repro.faults.classifier import (
     FAILURE_MODE_ORDER,
-    FailureClassifier,
     FailureMode,
     classify_record,
     failure_mode_label,
@@ -41,7 +40,6 @@ from repro.faults.spec import (
     dump_fault_plan,
     fault_rng,
     fault_run_seed,
-    faults_fingerprint,
     load_fault_plan,
     resolve_faults,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "DispatchProbeBackend",
     "Probe",
     "ServiceProbeBackend",
-    "FailureClassifier",
     "FailureMode",
     "FaultCoverage",
     "FaultHarness",
@@ -112,7 +109,6 @@ __all__ = [
     "failure_mode_label",
     "fault_rng",
     "fault_run_seed",
-    "faults_fingerprint",
     "load_fault_plan",
     "render_coverage_report",
     "render_coverage_section",

@@ -81,19 +81,3 @@ def failure_mode_label(record: RunRecord) -> str:
     """
     return record.failure_mode or classify_record(record).value
 
-
-class FailureClassifier:
-    """Streaming failure-mode counter over a record stream."""
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {mode: 0 for mode in FAILURE_MODE_ORDER}
-        self.total = 0
-
-    def add(self, record: RunRecord) -> FailureMode:
-        mode = FailureMode(failure_mode_label(record))
-        self.counts[mode.value] += 1
-        self.total += 1
-        return mode
-
-    def share(self, mode: str) -> float:
-        return self.counts[mode] / self.total if self.total else 0.0

@@ -2,10 +2,11 @@
 
 The search engine explores the fault x scenario x severity space the
 injection pillar (:mod:`repro.faults`) opened, without flying the full
-grid: every probe point is expressed as a standard dispatch plan, so
-probes drain through the existing lease-based queue under any worker
-topology — and a killed search resumes from the directory tree to
-byte-identical curves.
+grid: every probe point is an ordinary fault campaign ending in
+``Campaign.dispatch``, so probes drain through the existing lease-based
+queue under any worker topology — and a killed search resumes from the
+directory tree to byte-identical curves.  Both probe backends share one
+probe memo, so revisited points are never flown twice.
 
 Quickstart::
 

@@ -1,4 +1,4 @@
-"""Probe evaluation backends: fault-space probes as dispatch campaigns.
+"""Probe evaluation backends: fault-space probes as ordinary campaigns.
 
 A *probe* asks one question of the simulator: "fly this scenario subset
 with this fault spec pinned at this severity".  Because ``FaultSpec``
@@ -7,22 +7,25 @@ severity is part of the spec hash and per-run fault RNG is keyed on
 independent deterministic stream — evaluating severity 0.43 neither
 disturbs nor depends on the stream at 0.5.
 
-The backends here answer probes without inventing any new execution
-machinery: each probe batch becomes a standard dispatch plan
-(:mod:`repro.dispatch`) under the backend root, one directory per distinct
-``(spec, severity, scenario subset)``, named by the plan's content
-fingerprint.  That buys the search engine everything the dispatch fabric
-already guarantees:
+The backends here answer probes without any execution machinery of their
+own.  :class:`DispatchProbeBackend` flies each probe as one
+``Campaign(...).dispatch(...)`` chain into a directory under the backend
+root, one per distinct ``(spec, severity, scenario subset)``, named by the
+dispatch plan's content fingerprint; :class:`ServiceProbeBackend` submits
+each probe to the campaign service as a job.  That buys the search engine
+everything the dispatch fabric already guarantees:
 
-* **any worker topology** — the in-process serial drain, local worker
-  processes, external ``python -m repro.dispatch work`` processes pointed
-  at a probe directory, or (via :class:`ServiceProbeBackend`) the campaign
-  service's supervised pool all produce byte-identical merged records;
+* **any worker topology** — the in-process drain, local worker processes,
+  external ``python -m repro.dispatch work`` processes pointed at a probe
+  directory, or the campaign service's supervised pool all produce
+  byte-identical merged records;
 * **crash-resume** — a killed sweep re-plans into the same fingerprinted
   directories, re-joins the existing plans, and workers resume from
   persisted shard records through the lease protocol;
-* **memoized re-probing** — bisection revisits severities; an already
-  merged probe directory is loaded, not re-flown.
+* **memoized re-probing** — both backends share one probe memo, so
+  bisection's revisited severities are answered from memory, and a fresh
+  backend over a finished probe directory re-merges it instead of
+  re-flying it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.config import LandingSystemConfig
 from repro.core.metrics import RunRecord
@@ -71,48 +74,32 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name).strip("-") or "probe"
 
 
-class DispatchProbeBackend:
-    """Evaluates probes as dispatch plans under ``root`` (one dir each).
+class _ProbeBackend:
+    """The probe memo both backends share.
 
-    ``workers`` selects the default drain: ``1`` drains each probe
-    directory in-process (debuggable, monkeypatchable), ``>1`` spawns that
-    many local worker processes per directory.  ``drain`` overrides the
-    drain entirely with ``callable(directory)`` — the hook the search tests
-    use to interleave, kill and resume workers deterministically, and the
-    hook a cluster harness would use to fan probe directories out to
-    external ``dispatch work`` fleets.
+    It indexes the suite's scenarios, selects each probe's sub-suite,
+    stamps provenance (:meth:`describe`) and memoizes :meth:`evaluate`;
+    a subclass only says how a batch of fresh probes is flown
+    (:meth:`_fly`).
     """
+
+    #: The ``backend`` label of ``repro_probe_cache_total``.
+    kind = ""
 
     def __init__(
         self,
-        root: str | Path,
         suite: ScenarioSuite,
-        systems: Sequence[LandingSystemConfig],
+        system_names: Sequence[str],
         *,
-        repetitions: int | None = None,
-        shards: int = 1,
-        workers: int = 1,
-        platform: str = "desktop",
-        mission: Any | None = None,
-        lease_seconds: float | None = None,
-        progress: Callable[[str], None] | None = None,
-        drain: Callable[[Path], None] | None = None,
+        repetitions: int | None,
+        shards: int,
+        progress: Callable[[str], None] | None,
     ) -> None:
-        from repro.dispatch.queue import DEFAULT_LEASE_SECONDS
-
-        self.root = Path(root)
         self.suite = suite
-        self.systems = list(systems)
         self.repetitions = repetitions
         self.shards = shards
-        self.workers = workers
-        self.platform = platform
-        self.mission = mission
-        self.lease_seconds = (
-            DEFAULT_LEASE_SECONDS if lease_seconds is None else lease_seconds
-        )
         self.progress = progress
-        self.drain = drain
+        self._system_names = list(system_names)
         self._scenarios = {s.scenario_id: s for s in suite.scenarios}
         if len(self._scenarios) != len(suite.scenarios):
             raise ValueError(
@@ -120,7 +107,6 @@ class DispatchProbeBackend:
             )
         self._memo: dict[ProbeKey, ProbeOutcome] = {}
 
-    # ------------------------------------------------------------------ #
     def describe(self) -> dict[str, Any]:
         """Provenance stamped into curve headers and reports."""
         return {
@@ -129,7 +115,7 @@ class DispatchProbeBackend:
             "repetitions": (
                 self.suite.repetitions if self.repetitions is None else self.repetitions
             ),
-            "systems": ", ".join(system.name for system in self.systems),
+            "systems": ", ".join(self._system_names),
         }
 
     def _sub_suite(self, probe: Probe) -> ScenarioSuite:
@@ -145,6 +131,71 @@ class DispatchProbeBackend:
             name=self.suite.name,
         )
 
+    def evaluate(self, probes: Sequence[Probe]) -> list[ProbeOutcome]:
+        """Evaluate a probe batch; returns outcomes aligned with ``probes``.
+
+        Already-answered probes (and repeats within the batch) are served
+        from memory; the rest are flown as one batch.
+        """
+        from repro.obs.metrics import METRICS
+
+        cache = METRICS.counter(
+            "repro_probe_cache_total", "Fault-probe evaluations by memo outcome."
+        )
+        fresh: dict[ProbeKey, Probe] = {}
+        for probe in probes:
+            hit = probe.key in self._memo or probe.key in fresh
+            cache.inc(backend=self.kind, result="hit" if hit else "miss")
+            if not hit:
+                fresh[probe.key] = probe
+        for outcome in self._fly(list(fresh.values())):
+            self._memo[outcome.probe.key] = outcome
+        return [self._memo[probe.key] for probe in probes]
+
+    def _fly(self, probes: Sequence[Probe]) -> Iterator[ProbeOutcome]:
+        raise NotImplementedError
+
+
+class DispatchProbeBackend(_ProbeBackend):
+    """Flies each probe as a sharded dispatch under ``root`` (one dir each).
+
+    ``workers`` local workers drain each probe directory: ``1`` flies it
+    in-process, more spawn worker processes (see ``Campaign.dispatch``).
+    Planning is idempotent and directories are content-addressed, so
+    re-evaluating after a crash resumes exactly where the tree says the
+    probe is.
+    """
+
+    kind = "dispatch"
+
+    def __init__(
+        self,
+        root: str | Path,
+        suite: ScenarioSuite,
+        systems: Sequence[LandingSystemConfig],
+        *,
+        repetitions: int | None = None,
+        shards: int = 1,
+        workers: int = 1,
+        lease_seconds: float | None = None,
+        progress: Callable[[str], None] | None = None,
+    ) -> None:
+        from repro.dispatch.queue import DEFAULT_LEASE_SECONDS
+
+        super().__init__(
+            suite,
+            [system.name for system in systems],
+            repetitions=repetitions,
+            shards=shards,
+            progress=progress,
+        )
+        self.root = Path(root)
+        self.systems = list(systems)
+        self.workers = workers
+        self.lease_seconds = (
+            DEFAULT_LEASE_SECONDS if lease_seconds is None else lease_seconds
+        )
+
     def probe_plan(self, probe: Probe):
         """``(sub_suite, plan)`` for a probe — pure, nothing written."""
         from repro.dispatch.planner import build_plan
@@ -155,8 +206,6 @@ class DispatchProbeBackend:
             self.systems,
             shards=self.shards,
             repetitions=self.repetitions,
-            mission=self.mission,
-            platform=self.platform,
             faults=[probe.spec],
         )
         return sub_suite, plan
@@ -170,107 +219,55 @@ class DispatchProbeBackend:
         )
         return self.root / name
 
-    # ------------------------------------------------------------------ #
-    def _drain(self, directory: Path, probe: Probe | None = None) -> None:
-        import os
-
-        from repro.dispatch.worker import run_local_workers, run_worker
+    def _fly(self, probes: Sequence[Probe]) -> Iterator[ProbeOutcome]:
+        from repro.bench.campaign import Campaign
         from repro.obs.export import flush_metrics
 
-        # Correlation: the probe's spec-hash prefix travels by environment
-        # (like REPRO_TRACE_DIR) so every worker this drain runs or spawns
-        # stamps its runs' metrics and trace summaries with the probe id.
-        previous = os.environ.get("REPRO_CORR_PROBE")
-        if probe is not None:
-            os.environ["REPRO_CORR_PROBE"] = probe.spec.spec_hash()[:10]
-        try:
-            if self.drain is not None:
-                self.drain(directory)
-            elif self.workers <= 1:
-                run_worker(
-                    directory, lease_seconds=self.lease_seconds, progress=self.progress
-                )
-            else:
-                run_local_workers(
-                    directory, workers=self.workers, lease_seconds=self.lease_seconds
-                )
-        finally:
-            if probe is not None:
-                if previous is None:
-                    os.environ.pop("REPRO_CORR_PROBE", None)
-                else:
-                    os.environ["REPRO_CORR_PROBE"] = previous
-        # Publish the evaluating process's own registry (probe-cache
-        # counters, any in-process worker counters) next to the probe's
-        # shard outputs so a fleet scrape over probe dirs sees it.
-        flush_metrics(directory)
-
-    def _load(self, probe: Probe, directory: Path) -> ProbeOutcome:
-        from repro.dispatch.merge import ensure_merged, load_merged
-
-        ensure_merged(directory)
-        results = load_merged(directory)
-        records = tuple(
-            record for name in sorted(results) for record in results[name].records
-        )
-        return ProbeOutcome(probe=probe, records=records, directory=directory)
-
-    def evaluate(self, probes: Sequence[Probe]) -> list[ProbeOutcome]:
-        """Evaluate a probe batch; returns outcomes aligned with ``probes``.
-
-        Planning is idempotent and directories are content-addressed, so
-        re-evaluating after a crash resumes exactly where the tree says the
-        batch is; already-answered probes are served from memory.
-        """
-        from repro.dispatch.planner import plan_dispatch
-        from repro.dispatch.queue import ShardQueue
-        from repro.obs.metrics import METRICS
-
-        cache = METRICS.counter(
-            "repro_probe_cache_total", "Fault-probe evaluations by memo outcome."
-        )
-        fresh: list[tuple[Probe, Path]] = []
-        seen: set[ProbeKey] = set()
         for probe in probes:
-            if probe.key in self._memo or probe.key in seen:
-                cache.inc(backend="dispatch", result="hit")
-                continue
-            cache.inc(backend="dispatch", result="miss")
-            seen.add(probe.key)
             sub_suite, plan = self.probe_plan(probe)
             directory = self.probe_dir(probe, plan.fingerprint)
-            plan_dispatch(
-                directory,
-                sub_suite,
-                self.systems,
-                shards=self.shards,
-                repetitions=self.repetitions,
-                mission=self.mission,
-                platform=self.platform,
-                faults=[probe.spec],
-            )
-            fresh.append((probe, directory))
             if self.progress is not None:
                 self.progress(f"probe {probe.label}: {directory.name}")
+            campaign = (
+                Campaign(*self.systems)
+                .suite(sub_suite)
+                .faults(probe.spec)
+                .progress(self.progress)
+                # The probe id joins the job and shard ids on every run's
+                # metric labels and trace summary.
+                .correlate(probe=probe.spec.spec_hash()[:10])
+            )
+            if self.repetitions is not None:
+                campaign.repetitions(self.repetitions)
+            results = campaign.dispatch(
+                directory,
+                shards=self.shards,
+                workers=self.workers,
+                lease_seconds=self.lease_seconds,
+            )
+            # Publish the evaluating process's own registry (probe-cache
+            # counters, in-process worker counters) next to the probe's
+            # shard outputs so a fleet scrape over probe dirs sees it.
+            flush_metrics(directory)
+            records = tuple(
+                record for name in sorted(results) for record in results[name].records
+            )
+            yield ProbeOutcome(probe=probe, records=records, directory=directory)
 
-        for probe, directory in fresh:
-            if not ShardQueue(directory).all_done():
-                self._drain(directory, probe)
-        for probe, directory in fresh:
-            self._memo[probe.key] = self._load(probe, directory)
-        return [self._memo[probe.key] for probe in probes]
 
-
-class ServiceProbeBackend:
-    """Evaluates probes through a running campaign service (PR 6).
+class ServiceProbeBackend(_ProbeBackend):
+    """Evaluates probes through a running campaign service.
 
     Each probe is submitted as a standard job with an inline ``suite`` —
     the service plans it, its worker pool (plus any external workers) flies
     it, and the records come back through the existing paginated
-    ``/jobs/{id}/records`` endpoint.  Submission is fingerprint-deduplicated
-    server-side, so re-evaluating a probe (bisection revisits, resumed
-    sweeps) re-joins the existing job instead of re-flying it.
+    ``/jobs/{id}/records`` endpoint.  A batch is submitted whole before
+    the first wait.  Submission is fingerprint-deduplicated server-side, so
+    re-evaluating a probe (bisection revisits, resumed sweeps) re-joins the
+    existing job instead of re-flying it.
     """
+
+    kind = "service"
 
     def __init__(
         self,
@@ -280,66 +277,41 @@ class ServiceProbeBackend:
         *,
         repetitions: int | None = None,
         shards: int = 1,
-        platform: str = "desktop",
         timeout: float = 600.0,
-        poll_seconds: float = 0.25,
-        page_size: int = 500,
         progress: Callable[[str], None] | None = None,
     ) -> None:
+        # Resolve preset keys to display names so curve headers (and hence
+        # curve bytes) match what a local backend over the same presets emits.
+        from repro.core.config import PRESETS, preset
+
+        super().__init__(
+            suite,
+            [
+                preset(name).name if name.strip().lower() in PRESETS else name
+                for name in systems
+            ],
+            repetitions=repetitions,
+            shards=shards,
+            progress=progress,
+        )
         if isinstance(client, str):
             from repro.service.client import ServiceClient
 
             client = ServiceClient(client)
         self.client = client
-        self.suite = suite
         self.systems = list(systems)
-        self.repetitions = repetitions
-        self.shards = shards
-        self.platform = platform
         self.timeout = timeout
-        self.poll_seconds = poll_seconds
-        self.page_size = page_size
-        self.progress = progress
-        self._scenarios = {s.scenario_id: s for s in suite.scenarios}
-        if len(self._scenarios) != len(suite.scenarios):
-            raise ValueError(
-                "probe backends address scenarios by id; the suite has duplicates"
-            )
-        self._memo: dict[ProbeKey, ProbeOutcome] = {}
-
-    def describe(self) -> dict[str, Any]:
-        # Resolve preset keys to display names so curve headers (and hence
-        # curve bytes) match what a local backend over the same presets emits.
-        from repro.core.config import PRESETS, preset
-
-        names = [
-            preset(name).name if name.strip().lower() in PRESETS else name
-            for name in self.systems
-        ]
-        return {
-            "suite": self.suite.name or "campaign",
-            "scenarios": len(self.suite),
-            "repetitions": (
-                self.suite.repetitions if self.repetitions is None else self.repetitions
-            ),
-            "systems": ", ".join(names),
-        }
 
     def _submission(self, probe: Probe) -> dict[str, Any]:
-        missing = [sid for sid in probe.scenario_ids if sid not in self._scenarios]
-        if missing:
-            raise ValueError(f"probe names scenarios not in the suite: {missing}")
-        wanted = set(probe.scenario_ids)
-        scenarios = [s for s in self.suite.scenarios if s.scenario_id in wanted]
+        sub_suite = self._sub_suite(probe)
         payload: dict[str, Any] = {
             "suite": {
-                "name": self.suite.name,
-                "repetitions": self.suite.repetitions,
-                "scenarios": [scenario.to_dict() for scenario in scenarios],
+                "name": sub_suite.name,
+                "repetitions": sub_suite.repetitions,
+                "scenarios": [scenario.to_dict() for scenario in sub_suite.scenarios],
             },
             "systems": list(self.systems),
             "shards": self.shards,
-            "platform": self.platform,
             "faults": [probe.spec.to_dict()],
         }
         if self.repetitions is not None:
@@ -348,41 +320,23 @@ class ServiceProbeBackend:
 
     def _fetch_records(self, job_id: str) -> tuple[RunRecord, ...]:
         records: list[RunRecord] = []
-        offset = 0
         while True:
-            page = self.client.records(job_id, offset=offset, limit=self.page_size)
+            page = self.client.records(job_id, offset=len(records))
             records.extend(RunRecord.from_dict(data) for data in page["records"])
-            offset += len(page["records"])
-            if offset >= page["total"] or not page["records"]:
+            if len(records) >= page["total"] or not page["records"]:
                 return tuple(records)
 
-    def evaluate(self, probes: Sequence[Probe]) -> list[ProbeOutcome]:
-        from repro.obs.metrics import METRICS
-
-        cache = METRICS.counter(
-            "repro_probe_cache_total", "Fault-probe evaluations by memo outcome."
-        )
+    def _fly(self, probes: Sequence[Probe]) -> Iterator[ProbeOutcome]:
         submitted: list[tuple[Probe, str]] = []
-        seen: set[ProbeKey] = set()
         for probe in probes:
-            if probe.key in self._memo or probe.key in seen:
-                cache.inc(backend="service", result="hit")
-                continue
-            cache.inc(backend="service", result="miss")
-            seen.add(probe.key)
             response = self.client.submit(self._submission(probe))
             submitted.append((probe, response["id"]))
             if self.progress is not None:
                 self.progress(f"probe {probe.label}: job {response['id']}")
         for probe, job_id in submitted:
-            status = self.client.wait(
-                job_id, timeout=self.timeout, poll_seconds=self.poll_seconds
-            )
+            status = self.client.wait(job_id, timeout=self.timeout)
             if status["state"] != "done":
                 raise RuntimeError(
                     f"probe {probe.label} (job {job_id}) ended {status['state']!r}"
                 )
-            self._memo[probe.key] = ProbeOutcome(
-                probe=probe, records=self._fetch_records(job_id)
-            )
-        return [self._memo[probe.key] for probe in probes]
+            yield ProbeOutcome(probe=probe, records=self._fetch_records(job_id))

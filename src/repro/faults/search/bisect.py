@@ -39,7 +39,7 @@ from repro.faults.classifier import failure_mode_label
 from repro.faults.search.backend import Probe, ProbeOutcome
 from repro.faults.search.curves import SEARCH_SCHEMA_VERSION, severity_label
 from repro.faults.spec import FaultSpec, ensure_unique_names
-from repro.jsonl import read_jsonl_frame
+from repro.jsonl import read_jsonl_frame, write_jsonl_frame
 
 #: ``kind`` of the persisted bisection JSONL.
 BISECTION_KIND = "severity-bisection"
@@ -257,20 +257,13 @@ def write_bisection(
     meta: Mapping[str, Any] | None = None,
 ) -> Path:
     """Persist bisection results as framed, byte-stable JSONL."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header: dict[str, Any] = {
         "kind": BISECTION_KIND,
         "schema": SEARCH_SCHEMA_VERSION,
         "cells": len(results),
         **(meta or {}),
     }
-    def dump(payload: Any) -> str:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    text = "\n".join([dump(header)] + [dump(r.to_dict()) for r in results]) + "\n"
-    path.write_text(text, encoding="utf-8")
-    return path
+    return write_jsonl_frame(path, header, [r.to_dict() for r in results])
 
 
 def read_bisection(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:

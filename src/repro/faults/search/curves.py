@@ -21,7 +21,7 @@ baselines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -31,7 +31,7 @@ from repro.core.metrics import RunRecord
 from repro.faults.classifier import FAILURE_MODE_ORDER
 from repro.faults.coverage import FaultCoverage, accumulate_coverage
 from repro.faults.spec import FaultSpec
-from repro.jsonl import read_jsonl_frame
+from repro.jsonl import read_jsonl_frame, write_jsonl_frame
 
 #: Schema version stamped into every search JSONL header.
 SEARCH_SCHEMA_VERSION = 1
@@ -82,51 +82,35 @@ def severity_label(severity: float) -> str:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Coverage and failure-mode accounting for one ``(fault, severity)``."""
+    """One ``(fault, severity)`` curve point: the probe's coverage counters."""
 
-    fault: str
-    target: str
-    mode: str
     severity: float
-    runs: int = 0
-    armed: int = 0
-    activated: int = 0
-    detected: int = 0
-    absorbed: int = 0
-    escaped: int = 0
-    #: Failure-mode histogram over runs whose injection *activated*.
-    failure_modes: Mapping[str, int] = field(
-        default_factory=lambda: {mode: 0 for mode in FAILURE_MODE_ORDER}
-    )
-
-    @property
-    def covered(self) -> int:
-        return self.detected + self.absorbed
-
-    @property
-    def coverage(self) -> float:
-        return self.covered / self.activated if self.activated else float("nan")
+    #: The probed spec's counters in the coverage report over the probe's
+    #: records (runs, armed / activated / detected / absorbed / escaped,
+    #: and the failure-mode histogram of activated runs).
+    counters: FaultCoverage
 
     def wilson(self, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
         """Wilson interval on the coverage proportion (``(0, 1)`` if no data)."""
-        return wilson_interval(self.covered, self.activated, confidence)
+        return wilson_interval(self.counters.covered, self.counters.activated, confidence)
 
     def coverage_dict(self) -> dict[str, Any]:
         """The coverage-curve JSONL row."""
+        counters = self.counters
         low, high = self.wilson()
-        no_data = self.activated == 0
+        no_data = counters.activated == 0
         return {
-            "fault": self.fault,
-            "target": self.target,
-            "mode": self.mode,
+            "fault": counters.name,
+            "target": counters.target,
+            "mode": counters.mode,
             "severity": self.severity,
-            "runs": self.runs,
-            "armed": self.armed,
-            "activated": self.activated,
-            "detected": self.detected,
-            "absorbed": self.absorbed,
-            "escaped": self.escaped,
-            "coverage": None if no_data else self.coverage,
+            "runs": counters.runs,
+            "armed": counters.armed,
+            "activated": counters.activated,
+            "detected": counters.detected,
+            "absorbed": counters.absorbed,
+            "escaped": counters.escaped,
+            "coverage": None if no_data else counters.coverage,
             "coverage_low": None if no_data else low,
             "coverage_high": None if no_data else high,
         }
@@ -134,11 +118,11 @@ class CurvePoint:
     def failure_mode_dict(self) -> dict[str, Any]:
         """The failure-mode-curve JSONL row."""
         return {
-            "fault": self.fault,
+            "fault": self.counters.name,
             "severity": self.severity,
-            "activated": self.activated,
+            "activated": self.counters.activated,
             "modes": {
-                mode: self.failure_modes.get(mode, 0) for mode in FAILURE_MODE_ORDER
+                mode: self.counters.failure_modes.get(mode, 0) for mode in FAILURE_MODE_ORDER
             },
         }
 
@@ -147,48 +131,29 @@ def curve_point(spec: FaultSpec, records: Iterable[RunRecord]) -> CurvePoint:
     """Fold one probe's merged records into its curve point.
 
     ``spec`` is the probe's (severity-pinned) fault spec; the records are the
-    probe campaign's merged output.  Counting reuses the exact coverage
-    semantics of :mod:`repro.faults.coverage`, so a curve point agrees with
-    the coverage report over the same records.
+    probe campaign's merged output.  The point holds the coverage report's
+    own counter for the spec, so it agrees with ``python -m repro.faults
+    coverage`` over the same records.
     """
-    report = accumulate_coverage(records)
-    counters = report.faults.get(spec.name) or FaultCoverage(
+    counters = accumulate_coverage(records).faults.get(spec.name) or FaultCoverage(
         name=spec.name, target=spec.target, mode=spec.mode
     )
-    return CurvePoint(
-        fault=spec.name,
-        target=spec.target,
-        mode=spec.mode,
-        severity=spec.severity,
-        runs=counters.runs,
-        armed=counters.armed,
-        activated=counters.activated,
-        detected=counters.detected,
-        absorbed=counters.absorbed,
-        escaped=counters.escaped,
-        failure_modes=dict(counters.failure_modes),
-    )
+    return CurvePoint(severity=spec.severity, counters=counters)
 
 
 def sort_points(points: Iterable[CurvePoint]) -> list[CurvePoint]:
-    return sorted(points, key=lambda point: (point.fault, point.severity))
+    return sorted(points, key=lambda point: (point.counters.name, point.severity))
 
 
 # ---------------------------------------------------------------------- #
 # persistence
 # ---------------------------------------------------------------------- #
-def _dump(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _write_curve(
     path: str | Path,
     curve: str,
     rows: Sequence[dict[str, Any]],
     meta: Mapping[str, Any] | None,
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header: dict[str, Any] = {
         "kind": CURVE_KIND,
         "schema": SEARCH_SCHEMA_VERSION,
@@ -196,9 +161,7 @@ def _write_curve(
         "points": len(rows),
         **(meta or {}),
     }
-    text = "\n".join([_dump(header)] + [_dump(row) for row in rows]) + "\n"
-    path.write_text(text, encoding="utf-8")
-    return path
+    return write_jsonl_frame(path, header, rows)
 
 
 def write_coverage_curve(
@@ -259,13 +222,14 @@ def render_sweep_report(
     ]
     rows = []
     for point in ordered:
+        counters = point.counters
         low, high = point.wilson()
-        no_data = point.activated == 0
+        no_data = counters.activated == 0
         rows.append(
             [
-                point.fault, point.target, point.mode, severity_label(point.severity),
-                point.runs, point.armed, point.activated, point.detected,
-                point.absorbed, point.escaped, format_percent(point.coverage),
+                counters.name, counters.target, counters.mode, severity_label(point.severity),
+                counters.runs, counters.armed, counters.activated, counters.detected,
+                counters.absorbed, counters.escaped, format_percent(counters.coverage),
                 "n/a" if no_data else format_percent(low),
                 "n/a" if no_data else format_percent(high),
             ]
@@ -277,8 +241,8 @@ def render_sweep_report(
     lines.append("")
     headers = ["Fault", "Severity", "Activated"] + list(FAILURE_MODE_ORDER)
     rows = [
-        [point.fault, severity_label(point.severity), point.activated]
-        + [point.failure_modes.get(mode, 0) for mode in FAILURE_MODE_ORDER]
+        [point.counters.name, severity_label(point.severity), point.counters.activated]
+        + [point.counters.failure_modes.get(mode, 0) for mode in FAILURE_MODE_ORDER]
         for point in ordered
     ]
     lines.append(format_markdown_table(headers, rows))

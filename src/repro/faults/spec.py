@@ -147,11 +147,6 @@ class FaultSpec:
         return cls(**data)
 
 
-def faults_fingerprint(specs: Iterable[FaultSpec]) -> str:
-    """Content hash of an ordered fault-spec list (order-sensitive)."""
-    return _sha([spec.to_dict() for spec in specs])
-
-
 def ensure_unique_names(specs: Iterable[FaultSpec]) -> tuple[FaultSpec, ...]:
     """Validate that every spec in a fault plan carries a distinct name.
 

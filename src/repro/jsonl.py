@@ -1,10 +1,11 @@
 """Shared framing for the repo's JSON-Lines file formats.
 
-Both persisted formats — scenario suites and campaign results — are one
-header object followed by one payload object per line.  This module owns the
-framing rules (blank-line filtering, empty-file and wrong-kind errors,
-schema-version gating) so the two readers cannot drift; payload parsing
-stays with the owning module.
+Every persisted format — scenario suites, campaign results, search curves
+and bisections — is one header object followed by one payload object per
+line.  This module owns the framing rules (blank-line filtering, empty-file
+and wrong-kind errors, schema-version gating) so the readers cannot drift,
+and the canonical writer (:func:`write_jsonl_frame`); payload parsing stays
+with the owning module.
 
 Deliberately import-free of the rest of the package: it is imported from
 both :mod:`repro.core.metrics` and :mod:`repro.world.scenario_suite`.
@@ -17,7 +18,7 @@ import itertools
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -32,6 +33,21 @@ def sha16_of_json(payload: Any) -> str:
     """
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()[:16]
+
+
+def write_jsonl_frame(path: str | Path, header: dict[str, Any], rows: Iterable[Any]) -> Path:
+    """Write ``header`` then one line per row, and return the path.
+
+    Sorted keys and compact separators make the bytes a pure function of
+    the contents, which is what lets CI ``cmp`` these files.  Campaign-result
+    files keep their own writer (default separators, append-through).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        for payload in itertools.chain([header], rows):
+            handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    return path
 
 
 def validate_frame_header(

@@ -356,10 +356,6 @@ class OcTree:
             nodes = {(node >> 1) & self._parent_mask for node in collapsed}
         return pruned
 
-    @property
-    def integration_count(self) -> int:
-        return self._integrations
-
 
 def _collapse(leaves: list[Leaf]) -> Leaf | None:
     """The leaf eight agreeing children collapse into; ``None`` if they disagree."""

@@ -48,7 +48,6 @@ class VoxelGrid:
         self._occupied = np.zeros((cfg.cells_xy, cfg.cells_xy, cfg.cells_z), dtype=bool)
         self._known = np.zeros_like(self._occupied)
         self._center = Vec3.zero()
-        self._integrations = 0
 
     # ------------------------------------------------------------------ #
     # window management
@@ -112,7 +111,6 @@ class VoxelGrid:
     # ------------------------------------------------------------------ #
     def integrate_cloud(self, cloud: PointCloud) -> None:
         """Mark the voxels containing returned points as occupied and known."""
-        self._integrations += 1
         index = tuple(self._indices(cloud.to_array()).T)
         self._occupied[index] = True
         self._known[index] = True
@@ -151,10 +149,6 @@ class VoxelGrid:
     # ------------------------------------------------------------------ #
     # diagnostics
     # ------------------------------------------------------------------ #
-    @property
-    def integration_count(self) -> int:
-        return self._integrations
-
     def occupied_points(self) -> list[Vec3]:
         """World positions of all occupied voxels (used by plotting/benchmarks)."""
         indices = np.argwhere(self._occupied)

@@ -30,10 +30,6 @@ class Detection:
     world_position: Vec3
     confidence: float = 1.0
 
-    @property
-    def is_decoded(self) -> bool:
-        return self.marker_id is not None
-
 
 @dataclass
 class DetectionFrame:

@@ -89,7 +89,3 @@ class ImuSensor:
             angular_rate=Vec3.from_array(gyro),
             timestamp=timestamp,
         )
-
-    @property
-    def accel_bias(self) -> Vec3:
-        return Vec3.from_array(self._accel_bias)

@@ -142,10 +142,6 @@ class Autopilot:
         """Current EKF position error (ground truth minus estimate), metres."""
         return self.estimated_state.error_to(self.true_state)
 
-    def range_to_ground(self) -> float | None:
-        """Downward rangefinder reading."""
-        return self.rangefinder.measure(self.world, self.true_state.pose)
-
     # ------------------------------------------------------------------ #
     # simulation step
     # ------------------------------------------------------------------ #

@@ -94,10 +94,6 @@ class PositionEkf:
     # ------------------------------------------------------------------ #
     # output
     # ------------------------------------------------------------------ #
-    @property
-    def is_initialised(self) -> bool:
-        return self._initialised
-
     def estimate(self) -> EstimatedState:
         position = Vec3(self._state[0, 0], self._state[1, 0], self._state[2, 0])
         velocity = Vec3(self._state[0, 1], self._state[1, 1], self._state[2, 1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from repro.jsonl import read_jsonl_frame
+from repro.jsonl import read_jsonl_frame, write_jsonl_frame
 from repro.world.map_generator import MapStyle
 from repro.world.scenario import Scenario
 
@@ -98,8 +98,6 @@ class ScenarioSuite:
         seed — which is what makes suites diffable across machines and CI
         runs.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         header = {
             "kind": "scenario-suite",
             "schema": SUITE_SCHEMA_VERSION,
@@ -107,11 +105,7 @@ class ScenarioSuite:
             "repetitions": self.repetitions,
             "count": len(self.scenarios),
         }
-        with path.open("w", encoding="utf-8") as handle:
-            for record in [header] + [s.to_dict() for s in self.scenarios]:
-                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-                handle.write("\n")
-        return path
+        return write_jsonl_frame(path, header, [s.to_dict() for s in self.scenarios])
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScenarioSuite":

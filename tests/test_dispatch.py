@@ -21,7 +21,6 @@ from repro.dispatch.merge import (
     ensure_merged,
     load_merged,
     merge_dispatch,
-    verify_merge,
 )
 from repro.dispatch.planner import (
     load_plan,
@@ -475,13 +474,6 @@ class TestWorkerAndMerge:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last record
         with pytest.raises(ShardResultError, match="holds no record"):
             merge_dispatch(directory)
-
-    def test_verify_merge_counts_without_writing(self, tmp_path, suite, stub_execute):
-        plan_smoke(tmp_path, suite, shards=2)
-        directory = tmp_path / "dispatch"
-        run_worker(directory, worker_id="w1")
-        assert verify_merge(directory) == {"MLS-V1": 4}
-        assert not (directory / "merged").exists()
 
     def test_duplicate_identical_records_collapse(self, tmp_path, suite, stub_execute):
         # A shard flown twice across a lease eviction appends every record

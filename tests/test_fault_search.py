@@ -95,6 +95,28 @@ def stub_execute(monkeypatch):
 
 
 @pytest.fixture
+def interleaved_workers(monkeypatch):
+    """Swap local worker processes for two in-process workers alternating
+    shard claims: the contention pattern ``run_local_workers`` produces,
+    minus the processes (which would not see the monkeypatched executor).
+    Returns the correlation ids each drain was given."""
+    import repro.dispatch.worker as worker_module
+
+    drains = []
+
+    def two_workers(directory, *, workers, lease_seconds, correlation):
+        drains.append(correlation)
+        for worker_id, max_shards in (("w0", 1), ("w1", None), ("w0", None)):
+            run_worker(
+                directory, worker_id=worker_id, max_shards=max_shards, wait=False,
+                correlation=correlation,
+            )
+
+    monkeypatch.setattr(worker_module, "run_local_workers", two_workers)
+    return drains
+
+
+@pytest.fixture
 def suite():
     return generate_suite("smoke", count=2, seed=7, repetitions=1)
 
@@ -146,7 +168,7 @@ class TestSweep:
             backend, SPECS, severity_ladder(3), out_dir=tmp_path / "sweep"
         )
         assert len(result.points) == 6
-        by_key = {(p.fault, p.severity): p for p in result.points}
+        by_key = {(p.counters.name, p.severity): p.counters for p in result.points}
         # Below both thresholds nothing escapes; above both everything does.
         for spec in SPECS:
             assert by_key[(spec.name, 0.0)].escaped == 0
@@ -184,20 +206,17 @@ class TestSweep:
         run_sweep(other, SPECS, severity_ladder(3), out_dir=tmp_path / "b")
         assert curve_bytes(tmp_path / "b") == first
 
-    def test_worker_interleaving_is_byte_identical(self, tmp_path, stub_execute, suite):
+    def test_worker_interleaving_is_byte_identical(
+        self, tmp_path, stub_execute, suite, interleaved_workers
+    ):
         serial = make_backend(tmp_path / "serial", suite)
         run_sweep(serial, SPECS, severity_ladder(3), out_dir=tmp_path / "serial")
+        assert not interleaved_workers  # one worker drains in-process
 
-        def two_workers(directory):
-            # Two in-process workers alternating shard claims: the same
-            # contention pattern run_local_workers produces, minus the
-            # processes (which would not see the monkeypatched executor).
-            run_worker(directory, worker_id="w0", max_shards=1, wait=False)
-            run_worker(directory, worker_id="w1", wait=False)
-            run_worker(directory, worker_id="w0", wait=False)
-
-        sharded = make_backend(tmp_path / "multi", suite, shards=2, drain=two_workers)
+        sharded = make_backend(tmp_path / "multi", suite, shards=2, workers=2)
         run_sweep(sharded, SPECS, severity_ladder(3), out_dir=tmp_path / "multi")
+        assert len(interleaved_workers) == 6  # one drain per probe
+        assert all(set(ids) == {"probe"} for ids in interleaved_workers)
         assert curve_bytes(tmp_path / "multi") == curve_bytes(tmp_path / "serial")
 
     def test_killed_sweep_resumes_to_identical_bytes(self, tmp_path, monkeypatch, suite):
@@ -274,7 +293,9 @@ class TestBisection:
         assert all(r.lo_mode == r.hi_mode == "crash" for r in results)
         assert all(r.probes == 2 for r in results)  # endpoints only
 
-    def test_rerun_and_probe_order_invariance(self, tmp_path, stub_execute, suite):
+    def test_rerun_and_probe_order_invariance(
+        self, tmp_path, stub_execute, suite, interleaved_workers
+    ):
         first = bisect_severity(make_backend(tmp_path / "a", suite), SPECS,
                                 resolution=0.125)
         again = bisect_severity(make_backend(tmp_path / "b", suite), SPECS,
@@ -287,15 +308,12 @@ class TestBisection:
         )
         assert reordered == first
 
-        def two_workers(directory):
-            run_worker(directory, worker_id="w0", max_shards=1, wait=False)
-            run_worker(directory, worker_id="w1", wait=False)
-            run_worker(directory, worker_id="w0", wait=False)
-
+        assert not interleaved_workers
         multi = bisect_severity(
-            make_backend(tmp_path / "d", suite, shards=2, drain=two_workers),
+            make_backend(tmp_path / "d", suite, shards=2, workers=2),
             SPECS, resolution=0.125,
         )
+        assert interleaved_workers
         assert multi == first
 
     def test_bisection_jsonl_roundtrip_is_byte_stable(self, tmp_path, stub_execute, suite):

@@ -518,15 +518,15 @@ class TestCorrelation:
         assert job.correlation == (("job", "abc123"), ("shard", "shard-00"))
         assert campaign.correlate().jobs()[0].correlation == ()
 
-    def test_job_correlation_includes_probe_env(self, monkeypatch):
-        from repro.bench.campaign import _job_correlation
-
-        campaign = short_campaign().correlate(job="abc123")
-        job = campaign.jobs()[0]
-        monkeypatch.delenv("REPRO_CORR_PROBE", raising=False)
-        assert _job_correlation(job) == {"job": "abc123"}
-        monkeypatch.setenv("REPRO_CORR_PROBE", "deadbeef00")
-        assert _job_correlation(job) == {"job": "abc123", "probe": "deadbeef00"}
+    def test_dispatch_adds_job_and_shard_to_campaign_correlation(self, tmp_path):
+        short_campaign().trace(tmp_path / "trace").correlate(probe="deadbeef00").dispatch(
+            tmp_path / "dispatch", shards=1
+        )
+        summaries = collect_summaries(tmp_path / "trace")
+        assert summaries, "dispatched runs should be traced"
+        for summary in summaries:
+            assert set(summary["corr"]) == {"job", "shard", "probe"}
+            assert summary["corr"]["probe"] == "deadbeef00"
 
     def test_trace_summary_carries_corr_only_when_given(self, tmp_path):
         recorder = FlightRecorder()

@@ -56,6 +56,15 @@ def test_dispatch_merges_the_bytes_a_serial_run_writes(tmp_path, flown, capsys):
     assert merged == (serial / "MLS-V1.jsonl").read_bytes()
 
 
+def test_dispatch_verbose_prints_one_line_per_run(tmp_path, flown, capsys):
+    queue = tmp_path / "queue"
+    assert scenarios_main(
+        [*SMOKE, "--dispatch", str(queue), "--shards", "1", "--verbose"]
+    ) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " rep0: " in line]
+    assert len(lines) == len(flown) == 3
+
+
 def test_platform_reaches_every_job(flown):
     assert scenarios_main([*SMOKE, "--platform", "field"]) == 0
     assert len(flown) == 3
