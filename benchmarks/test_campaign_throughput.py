@@ -15,7 +15,7 @@ import statistics
 import time
 
 from repro.bench.campaign import Campaign
-from repro.core.config import mls_v1, mls_v3
+from repro.core.config import mls_v1, mls_v2, mls_v3
 from repro.geometry import Pose, Quaternion, Vec3
 from repro.obs.trace import FlightRecorder
 from repro.perception.neural.training import load_pretrained_detector_net
@@ -82,25 +82,40 @@ def test_campaign_throughput_serial_parallel_dispatched(bench_results, tmp_path)
         )
 
 
-def test_campaign_throughput_serial_v3(bench_results):
-    """MLS-V3 serial runs/s on one fixed smoke scenario.
+def _serial_single_scenario_meter(bench_results, name, system):
+    """Record serial runs/s of ``system`` on one fixed smoke scenario.
 
-    Octree fusion, inflated collision checks and RRT* dominate MLS-V3's
-    mission time, so this meter holds the map and plan stack's speed.  The
-    detector network is loaded (and on first use trained) before timing.
+    The detector network is loaded (and on first use trained) before timing.
     """
     load_pretrained_detector_net()
     campaign = (
-        Campaign(mls_v3())
+        Campaign(system)
         .suite(generate_suite(SUITE_PRESET, count=1, seed=SUITE_SEED))
         .repetitions(1)
     )
     results, elapsed = _timed(campaign.run)
     runs = sum(len(result) for result in results.values())
     assert runs == 1
-    bench_results(
-        "campaign_serial_v3", runs=float(runs), seconds=elapsed, runs_per_s=runs / elapsed
-    )
+    bench_results(name, runs=float(runs), seconds=elapsed, runs_per_s=runs / elapsed)
+
+
+def test_campaign_throughput_serial_v3(bench_results):
+    """MLS-V3 serial runs/s on one fixed smoke scenario.
+
+    Octree fusion, inflated collision checks and RRT* dominate MLS-V3's
+    mission time, so this meter holds the map and plan stack's speed.
+    """
+    _serial_single_scenario_meter(bench_results, "campaign_serial_v3", mls_v3())
+
+
+def test_campaign_throughput_serial_v2(bench_results):
+    """MLS-V2 serial runs/s on one fixed smoke scenario.
+
+    The learned detector and the camera dominate MLS-V2's mission time,
+    ahead of the dense grid and local A*, so this meter holds the per-frame
+    front end's speed for the second generation.
+    """
+    _serial_single_scenario_meter(bench_results, "campaign_serial_v2", mls_v2())
 
 
 def _unrecorded_campaign_run():

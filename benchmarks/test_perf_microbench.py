@@ -4,10 +4,15 @@ These are conventional pytest-benchmark timings; they do not correspond to a
 paper table but document where the simulation time goes and guard against
 performance regressions.
 
-The map and plan benches replay one MLS-V3 mission: the clouds it fused
-and the RRT* problems it posed.  Each asserts that its input is not empty,
-and records its own figure of merit (points fused per second, RRT*
-iterations per second).
+Every bench replays recorded missions over the bench scenario.  The camera
+bench re-renders one MLS-V1 mission's captures through a fresh camera with
+the mission's seed, the classical and learned detection benches re-detect
+the frames an MLS-V1 and an MLS-V3 mission saw, and the map and plan
+benches replay the MLS-V3 mission's clouds and RRT* problems.  Each asserts
+that its input is not empty and that the replay reproduces the flight
+(the same images, the same detections), and records its own figure of
+merit (frames per second, points fused per second, RRT* iterations per
+second).
 
 Besides pytest-benchmark's own terminal table, every timing lands in the
 machine-readable ``BENCH_results.json`` (see ``conftest.py``; path
@@ -19,10 +24,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import mls_v3
+from repro.core.config import mls_v1, mls_v3
 from repro.core.landing_system import LandingSystem
 from repro.core.mission import run_scenario
-from repro.geometry import Pose
 from repro.mapping.inflation import InflatedMap
 from repro.mapping.octomap import OcTree
 from repro.perception.classical import ClassicalMarkerDetector
@@ -34,26 +38,51 @@ from repro.world.scenario_suite import build_evaluation_suite
 
 
 @pytest.fixture(scope="module")
-def scenario_world():
-    suite = build_evaluation_suite()
-    scenario = suite.scenarios[0]
-    return scenario, scenario.build_world()
+def scenario():
+    return build_evaluation_suite().scenarios[0]
+
+
+def _record_frames(patch, flight):
+    """Record every frame the landing system detected on, with its detections,
+    and the detector that made them."""
+    process = LandingSystem.process_frame
+
+    def recording_process(system, frame):
+        result = process(system, frame)
+        flight.detector = system.detector
+        flight.frames.append((frame, result.detections))
+        return result
+
+    patch.setattr(LandingSystem, "process_frame", recording_process)
 
 
 @pytest.fixture(scope="module")
-def marker_frame(scenario_world):
-    scenario, world = scenario_world
-    camera = DownwardCamera(seed=1)
-    return camera.capture(world, Pose.at(scenario.marker_position.with_z(6.0)))
+def v1_flight(scenario):
+    """One MLS-V1 mission over the bench scenario, recorded in flight order:
+    each camera capture's arguments and frame, and each frame the classical
+    detector saw with the detections it made."""
+    flight = SimpleNamespace(captures=[], frames=[], detector=None)
+    capture = DownwardCamera.capture
+
+    def recording_capture(camera, world, true_pose, estimated_pose=None, timestamp=0.0):
+        frame = capture(camera, world, true_pose, estimated_pose, timestamp)
+        flight.captures.append(((world, true_pose, estimated_pose, timestamp), frame))
+        return frame
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DownwardCamera, "capture", recording_capture)
+        _record_frames(patch, flight)
+        run_scenario(scenario, mls_v1())
+    return flight
 
 
 @pytest.fixture(scope="module")
-def v3_flight(scenario_world):
+def v3_flight(scenario):
     """One MLS-V3 mission over the bench scenario, recorded in flight order:
-    the clouds it fused, and each RRT* problem with the number of clouds
-    fused before it and the iterations the mission's planner ran on it."""
-    scenario, _ = scenario_world
-    flight = SimpleNamespace(clouds=[], plans=[])
+    each frame the learned detector saw with the detections it made, the
+    clouds it fused, and each RRT* problem with the number of clouds fused
+    before it and the iterations the mission's planner ran on it."""
+    flight = SimpleNamespace(frames=[], detector=None, clouds=[], plans=[])
     fuse, plan = LandingSystem.process_cloud, RrtStarPlanner.plan
 
     def recording_fuse(system, cloud, estimate):
@@ -68,6 +97,7 @@ def v3_flight(scenario_world):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LandingSystem, "process_cloud", recording_fuse)
         patch.setattr(RrtStarPlanner, "plan", recording_plan)
+        _record_frames(patch, flight)
         run_scenario(scenario, mls_v3(), detector_network=load_pretrained_detector_net())
     return flight
 
@@ -78,24 +108,54 @@ def _mean_seconds(benchmark):
     return stats.mean if stats is not None else None
 
 
-def test_perf_camera_render(benchmark, scenario_world):
-    scenario, world = scenario_world
-    camera = DownwardCamera(seed=2)
-    pose = Pose.at(scenario.marker_position.with_z(8.0))
-    frame = benchmark(camera.capture, world, pose)
-    assert frame.image.shape == (128, 128)
+def _record_frames_per_s(benchmark, bench_results, name, frames):
+    seconds = _mean_seconds(benchmark)
+    if seconds is not None:
+        bench_results(name, frames=float(frames), seconds=seconds, frames_per_s=frames / seconds)
 
 
-def test_perf_classical_detection(benchmark, marker_frame):
-    detector = ClassicalMarkerDetector()
-    result = benchmark(detector.detect, marker_frame)
-    assert result is not None
+def test_perf_camera_render(benchmark, bench_results, scenario, v1_flight):
+    """Re-render the MLS-V1 mission's captures through a fresh camera seeded
+    as the mission's was."""
+    captures = v1_flight.captures
+
+    def render():
+        camera = DownwardCamera(seed=scenario.seed)
+        return [camera.capture(*arguments) for arguments, _ in captures]
+
+    frames = benchmark(render)
+    assert len(frames) == len(captures) > 0
+    for frame, (_, flown) in zip(frames, captures):
+        assert frame.image.tobytes() == flown.image.tobytes()
+        assert frame.visible_markers == flown.visible_markers
+    assert any(frame.visible_markers for frame in frames)
+    _record_frames_per_s(benchmark, bench_results, "camera_render", len(frames))
 
 
-def test_perf_learned_detection(benchmark, marker_frame):
-    detector = LearnedMarkerDetector(network=load_pretrained_detector_net())
-    result = benchmark(detector.detect, marker_frame)
-    assert result is not None
+def _replay_detections(benchmark, bench_results, name, flight):
+    """Re-detect a mission's frames with its detector; each frame must give
+    the detections it gave in flight."""
+    frames = flight.frames
+
+    def detect():
+        return [flight.detector.detect(frame).detections for frame, _ in frames]
+
+    replayed = benchmark(detect)
+    flown = [detections for _, detections in frames]
+    assert sum(len(detections) for detections in flown) > 0
+    assert sum(len(detections) for detections in replayed) == sum(len(detections) for detections in flown)
+    assert replayed == flown
+    _record_frames_per_s(benchmark, bench_results, name, len(frames))
+
+
+def test_perf_classical_detection(benchmark, bench_results, v1_flight):
+    assert isinstance(v1_flight.detector, ClassicalMarkerDetector)
+    _replay_detections(benchmark, bench_results, "classical_detection", v1_flight)
+
+
+def test_perf_learned_detection(benchmark, bench_results, v3_flight):
+    assert isinstance(v3_flight.detector, LearnedMarkerDetector)
+    _replay_detections(benchmark, bench_results, "learned_detection", v3_flight)
 
 
 def test_perf_octree_fusion(benchmark, bench_results, v3_flight):

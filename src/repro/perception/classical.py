@@ -49,7 +49,7 @@ class ClassicalMarkerDetector:
     Args:
         dictionary: fiducial dictionary to decode against.
         config: pipeline tuning; the defaults reproduce OpenCV-like behaviour
-            on the synthetic camera's 96x96 frames.
+            on the synthetic camera's 128x128 frames.
     """
 
     #: identifier used in benchmark reports (Table II "Implementation" column)

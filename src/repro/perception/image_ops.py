@@ -49,74 +49,67 @@ def connected_components(mask: np.ndarray, min_size: int = 12) -> list[np.ndarra
     """Label 4-connected components of a boolean mask.
 
     Returns one boolean mask per component with at least ``min_size`` pixels,
-    ordered largest first (ties keep row-major discovery order, matching the
-    flood-fill reference implementation).  Implemented as union-find over
-    horizontal pixel runs: rows are decomposed into runs with one vectorised
-    diff, and only run adjacencies — not pixels — are walked in Python.
+    ordered largest first; ties keep discovery order, the order in which a
+    row-major scan first reaches each component.  Labels the graph of
+    horizontal pixel runs in whole-array passes: runs come from one diff
+    over the mask laid out with a zero column after every row, each run's
+    overlapping runs in the next row from two ``searchsorted`` calls, and
+    labels from min-hooking plus pointer jumping.
     """
     h, w = mask.shape
-    padded = np.zeros((h, w + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask
-    delta = np.diff(padded, axis=1)
-    start_rows, start_cols = np.nonzero(delta == 1)
-    end_cols = np.nonzero(delta == -1)[1]
-    run_count = len(start_rows)
+    stride = w + 1
+    padded = np.zeros((h, stride), dtype=np.int8)
+    padded[:, :w] = mask
+    delta = np.diff(padded.ravel(), prepend=np.int8(0))
+    # Flat keys in the padded layout: a run covers [start, end), and its
+    # next-row neighbours sit exactly ``stride`` keys further on.
+    starts = np.flatnonzero(delta == 1)
+    ends = np.flatnonzero(delta == -1)
+    run_count = len(starts)
     if run_count == 0:
         return []
 
-    parent = list(range(run_count))
+    # Run b in the next row overlaps run a when b.start < a.end + stride and
+    # b.end > a.start + stride; those runs are one contiguous index range.
+    first = np.searchsorted(ends, starts + stride, side="right")
+    stop = np.searchsorted(starts, ends + stride, side="left")
+    degree = stop - first
+    source = np.repeat(np.arange(run_count), degree)
+    target = np.arange(len(source)) - np.repeat(np.cumsum(degree) - degree - first, degree)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # Runs are emitted row-major; row_offsets[r] is the first run of row r.
-    # Plain-int lists keep the union sweep out of numpy-scalar overhead.
-    row_offsets = np.searchsorted(start_rows, np.arange(h + 1)).tolist()
-    starts = start_cols.tolist()
-    ends = end_cols.tolist()
-    for row in range(h - 1):
-        a, a_end = row_offsets[row], row_offsets[row + 1]
-        b, b_end = row_offsets[row + 1], row_offsets[row + 2]
-        while a < a_end and b < b_end:
-            if starts[a] < ends[b] and starts[b] < ends[a]:
-                root_a, root_b = find(a), find(b)
-                if root_a != root_b:
-                    parent[root_b] = root_a
-            if ends[a] <= ends[b]:
-                a += 1
-            else:
-                b += 1
-
-    # Resolve every run to its root with vectorised pointer jumping; path
-    # halving during the sweep keeps the trees shallow so this converges in
-    # a couple of iterations.
-    roots = np.asarray(parent, dtype=np.int64)
+    # Hook the larger root of every split edge under the smaller one, then
+    # jump pointers until every run points at its root.  A root is never
+    # hooked under a larger index, so each component's root ends as its
+    # first run in row-major order: ascending roots are discovery order.
+    labels = np.arange(run_count)
     while True:
-        jumped = roots[roots]
-        if np.array_equal(jumped, roots):
+        root_a, root_b = labels[source], labels[target]
+        split = root_a != root_b
+        if not split.any():
             break
-        roots = jumped
-    sizes = np.bincount(roots, weights=end_cols - start_cols).astype(np.int64)
-    # First occurrence of each root in row-major run order is the component's
-    # smallest flat pixel index — exactly where the reference flood fill
-    # would seed it, so sorting first occurrences gives discovery order.
-    unique_roots, first_runs = np.unique(roots, return_index=True)
-    discovery = unique_roots[np.argsort(first_runs, kind="stable")]
+        np.minimum.at(
+            labels, np.maximum(root_a, root_b)[split], np.minimum(root_a, root_b)[split]
+        )
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
-    sized: list[tuple[int, np.ndarray]] = []
-    for root in discovery:
-        size = int(sizes[root])
-        if size < min_size:
-            continue
-        component = np.zeros((h, w), dtype=bool)
-        for i in np.nonzero(roots == root)[0]:
-            component[start_rows[i], starts[i]:ends[i]] = True
-        sized.append((size, component))
-    sized.sort(key=lambda item: item[0], reverse=True)
-    return [component for _, component in sized]
+    lengths = ends - starts
+    roots = np.flatnonzero(labels == np.arange(run_count))
+    sizes = np.bincount(labels, weights=lengths)[roots]
+    kept = sizes >= min_size
+    roots, sizes = roots[kept], sizes[kept]
+    components = []
+    for root in roots[np.argsort(-sizes, kind="stable")]:
+        own = labels == root
+        own_lengths = lengths[own]
+        pixels = np.repeat(starts[own] - np.cumsum(own_lengths) + own_lengths, own_lengths)
+        component = np.zeros((h, stride), dtype=bool)
+        component.ravel()[pixels + np.arange(len(pixels))] = True
+        components.append(component[:, :w].copy())
+    return components
 
 
 @dataclass(frozen=True)
@@ -214,31 +207,34 @@ def sample_quad_grid(image: np.ndarray, corners: np.ndarray, cells: int) -> np.n
 
 
 def otsu_threshold(values: np.ndarray) -> float:
-    """Otsu's method on a flat array of intensities (used to binarise cells)."""
+    """Otsu's method on a flat array of intensities (used to binarise cells).
+
+    Scores every 32-bin split with one pass over cumulative sums and returns
+    the centre of the first best bin; 0.5 when no split leaves both classes
+    non-empty.
+    """
     flat = values.ravel()
     if flat.size == 0:
         return 0.5
     hist, edges = np.histogram(flat, bins=32, range=(0.0, 1.0))
     total = flat.size
-    best_threshold = 0.5
-    best_variance = -1.0
-    cumulative = 0
-    cumulative_mean = 0.0
+    cumulative = np.cumsum(hist)
+    split = (cumulative > 0) & (cumulative < total)
+    if not split.any():
+        return 0.5
+    bin_sums = edges[:-1] + edges[1:]
+    cumulative_mean = np.cumsum(hist * bin_sums / 2.0)[split]
+    cumulative = cumulative[split]
     global_mean = float(flat.mean())
-    for i in range(32):
-        cumulative += hist[i]
-        if cumulative == 0 or cumulative == total:
-            continue
-        cumulative_mean += hist[i] * (edges[i] + edges[i + 1]) / 2.0
-        weight_background = cumulative / total
-        weight_foreground = 1.0 - weight_background
-        mean_background = cumulative_mean / cumulative
-        mean_foreground = (global_mean * total - cumulative_mean) / (total - cumulative)
-        variance = weight_background * weight_foreground * (mean_background - mean_foreground) ** 2
-        if variance > best_variance:
-            best_variance = variance
-            best_threshold = (edges[i] + edges[i + 1]) / 2.0
-    return best_threshold
+    weight_background = cumulative / total
+    weight_foreground = 1.0 - weight_background
+    mean_background = cumulative_mean / cumulative
+    mean_foreground = (global_mean * total - cumulative_mean) / (total - cumulative)
+    # A float64 scalar's ``** 2`` is libm ``pow``, which rounds a few squares
+    # differently from the array square; keep the scalar's bits.
+    gap_squared = np.array([gap ** 2 for gap in (mean_background - mean_foreground).tolist()])
+    variance = weight_background * weight_foreground * gap_squared
+    return float(bin_sums[split][np.argmax(variance)] / 2.0)
 
 
 def crop_patch(image: np.ndarray, center: tuple[float, float], size: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
@@ -83,17 +84,11 @@ class Flatten(Layer):
 
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, int, int]:
     """Unfold (N, C, H, W) into (N, out_h*out_w, C*kernel*kernel) patches."""
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    cols = np.empty((n, out_h * out_w, c * kernel * kernel))
-    idx = 0
-    for i in range(out_h):
-        for j in range(out_w):
-            patch = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, idx, :] = patch.reshape(n, -1)
-            idx += 1
-    return cols, out_h, out_w
+    n, c = x.shape[:2]
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5), dtype=float)
+    return cols.reshape(n, out_h * out_w, c * kernel * kernel), out_h, out_w
 
 
 class Conv2d(Layer):

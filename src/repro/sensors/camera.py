@@ -10,6 +10,7 @@ space, so the detectors face the same degradations the paper describes
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,9 +66,10 @@ class CameraFrame:
             information asymmetry the real system has).
         intrinsics: the camera model.
         timestamp: simulation time of capture.
-        visible_markers: ground-truth list of markers whose centres fall in
-            the field of view (used only by the evaluation harness to score
-            false negatives, never by the landing system itself).
+        visible_markers: ground-truth list of markers with at least one
+            pixel rasterised, before obstacles mask any of them (used only
+            by the evaluation harness to score false negatives, never by the
+            landing system itself).
     """
 
     image: np.ndarray
@@ -167,34 +169,21 @@ class DownwardCamera:
 
         image = self._ground_texture(ground_x, ground_y)
 
-        # Analytic footprint bound for marker culling: every ground hit lies
-        # within altitude * tan(tilt + corner FOV) of the nadir point, so
-        # markers entirely beyond that radius rasterise zero pixels and the
-        # per-pixel containment test can be skipped outright.
-        reach = None
-        altitude = origin[2] - world.ground_altitude
-        if altitude > 0.0:
-            cos_tilt = min(1.0, max(-1.0, float(rotation[2][2])))
-            view_cone = math.acos(cos_tilt) + self.max_view_angle()
-            if view_cone < _MAX_CULL_VIEW_CONE:
-                reach = altitude * math.tan(view_cone)
-
+        # Each marker is rasterised only inside its pixel window: the pixels
+        # whose rays can reach its ground square.
         visible: list[Marker] = []
         for marker in world.markers:
-            if reach is not None:
-                dx = marker.position.x - origin[0]
-                dy = marker.position.y - origin[1]
-                footprint = (marker.size / 2.0) * math.sqrt(2.0) + _CULL_MARGIN
-                if dx * dx + dy * dy > (reach + footprint) ** 2:
-                    continue
-            drawn = self._draw_marker(image, ground_x, ground_y, marker, weather)
-            if drawn:
+            corners = np.array([(c.x, c.y, world.ground_altitude) for c in marker.corners])
+            window = _pixel_window(corners, origin, rotation, intr)
+            if window is None:
+                continue
+            if self._draw_marker(image[window], ground_x[window], ground_y[window], marker, weather):
                 visible.append(marker)
 
         # Obstacle shadows / rooftops: pixels whose ray hits an obstacle before
         # the ground show the obstacle top instead of the marker.
         image = self._mask_obstacle_pixels(
-            image, world, origin, dirs_world, t, ground_x, ground_y
+            image, world, origin, rotation, dirs_world, t, ground_x, ground_y
         )
 
         image = self._apply_weather(image, weather)
@@ -260,6 +249,7 @@ class DownwardCamera:
         image: np.ndarray,
         world: World,
         origin: np.ndarray,
+        rotation: np.ndarray,
         dirs_world: np.ndarray,
         t_ground: np.ndarray,
         ground_x: np.ndarray,
@@ -270,10 +260,11 @@ class DownwardCamera:
         Obstacles are pre-culled against the hull box of the view frustum
         (camera origin plus every ground hit): when all pixel rays reach the
         ground, a blocking hit must lie on one of those segments, so any
-        obstacle outside the hull cannot affect a pixel.  Survivors get the
-        vectorised slab test; all block masks are OR-combined and applied in
-        one pass, which matches the sequential per-obstacle writes exactly
-        (every blocked pixel takes the same constant).
+        obstacle outside the hull cannot affect a pixel.  Each survivor gets
+        the vectorised slab test inside its pixel window; all block masks
+        are OR-combined into one frame mask and applied in one pass, which
+        matches the sequential per-obstacle writes exactly (every blocked
+        pixel takes the same constant).
         """
         geometry = world.geometry()
         if not geometry.hazards:
@@ -297,20 +288,22 @@ class DownwardCamera:
                 ]
             )
             indices = geometry.hull_obstacle_indices(hull_lo, hull_hi, camera_height)
-            candidates = [geometry.hazards[i] for i in indices]
         else:
             # Some rays never reach the ground; they can be blocked at any
             # distance, so no spatial cull is sound.
-            candidates = [
-                o for o in geometry.hazards if o.bounds.minimum.z < camera_height
-            ]
+            indices = np.flatnonzero(geometry.hazard_lo[:, 2] < camera_height)
 
-        blocked = None
-        for obstacle in candidates:
-            t_hit = _vectorised_aabb_hit(origin, dirs_world, obstacle.bounds)
-            blocks = (~np.isnan(t_hit)) & (nan_ground | (t_hit < t_ground))
-            blocked = blocks if blocked is None else (blocked | blocks)
-        if blocked is not None and blocked.any():
+        blocked = np.zeros(t_ground.shape, dtype=bool)
+        for index in indices:
+            lo, hi = geometry.hazard_lo[index], geometry.hazard_hi[index]
+            window = _pixel_window(np.where(_BOX_CORNERS, hi, lo), origin, rotation, self.intrinsics)
+            if window is None:
+                continue
+            t_hit = _vectorised_aabb_hit(origin, dirs_world[window], lo, hi)
+            blocked[window] |= (~np.isnan(t_hit)) & (
+                nan_ground[window] | (t_hit < t_ground[window])
+            )
+        if blocked.any():
             # Rooftop / canopy intensity: darker than ground, no pattern.
             image = np.where(blocked, 0.3, image)
         return image
@@ -333,22 +326,9 @@ class DownwardCamera:
             image = image + self._rng.normal(0.0, weather.image_noise, size=image.shape)
         return image
 
-    # ------------------------------------------------------------------ #
-    # geometry
-    # ------------------------------------------------------------------ #
-    def max_view_angle(self) -> float:
-        """Largest angle (rad) between any pixel ray and the optical axis."""
-        intr = self.intrinsics
-        corner = math.sqrt(intr.cx**2 + intr.cy**2) / intr.focal_length
-        return math.atan(corner)
 
-
-#: Widest view cone (tilt + corner FOV, radians) the render-time marker cull
-#: reasons about; beyond this the footprint bound approaches the horizon and
-#: every marker is rasterised normally.
-_MAX_CULL_VIEW_CONE = math.radians(85.0)
-#: Slack (m) added to the cull radius; dwarfs any float rounding in the bound.
-_CULL_MARGIN = 0.25
+#: Selects ``hi`` (True) or ``lo`` per axis for each of a box's 8 corners.
+_BOX_CORNERS = np.array(list(itertools.product((False, True), repeat=3)))
 
 _PIXEL_GRID_CACHE: dict[CameraIntrinsics, np.ndarray] = {}
 _GLARE_GRID_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -388,17 +368,50 @@ def _glare_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _pixel_window(
+    corners: np.ndarray, origin: np.ndarray, rotation: np.ndarray, intr: CameraIntrinsics
+) -> tuple[slice, slice] | None:
+    """The pixels whose rays can reach the convex hull of world ``corners``.
+
+    Projects the corners through the camera at ``origin`` with body-to-world
+    ``rotation``.  ``None`` when no pixel can: every corner lies behind the
+    camera (a pixel ray only reaches points at positive depth), or the
+    window falls outside the image.  When every corner is in front, the
+    ``(rows, cols)`` slices bound the projected corners with a 1 px margin
+    for rounding, clipped to the image; otherwise they span the whole frame.
+    """
+    # Camera-frame corners, rotation.T @ (corner - origin) as rows; the
+    # camera looks along its -z axis.
+    relative = ((corners - origin) @ rotation).tolist()
+    depths = [-z for _, _, z in relative]
+    if all(depth < 0.0 for depth in depths):
+        return None
+    frame = (slice(0, intr.height), slice(0, intr.width))
+    if not all(depth > 0.0 for depth in depths):
+        return frame
+    focal = intr.focal_length
+    rows = [intr.cy + focal * (y / depth) for (_, y, _), depth in zip(relative, depths)]
+    cols = [intr.cx + focal * (x / depth) for (x, _, _), depth in zip(relative, depths)]
+    if not all(map(math.isfinite, rows + cols)):
+        return frame
+    row0 = max(0, math.ceil(min(rows)) - 1)
+    row1 = min(intr.height, math.floor(max(rows)) + 2)
+    col0 = max(0, math.ceil(min(cols)) - 1)
+    col1 = min(intr.width, math.floor(max(cols)) + 2)
+    if row0 >= row1 or col0 >= col1:
+        return None
+    return slice(row0, row1), slice(col0, col1)
+
+
 def _vectorised_aabb_hit(
-    origin: np.ndarray, directions: np.ndarray, box
+    origin: np.ndarray, directions: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Slab-test every ray in ``directions`` against one AABB.
+    """Slab-test every ray in ``directions`` against the AABB ``[lo, hi]``.
 
     Returns the hit distance per ray, NaN where there is no hit.  ``fmax`` /
     ``fmin`` chains give the same NaN-ignoring fold as ``nanmax`` / ``nanmin``
     along the axis at a fraction of the cost.
     """
-    lo = np.array([box.minimum.x, box.minimum.y, box.minimum.z])
-    hi = np.array([box.maximum.x, box.maximum.y, box.maximum.z])
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / directions
         t1 = (lo - origin) * inv

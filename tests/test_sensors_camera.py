@@ -1,10 +1,12 @@
 """Tests for the synthetic downward camera."""
 
+import math
 
 import numpy as np
 import pytest
 
-from repro.geometry import AABB, Pose, Vec3
+from repro.geometry import AABB, Pose, Quaternion, Vec3
+from repro.sensors import camera as camera_module
 from repro.sensors.camera import CameraIntrinsics, DownwardCamera
 from repro.world.markers import Marker
 from repro.world.obstacles import building
@@ -104,3 +106,123 @@ class TestProjection:
         intr = frame.intrinsics
         ground = frame.pixel_to_ground(intr.cy, intr.cx)
         assert ground.horizontal_distance_to(Vec3(2, 0, 0)) < 0.2
+
+
+def whole_frame(corners, origin, rotation, intr):
+    return slice(0, intr.height), slice(0, intr.width)
+
+
+def corner_depths(corners, origin, rotation):
+    return -((corners - origin) @ rotation)[:, 2]
+
+
+def random_scene(rng):
+    """A world and a camera pose that stress the pixel windows.
+
+    Altitudes reach down to 0.05 m and tilts up to ~150 degrees, well past
+    the horizon, so markers and buildings near the drone fall behind the
+    image plane or straddle it.  Buildings may be taller than the camera or
+    stand around it.  A level camera also gets markers with a corner on a
+    pixel's own ground hit (computed with the camera's arithmetic), so some
+    drawn pixels lie exactly on a window's edge.
+    """
+    altitude = float(np.exp(rng.uniform(math.log(0.05), math.log(25.0))))
+    x, y = rng.uniform(-5.0, 5.0, size=2)
+    level = rng.random() < 0.35
+    if level:
+        orientation = Quaternion.identity()
+    else:
+        roll, pitch, yaw = rng.uniform(-2.6, 2.6), rng.uniform(-1.5, 1.5), rng.uniform(-math.pi, math.pi)
+        orientation = Quaternion.from_euler(roll, pitch, yaw)
+    pose = Pose(Vec3(x, y, altitude), orientation)
+
+    markers = [
+        Marker(
+            marker_id=int(rng.integers(50)),
+            position=Vec3(x + rng.uniform(-6.0, 6.0), y + rng.uniform(-6.0, 6.0), 0.0),
+            size=rng.uniform(0.3, 3.0),
+            yaw=rng.uniform(-math.pi, math.pi),
+            occlusion=rng.choice([0.0, rng.uniform(0.0, 0.6)]),
+        )
+        for _ in range(5)
+    ]
+    if level:
+        intr = CameraIntrinsics()
+        rays = camera_module._pixel_ray_grid(intr)
+        for _ in range(6):
+            row, col = rng.integers(1, intr.height - 1), rng.integers(1, intr.width - 1)
+            ground_x = x + rays[row, col, 0] * altitude
+            ground_y = y + rays[row, col, 1] * altitude
+            half = rng.uniform(0.1, 1.5) * altitude / 2.0
+            side_x, side_y = rng.choice([-1.0, 1.0], size=2)
+            markers.append(
+                Marker(
+                    marker_id=int(rng.integers(50)),
+                    position=Vec3(ground_x + side_x * half, ground_y + side_y * half, 0.0),
+                    size=2.0 * half,
+                )
+            )
+
+    obstacles = [
+        building(
+            x + rng.uniform(-8.0, 8.0), y + rng.uniform(-8.0, 8.0),
+            rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0), rng.uniform(0.2, 2.0 * altitude + 1.0),
+        )
+        for _ in range(3)
+    ]
+    if rng.random() < 0.25:
+        obstacles.append(
+            building(x, y, rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), altitude + rng.uniform(0.1, 5.0))
+        )
+    weather = Weather.clear() if rng.random() < 0.5 else Weather.preset(WeatherCondition.RAIN, 0.5)
+    return make_world(weather=weather, markers=markers, obstacles=obstacles), pose
+
+
+class TestPixelWindows:
+    def test_windowed_capture_matches_the_whole_frame(self):
+        """Rasterising markers and slab-testing obstacles only inside their
+        pixel windows gives the image and visible markers of a camera whose
+        window helper always returns the whole frame."""
+        seen = set()
+        window = camera_module._pixel_window
+
+        def spy(corners, origin, rotation, intr):
+            depth = corner_depths(corners, origin, rotation)
+            side = "behind" if (depth < 0).all() else "front" if (depth > 0).all() else "straddle"
+            seen.add(("marker" if len(corners) == 4 else "box", side))
+            return window(corners, origin, rotation, intr)
+
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for scene in range(8):
+                world, pose = random_scene(rng)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(camera_module, "_pixel_window", spy)
+                    windowed = DownwardCamera(seed=seed).capture(world, pose)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(camera_module, "_pixel_window", whole_frame)
+                    full = DownwardCamera(seed=seed).capture(world, pose)
+                assert windowed.image.tobytes() == full.image.tobytes(), (seed, scene)
+                assert [m.marker_id for m in windowed.visible_markers] == [
+                    m.marker_id for m in full.visible_markers
+                ], (seed, scene)
+        assert seen == {
+            (item, side) for item in ("marker", "box") for side in ("behind", "front", "straddle")
+        }
+
+    def test_window_bounds_the_projected_corners(self):
+        intr = CameraIntrinsics()
+        origin = np.array([0.0, 0.0, 10.0])
+        rotation = Quaternion.identity().rotation_matrix()
+        corners = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]])
+        rows, cols = camera_module._pixel_window(corners, origin, rotation, intr)
+        reach = intr.focal_length / 10.0
+        assert (rows.start, rows.stop) == (math.ceil(intr.cy - reach) - 1, math.floor(intr.cy + reach) + 2)
+        assert (cols.start, cols.stop) == (math.ceil(intr.cx - reach) - 1, math.floor(intr.cx + reach) + 2)
+        assert camera_module._pixel_window(corners + [50.0, 0.0, 0.0], origin, rotation, intr) is None
+        assert camera_module._pixel_window(corners + [0.0, 0.0, 20.0], origin, rotation, intr) is None
+        straddling = corners.copy()
+        straddling[:2, 2] = 15.0  # two corners above the camera, two below
+        assert camera_module._pixel_window(straddling, origin, rotation, intr) == whole_frame(
+            None, None, None, intr
+        )
