@@ -6,13 +6,14 @@ performance regressions.
 
 Every bench replays recorded missions over the bench scenario.  The camera
 bench re-renders one MLS-V1 mission's captures through a fresh camera with
-the mission's seed, the classical and learned detection benches re-detect
-the frames an MLS-V1 and an MLS-V3 mission saw, and the map and plan
-benches replay the MLS-V3 mission's clouds and RRT* problems.  Each asserts
-that its input is not empty and that the replay reproduces the flight
-(the same images, the same detections), and records its own figure of
-merit (frames per second, points fused per second, RRT* iterations per
-second).
+the mission's seed, the vehicle bench re-flies that mission's autopilot
+commands through a fresh autopilot, the classical and learned detection
+benches re-detect the frames an MLS-V1 and an MLS-V3 mission saw, and the
+map and plan benches replay the MLS-V3 mission's clouds and RRT* problems.
+Each asserts that its input is not empty and that the replay reproduces the
+flight (the same images, the same vehicle states, the same detections), and
+records its own figure of merit (frames per second, physics steps per
+second, points fused per second, RRT* iterations per second).
 
 Besides pytest-benchmark's own terminal table, every timing lands in the
 machine-readable ``BENCH_results.json`` (see ``conftest.py``; path
@@ -20,6 +21,7 @@ overridable via ``$REPRO_BENCH_RESULTS``) so the perf trajectory can be
 tracked across commits without parsing pytest output.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +29,7 @@ import pytest
 from repro.core.config import mls_v1, mls_v3
 from repro.core.landing_system import LandingSystem
 from repro.core.mission import run_scenario
+from repro.geometry import Vec3
 from repro.mapping.inflation import InflatedMap
 from repro.mapping.octomap import OcTree
 from repro.perception.classical import ClassicalMarkerDetector
@@ -34,6 +37,7 @@ from repro.perception.learned import LearnedMarkerDetector
 from repro.perception.neural.training import load_pretrained_detector_net
 from repro.planning.rrt_star import RrtStarConfig, RrtStarPlanner
 from repro.sensors.camera import DownwardCamera
+from repro.vehicle.autopilot import Autopilot
 from repro.world.scenario_suite import build_evaluation_suite
 
 
@@ -56,12 +60,47 @@ def _record_frames(patch, flight):
     patch.setattr(LandingSystem, "process_frame", recording_process)
 
 
+#: The autopilot commands a mission sends, recorded with their arguments.
+AUTOPILOT_COMMANDS = ("arm_and_takeoff", "set_position_setpoint", "command_land", "command_return")
+
+
+def _record_autopilot(patch, flight):
+    """Record the autopilot's construction, then every physics step (with the
+    state it returned) and every command, in flight order."""
+    init, step = Autopilot.__init__, Autopilot.step
+
+    def recording_init(autopilot, world, config=None, home=Vec3.zero(), seed=0):
+        init(autopilot, world, config, home, seed)
+        flight.autopilot = (world, replace(autopilot.config), home, seed)
+
+    def recording_step(autopilot, dt):
+        state = step(autopilot, dt)
+        flight.vehicle.append(("step", (dt,), {}))
+        flight.states.append(state)
+        return state
+
+    def recording(name, command):
+        def recording_command(autopilot, *args, **kwargs):
+            flight.vehicle.append((name, args, kwargs))
+            return command(autopilot, *args, **kwargs)
+
+        return recording_command
+
+    patch.setattr(Autopilot, "__init__", recording_init)
+    patch.setattr(Autopilot, "step", recording_step)
+    for name in AUTOPILOT_COMMANDS:
+        patch.setattr(Autopilot, name, recording(name, getattr(Autopilot, name)))
+
+
 @pytest.fixture(scope="module")
 def v1_flight(scenario):
     """One MLS-V1 mission over the bench scenario, recorded in flight order:
-    each camera capture's arguments and frame, and each frame the classical
-    detector saw with the detections it made."""
-    flight = SimpleNamespace(captures=[], frames=[], detector=None)
+    each camera capture's arguments and frame, each frame the classical
+    detector saw with the detections it made, and the autopilot's steps,
+    states and commands."""
+    flight = SimpleNamespace(
+        captures=[], frames=[], detector=None, autopilot=None, vehicle=[], states=[]
+    )
     capture = DownwardCamera.capture
 
     def recording_capture(camera, world, true_pose, estimated_pose=None, timestamp=0.0):
@@ -72,6 +111,7 @@ def v1_flight(scenario):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DownwardCamera, "capture", recording_capture)
         _record_frames(patch, flight)
+        _record_autopilot(patch, flight)
         run_scenario(scenario, mls_v1())
     return flight
 
@@ -130,6 +170,32 @@ def test_perf_camera_render(benchmark, bench_results, scenario, v1_flight):
         assert frame.visible_markers == flown.visible_markers
     assert any(frame.visible_markers for frame in frames)
     _record_frames_per_s(benchmark, bench_results, "camera_render", len(frames))
+
+
+def test_perf_vehicle_step(benchmark, bench_results, v1_flight):
+    """Re-fly the MLS-V1 mission's autopilot commands through a fresh
+    autopilot built with the mission's world, config, home and seed."""
+    world, config, home, seed = v1_flight.autopilot
+
+    def fly():
+        autopilot = Autopilot(world, replace(config), home=home, seed=seed)
+        states = []
+        for name, args, kwargs in v1_flight.vehicle:
+            if name == "step":
+                states.append(autopilot.step(*args))
+            else:
+                getattr(autopilot, name)(*args, **kwargs)
+        return states
+
+    states = benchmark(fly)
+    assert len(states) == len(v1_flight.states) > 0
+    assert states == v1_flight.states
+    seconds = _mean_seconds(benchmark)
+    if seconds is not None:
+        bench_results(
+            "vehicle_step", steps=float(len(states)), seconds=seconds,
+            steps_per_s=len(states) / seconds,
+        )
 
 
 def _replay_detections(benchmark, bench_results, name, flight):

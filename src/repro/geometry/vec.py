@@ -158,3 +158,18 @@ class Vec3:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Vec3({self.x:.3f}, {self.y:.3f}, {self.z:.3f})"
+
+
+def clamp_norm_xyz(x: float, y: float, z: float, max_norm: float) -> tuple[float, float, float]:
+    """:meth:`Vec3.clamp_norm` on bare components, for per-tick float code.
+
+    The same float operations in the same order (``norm`` is
+    ``sqrt(x*x + y*y + z*z)``), without building a ``Vec3``.
+    """
+    if max_norm < 0:
+        raise ValueError("max_norm must be non-negative")
+    n = math.sqrt(x * x + y * y + z * z)
+    if n <= max_norm or n < 1e-12:
+        return x, y, z
+    scale = max_norm / n
+    return x * scale, y * scale, z * scale

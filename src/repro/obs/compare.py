@@ -6,16 +6,24 @@ regressed.  Per ``(system, phase)`` it collects the per-run seconds from
 both trace directories — measured wall seconds by default, or the
 deterministic platform-model nominal seconds with ``--metric nominal`` —
 and bootstraps a confidence interval on ``mean(current) -
-mean(baseline)`` with the same seeded machinery campaign analytics use
-(:func:`repro.analysis.stats.bootstrap_diff_ci`), so the verdicts are
-reproducible for given inputs.
+mean(baseline)`` with the same seeded machinery campaign analytics use,
+so the verdicts are reproducible for given inputs.
+
+When both sides flew the same runs — the same ``(scenario_id,
+repetition)`` set, each once — the comparison is paired: it bootstraps
+the mean of the per-run differences
+(:func:`repro.analysis.stats.bootstrap_mean_ci`), so the spread between
+scenarios, which is the same on both sides, no longer hides a shift.
+Otherwise the two sides are resampled independently
+(:func:`repro.analysis.stats.bootstrap_diff_ci`).
 
 The flags are direction-aware for time: a CI entirely above zero means the
 phase got significantly *slower* (a regression, exit code 1); entirely
 below zero means significantly faster (reported, not fatal).  A
 self-comparison of a directory against itself can never flag a regression:
 identical samples bootstrap to a zero-centred (or exactly-zero) interval,
-and the regression test is strict (``low > 0``).
+and the regression test is strict (``low > 0``); paired, every difference
+is zero and so is the interval.
 
 This is also the attribution engine ``repro.bench.perfgate check`` renders
 automatically when a throughput floor is breached and trace directories
@@ -31,6 +39,7 @@ from repro.analysis.stats import (
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
     bootstrap_diff_ci,
+    bootstrap_mean_ci,
     metric_seed,
 )
 from repro.bench.tables import format_markdown_table
@@ -39,10 +48,14 @@ from repro.bench.tables import format_markdown_table
 METRIC_CHOICES = ("wall", "nominal")
 
 
+RunKey = tuple[str, int]
+
+
 def phase_samples(
     summaries: Sequence[dict[str, Any]], metric: str = "wall"
-) -> dict[tuple[str, str], list[float]]:
-    """Per-``(system, phase)`` lists of per-run seconds, in summary order.
+) -> dict[tuple[str, str], list[tuple[RunKey, float]]]:
+    """Per-``(system, phase)`` lists of ``((scenario_id, repetition),
+    seconds)``, one per run, in summary order.
 
     ``wall`` reads each run's measured span seconds; ``nominal`` reads the
     platform model's deterministic detect/map/plan charges.  Callers pass
@@ -52,18 +65,30 @@ def phase_samples(
     """
     if metric not in METRIC_CHOICES:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_CHOICES}")
-    samples: dict[tuple[str, str], list[float]] = {}
+    samples: dict[tuple[str, str], list[tuple[RunKey, float]]] = {}
     for summary in summaries:
         system = str(summary.get("system", ""))
+        run = (str(summary.get("scenario_id", "")), int(summary.get("repetition", 0)))
         if metric == "wall":
-            for phase, span in summary.get("spans", {}).items():
-                samples.setdefault((system, str(phase)), []).append(
-                    float(span.get("wall_s", 0.0))
-                )
+            seconds = {
+                phase: span.get("wall_s", 0.0) for phase, span in summary.get("spans", {}).items()
+            }
         else:
-            for phase, seconds in summary.get("nominal_s", {}).items():
-                samples.setdefault((system, str(phase)), []).append(float(seconds))
+            seconds = summary.get("nominal_s", {})
+        for phase, value in seconds.items():
+            samples.setdefault((system, str(phase)), []).append((run, float(value)))
     return samples
+
+
+def _paired_differences(
+    baseline: Sequence[tuple[RunKey, float]], current: Sequence[tuple[RunKey, float]]
+) -> list[float] | None:
+    """``current - baseline`` per run, in run order, when both sides hold
+    the same runs each once; ``None`` when they cannot be paired."""
+    base, curr = dict(baseline), dict(current)
+    if not base or len(base) != len(baseline) or len(curr) != len(current) or base.keys() != curr.keys():
+        return None
+    return [curr[run] - base[run] for run in sorted(base)]
 
 
 @dataclass(frozen=True)
@@ -79,6 +104,7 @@ class PhaseComparison:
     current_mean: float
     ci_low: float
     ci_high: float
+    paired: bool = False
 
     @property
     def comparable(self) -> bool:
@@ -124,7 +150,9 @@ def compare_phases(
 
     Every phase draws its bootstrap from its own
     :func:`~repro.analysis.stats.metric_seed`-derived stream, so adding or
-    removing phases never reshuffles another phase's interval.
+    removing phases never reshuffles another phase's interval.  A phase
+    whose two sides hold the same runs is compared paired (see the module
+    docstring).
     """
     base = phase_samples(baseline, metric)
     curr = phase_samples(current, metric)
@@ -132,12 +160,18 @@ def compare_phases(
     for system, phase in sorted(set(base) | set(curr)):
         a = base.get((system, phase), [])
         b = curr.get((system, phase), [])
-        low, high = bootstrap_diff_ci(
-            a, b,
+        differences = _paired_differences(a, b)
+        bootstrap = dict(
             confidence=confidence,
             resamples=resamples,
             seed=metric_seed(seed, "obs-compare", metric, system, phase),
         )
+        a_seconds = [value for _, value in a]
+        b_seconds = [value for _, value in b]
+        if differences is not None:
+            low, high = bootstrap_mean_ci(differences, **bootstrap)
+        else:
+            low, high = bootstrap_diff_ci(a_seconds, b_seconds, **bootstrap)
         comparisons.append(
             PhaseComparison(
                 system=system,
@@ -145,10 +179,11 @@ def compare_phases(
                 metric=metric,
                 baseline_runs=len(a),
                 current_runs=len(b),
-                baseline_mean=_mean(a),
-                current_mean=_mean(b),
+                baseline_mean=_mean(a_seconds),
+                current_mean=_mean(b_seconds),
                 ci_low=low,
                 ci_high=high,
+                paired=differences is not None,
             )
         )
     return comparisons
@@ -169,7 +204,8 @@ def render_compare(
     lines.append(
         f"Per-run {'wall-clock' if metric == 'wall' else 'nominal (deterministic)'} "
         f"seconds per (system, phase); CI is a {confidence:.0%} bootstrap interval "
-        f"on mean(current) - mean(baseline). Positive = slower."
+        f"on mean(current) - mean(baseline), over per-run differences where both "
+        f"sides flew the same runs (paired). Positive = slower."
     )
     lines.append("")
     rows: list[list[object]] = []
@@ -178,7 +214,8 @@ def render_compare(
             [
                 comparison.system,
                 comparison.phase,
-                f"{comparison.baseline_runs}/{comparison.current_runs}",
+                f"{comparison.baseline_runs}/{comparison.current_runs}"
+                + (" paired" if comparison.paired else ""),
                 seconds(comparison.baseline_mean),
                 seconds(comparison.current_mean),
                 f"[{seconds(comparison.ci_low)}, {seconds(comparison.ci_high)}]",

@@ -25,9 +25,12 @@ class Barometer:
 
     def measure(self, true_altitude: float) -> float:
         """One altitude reading in metres above the take-off datum."""
-        self._drift += float(self._rng.normal(0.0, self.drift_rate))
+        # One standard_normal(2) draws the drift step, then the noise; each
+        # value is 0.0 + std * z, as the two scalar normal(0.0, std) calls gave.
+        drift_draw, noise_draw = self._rng.standard_normal(2).tolist()
+        self._drift += 0.0 + self.drift_rate * drift_draw
         self._drift *= 0.999
-        return true_altitude + self._drift + float(self._rng.normal(0.0, self.noise_std))
+        return true_altitude + self._drift + (0.0 + self.noise_std * noise_draw)
 
     @property
     def current_drift(self) -> float:

@@ -61,8 +61,8 @@ class ImuSensor:
     def __init__(self, quality: ImuQuality | None = None, seed: int = 0) -> None:
         self.quality = quality or ImuQuality.consumer_grade()
         self._rng = np.random.default_rng(seed)
-        self._accel_bias = np.zeros(3)
-        self._gyro_bias = np.zeros(3)
+        self._accel_bias = (0.0, 0.0, 0.0)
+        self._gyro_bias = (0.0, 0.0, 0.0)
 
     def measure(
         self,
@@ -71,21 +71,34 @@ class ImuSensor:
         timestamp: float,
     ) -> ImuSample:
         q = self.quality
-        self._accel_bias += self._rng.normal(0.0, q.accel_bias_instability, size=3) * 0.01
-        self._gyro_bias += self._rng.normal(0.0, q.gyro_bias_instability, size=3) * 0.01
-
-        accel = (
-            true_acceleration.to_array()
-            + self._accel_bias
-            + self._rng.normal(0.0, q.accel_noise_std, size=3)
+        # One standard_normal(12) draws, in order, the accelerometer and gyro
+        # bias walks and the accelerometer and gyro white noise; each value
+        # is 0.0 + std * z, as the four normal(0.0, std, size=3) calls gave.
+        z = self._rng.standard_normal(12).tolist()
+        std = q.accel_bias_instability
+        ax, ay, az = self._accel_bias
+        self._accel_bias = accel_bias = (
+            ax + (0.0 + std * z[0]) * 0.01,
+            ay + (0.0 + std * z[1]) * 0.01,
+            az + (0.0 + std * z[2]) * 0.01,
         )
-        gyro = (
-            true_angular_rate.to_array()
-            + self._gyro_bias
-            + self._rng.normal(0.0, q.gyro_noise_std, size=3)
+        std = q.gyro_bias_instability
+        gx, gy, gz = self._gyro_bias
+        self._gyro_bias = gyro_bias = (
+            gx + (0.0 + std * z[3]) * 0.01,
+            gy + (0.0 + std * z[4]) * 0.01,
+            gz + (0.0 + std * z[5]) * 0.01,
         )
-        return ImuSample(
-            acceleration=Vec3.from_array(accel),
-            angular_rate=Vec3.from_array(gyro),
-            timestamp=timestamp,
+        std = q.accel_noise_std
+        accel = Vec3(
+            (true_acceleration.x + accel_bias[0]) + (0.0 + std * z[6]),
+            (true_acceleration.y + accel_bias[1]) + (0.0 + std * z[7]),
+            (true_acceleration.z + accel_bias[2]) + (0.0 + std * z[8]),
         )
+        std = q.gyro_noise_std
+        gyro = Vec3(
+            (true_angular_rate.x + gyro_bias[0]) + (0.0 + std * z[9]),
+            (true_angular_rate.y + gyro_bias[1]) + (0.0 + std * z[10]),
+            (true_angular_rate.z + gyro_bias[2]) + (0.0 + std * z[11]),
+        )
+        return ImuSample(acceleration=accel, angular_rate=gyro, timestamp=timestamp)

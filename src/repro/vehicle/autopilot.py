@@ -10,9 +10,10 @@ behaviours internally.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
-from repro.geometry import Pose, Quaternion, Vec3
+from repro.geometry import Pose, Vec3
 from repro.sensors.barometer import Barometer
 from repro.sensors.gps import GpsSensor
 from repro.sensors.imu import ImuSensor, ImuQuality
@@ -173,46 +174,49 @@ class Autopilot:
     # internals
     # ------------------------------------------------------------------ #
     def _run_mode_logic(self) -> None:
-        estimate = self.estimated_state
+        dynamics = self.dynamics
         if self.mode is FlightMode.IDLE or self.mode is FlightMode.LANDED:
-            self.dynamics.command_velocity(Vec3.zero())
+            dynamics.command_velocity_xyz(0.0, 0.0, 0.0)
             return
 
+        x, y, altitude = self.ekf.position_xyz
         if self.mode is FlightMode.TAKEOFF:
-            if estimate.altitude >= self.config.takeoff_altitude - 0.3:
+            if altitude >= self.config.takeoff_altitude - 0.3:
                 self.mode = FlightMode.OFFBOARD
             else:
-                self.dynamics.command_velocity(
-                    Vec3(0.0, 0.0, self.config.takeoff_climb_rate), yaw=self._setpoint_yaw
+                dynamics.command_velocity_xyz(
+                    0.0, 0.0, self.config.takeoff_climb_rate, yaw=self._setpoint_yaw
                 )
                 return
 
         if self.mode is FlightMode.OFFBOARD:
             if self._setpoint is None:
-                self.dynamics.command_velocity(Vec3.zero())
+                dynamics.command_velocity_xyz(0.0, 0.0, 0.0)
                 return
-            velocity = self.controller.velocity_command(
-                estimate, self._setpoint, speed_limit=self._setpoint_speed_limit
+            vx, vy, vz = self.controller.velocity_command_xyz(
+                x, y, altitude, self._setpoint, speed_limit=self._setpoint_speed_limit
             )
-            self.dynamics.command_velocity(velocity, yaw=self._setpoint_yaw)
+            dynamics.command_velocity_xyz(vx, vy, vz, yaw=self._setpoint_yaw)
             return
 
         if self.mode is FlightMode.LAND:
-            self.dynamics.command_velocity(
-                Vec3(0.0, 0.0, -self.config.landing_descent_rate), yaw=self._setpoint_yaw
+            dynamics.command_velocity_xyz(
+                0.0, 0.0, -self.config.landing_descent_rate, yaw=self._setpoint_yaw
             )
             return
 
         if self.mode is FlightMode.RETURN:
-            target = self.home.with_z(self.config.return_altitude)
-            if estimate.position.horizontal_distance_to(self.home) < 1.0:
+            home = self.home
+            if math.hypot(x - home.x, y - home.y) < 1.0:
                 self.mode = FlightMode.LAND
                 return
-            if estimate.altitude < self.config.return_altitude - 0.5:
-                self.dynamics.command_velocity(Vec3(0.0, 0.0, 1.5))
+            if altitude < self.config.return_altitude - 0.5:
+                dynamics.command_velocity_xyz(0.0, 0.0, 1.5)
             else:
-                velocity = self.controller.velocity_command(estimate, target)
-                self.dynamics.command_velocity(velocity)
+                target = home.with_z(self.config.return_altitude)
+                dynamics.command_velocity_xyz(
+                    *self.controller.velocity_command_xyz(x, y, altitude, target)
+                )
             return
 
     def _check_touchdown(self, state: VehicleState) -> None:
@@ -222,4 +226,4 @@ class Autopilot:
         on_surface = (range_reading is not None and range_reading < 0.12) or state.position.z < 0.05
         if on_surface and abs(state.velocity.z) < 0.6:
             self.mode = FlightMode.LANDED
-            self.dynamics.command_velocity(Vec3.zero())
+            self.dynamics.command_velocity_xyz(0.0, 0.0, 0.0)

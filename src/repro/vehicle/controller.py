@@ -8,9 +8,11 @@ works by feeding successive waypoints of the planned path to this controller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.geometry import Vec3
+from repro.geometry.vec import clamp_norm_xyz
 from repro.vehicle.state import EstimatedState
 
 
@@ -45,28 +47,43 @@ class PositionController:
             speed_limit: optional extra cap on the horizontal speed (the
                 landing state uses a low cap during the final descent).
         """
+        position = estimate.position
+        return Vec3(*self.velocity_command_xyz(position.x, position.y, position.z, target, speed_limit))
+
+    def velocity_command_xyz(
+        self,
+        x: float,
+        y: float,
+        z: float,
+        target: Vec3,
+        speed_limit: float | None = None,
+    ) -> tuple[float, float, float]:
+        """:meth:`velocity_command` from a bare estimated position ``(x, y, z)``,
+        in plain floats (the autopilot's tick)."""
         gains = self.gains
-        error = target - estimate.position
-        command = error * gains.position_p
+        # error = target - position; command = error * position_p.
+        ex, ey, ez = target.x - x, target.y - y, target.z - z
+        p_gain = gains.position_p
+        cx, cy, cz = ex * p_gain, ey * p_gain, ez * p_gain
 
         # Slow down smoothly when close to the target.
-        distance = error.norm()
+        distance = math.sqrt(ex * ex + ey * ey + ez * ez)
         if distance < gains.approach_slowdown_radius:
             scale = max(0.15, distance / gains.approach_slowdown_radius)
-            command = command * scale
+            cx, cy, cz = cx * scale, cy * scale, cz * scale
 
         horizontal_cap = gains.max_horizontal_speed
         if speed_limit is not None:
             horizontal_cap = min(horizontal_cap, speed_limit)
-        horizontal = Vec3(command.x, command.y, 0.0).clamp_norm(horizontal_cap)
+        hx, hy, _ = clamp_norm_xyz(cx, cy, 0.0, horizontal_cap)
 
-        vertical = command.z
+        vertical = cz
         if vertical > gains.max_vertical_speed:
             vertical = gains.max_vertical_speed
         elif vertical < -gains.max_descent_speed:
             vertical = -gains.max_descent_speed
 
-        return Vec3(horizontal.x, horizontal.y, vertical)
+        return hx, hy, vertical
 
     def is_at(self, estimate: EstimatedState, target: Vec3, tolerance: float = 0.6) -> bool:
         """Whether the vehicle has reached the setpoint within ``tolerance``."""

@@ -14,9 +14,10 @@ properties that drive the paper's failure modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.geometry import Quaternion, Vec3
+from repro.geometry.vec import clamp_norm_xyz
 from repro.vehicle.state import VehicleState
 
 GRAVITY = 9.81
@@ -49,7 +50,7 @@ class QuadrotorDynamics:
     ) -> None:
         self.limits = limits or QuadrotorLimits()
         self.state = initial_state or VehicleState()
-        self._commanded_velocity = Vec3.zero()
+        self._commanded_velocity = (0.0, 0.0, 0.0)
         self._commanded_yaw = 0.0
 
     # ------------------------------------------------------------------ #
@@ -57,67 +58,86 @@ class QuadrotorDynamics:
     # ------------------------------------------------------------------ #
     def command_velocity(self, velocity: Vec3, yaw: float | None = None) -> None:
         """Set the velocity setpoint (clamped to the airframe envelope)."""
-        horizontal = Vec3(velocity.x, velocity.y, 0.0).clamp_norm(
-            self.limits.max_horizontal_speed
-        )
-        vertical = max(-self.limits.max_vertical_speed, min(self.limits.max_vertical_speed, velocity.z))
-        self._commanded_velocity = Vec3(horizontal.x, horizontal.y, vertical)
+        self.command_velocity_xyz(velocity.x, velocity.y, velocity.z, yaw)
+
+    def command_velocity_xyz(
+        self, vx: float, vy: float, vz: float, yaw: float | None = None
+    ) -> None:
+        """:meth:`command_velocity` on bare components (the autopilot's tick)."""
+        limits = self.limits
+        hx, hy, _ = clamp_norm_xyz(vx, vy, 0.0, limits.max_horizontal_speed)
+        vertical = max(-limits.max_vertical_speed, min(limits.max_vertical_speed, vz))
+        self._commanded_velocity = (hx, hy, vertical)
         if yaw is not None:
             self._commanded_yaw = yaw
 
     @property
     def commanded_velocity(self) -> Vec3:
-        return self._commanded_velocity
+        return Vec3(*self._commanded_velocity)
 
     # ------------------------------------------------------------------ #
     # integration
     # ------------------------------------------------------------------ #
     def step(self, dt: float, wind: Vec3 = Vec3.zero()) -> VehicleState:
-        """Advance the dynamics by ``dt`` seconds and return the new state."""
+        """Advance the dynamics by ``dt`` seconds and return the new state.
+
+        Component by component in plain floats, with the operations and
+        order of the ``Vec3`` expressions in the comments; only the returned
+        state is built from ``Vec3`` and ``Quaternion`` objects.
+        """
         if dt <= 0:
             raise ValueError("dt must be positive")
         limits = self.limits
         state = self.state
+        velocity = state.velocity
+        vx, vy, vz = velocity.x, velocity.y, velocity.z
+        cx, cy, cz = self._commanded_velocity
+        time_constant = limits.velocity_time_constant
+        if time_constant == 0.0:
+            raise ZeroDivisionError("Vec3 division by zero")
+        drag = limits.drag_coefficient
 
-        # First-order velocity tracking towards the commanded velocity.
-        velocity_error = self._commanded_velocity - state.velocity
-        desired_accel = velocity_error / limits.velocity_time_constant
-        # Wind adds drag proportional to relative airspeed.
-        relative_air = wind - state.velocity
-        desired_accel = desired_accel + relative_air * limits.drag_coefficient
-        accel = desired_accel.clamp_norm(limits.max_acceleration)
-
-        new_velocity = state.velocity + accel * dt
-        horizontal = Vec3(new_velocity.x, new_velocity.y, 0.0).clamp_norm(
-            limits.max_horizontal_speed * 1.2
+        # First-order velocity tracking towards the commanded velocity, plus
+        # wind drag proportional to relative airspeed:
+        # (command - velocity) / time_constant + (wind - velocity) * drag.
+        ax, ay, az = clamp_norm_xyz(
+            (cx - vx) / time_constant + (wind.x - vx) * drag,
+            (cy - vy) / time_constant + (wind.y - vy) * drag,
+            (cz - vz) / time_constant + (wind.z - vz) * drag,
+            limits.max_acceleration,
         )
-        vertical = max(
+
+        # velocity + accel * dt, then the horizontal and vertical caps.
+        vx, vy, _ = clamp_norm_xyz(
+            vx + ax * dt, vy + ay * dt, 0.0, limits.max_horizontal_speed * 1.2
+        )
+        vz = max(
             -limits.max_vertical_speed * 1.2,
-            min(limits.max_vertical_speed * 1.2, new_velocity.z),
+            min(limits.max_vertical_speed * 1.2, vz + az * dt),
         )
-        new_velocity = Vec3(horizontal.x, horizontal.y, vertical)
-        new_position = state.position + new_velocity * dt
+        position = state.position
+        px, py, pz = position.x + vx * dt, position.y + vy * dt, position.z + vz * dt
 
         # Keep the vehicle on or above the ground.
-        if new_position.z < 0.0:
-            new_position = new_position.with_z(0.0)
-            new_velocity = new_velocity.with_z(max(0.0, new_velocity.z))
+        if pz < 0.0:
+            pz = 0.0
+            vz = max(0.0, vz)
 
         # Attitude: tilt in the direction of horizontal acceleration, bounded.
-        tilt_x = max(-limits.max_tilt_radians, min(limits.max_tilt_radians, accel.x / GRAVITY))
-        tilt_y = max(-limits.max_tilt_radians, min(limits.max_tilt_radians, accel.y / GRAVITY))
+        tilt_x = max(-limits.max_tilt_radians, min(limits.max_tilt_radians, ax / GRAVITY))
+        tilt_y = max(-limits.max_tilt_radians, min(limits.max_tilt_radians, ay / GRAVITY))
         orientation = Quaternion.from_euler(-tilt_y * 0.5, tilt_x * 0.5, self._commanded_yaw)
 
-        angular_rate = Vec3(
-            0.0, 0.0, (self._commanded_yaw - state.orientation.yaw) / max(dt, 1e-6)
-        ).clamp_norm(2.0)
+        angular_rate = clamp_norm_xyz(
+            0.0, 0.0, (self._commanded_yaw - state.orientation.yaw) / max(dt, 1e-6), 2.0
+        )
 
         self.state = VehicleState(
-            position=new_position,
-            velocity=new_velocity,
-            acceleration=accel,
+            position=Vec3(px, py, pz),
+            velocity=Vec3(vx, vy, vz),
+            acceleration=Vec3(ax, ay, az),
             orientation=orientation,
-            angular_rate=angular_rate,
+            angular_rate=Vec3(*angular_rate),
         )
         return self.state
 
@@ -127,5 +147,5 @@ class QuadrotorDynamics:
             position=position,
             orientation=Quaternion.from_yaw(yaw),
         )
-        self._commanded_velocity = Vec3.zero()
+        self._commanded_velocity = (0.0, 0.0, 0.0)
         self._commanded_yaw = yaw

@@ -27,7 +27,7 @@ class WindModel:
         heading = float(self._rng.uniform(0, 2 * math.pi))
         self.mean_direction = Vec3(math.cos(heading), math.sin(heading), 0.0)
         self.gust_time_constant = gust_time_constant
-        self._gust = np.zeros(3)
+        self._gust = (0.0, 0.0, 0.0)
 
     def step(self, dt: float) -> Vec3:
         """Advance the gust process and return the current wind velocity (m/s)."""
@@ -35,12 +35,22 @@ class WindModel:
             raise ValueError("dt must be positive")
         alpha = math.exp(-dt / self.gust_time_constant)
         gust_std = self.gust_intensity * max(self.mean_speed, 1.0) * 0.5
-        self._gust = alpha * self._gust + math.sqrt(max(1e-9, 1 - alpha**2)) * self._rng.normal(
-            0.0, gust_std, size=3
-        )
+        innovation = math.sqrt(max(1e-9, 1 - alpha**2))
+        # One standard_normal(3) is the draw normal(0.0, gust_std, size=3)
+        # makes, and each of its values is 0.0 + gust_std * z.
+        zx, zy, zz = self._rng.standard_normal(3).tolist()
+        gx, gy, gz = self._gust
+        gx = alpha * gx + innovation * (0.0 + gust_std * zx)
+        gy = alpha * gy + innovation * (0.0 + gust_std * zy)
+        gz = alpha * gz + innovation * (0.0 + gust_std * zz)
+        self._gust = (gx, gy, gz)
         # Vertical gusts are weaker than horizontal ones.
-        gust = Vec3(self._gust[0], self._gust[1], self._gust[2] * 0.3)
-        return self.mean_direction * self.mean_speed + gust
+        direction, speed = self.mean_direction, self.mean_speed
+        return Vec3(
+            direction.x * speed + gx,
+            direction.y * speed + gy,
+            direction.z * speed + gz * 0.3,
+        )
 
     @property
     def is_calm(self) -> bool:

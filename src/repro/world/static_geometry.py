@@ -178,7 +178,8 @@ class WorldGeometry:
     # point collision
     # ------------------------------------------------------------------ #
     def colliding_obstacle(self, point: Vec3, margin: float = 0.0):
-        """Batched equivalent of :meth:`World.colliding_obstacle`."""
+        """Batched equivalent of :meth:`World.colliding_obstacle`: the first
+        hazard whose margin-inflated box contains ``point``, or ``None``."""
         if not self.hazards:
             return None
         cached = self._contains_cache
@@ -186,15 +187,9 @@ class WorldGeometry:
             cached = (margin, self.hazard_lo - margin, self.hazard_hi + margin)
             self._contains_cache = cached
         _, lo, hi = cached
-        inside = (
-            (lo[:, 0] <= point.x)
-            & (point.x <= hi[:, 0])
-            & (lo[:, 1] <= point.y)
-            & (point.y <= hi[:, 1])
-            & (lo[:, 2] <= point.z)
-            & (point.z <= hi[:, 2])
-        )
-        index = int(np.argmax(inside))
+        xyz = np.array((point.x, point.y, point.z))
+        inside = ((lo <= xyz) & (xyz <= hi)).all(axis=1)
+        index = int(inside.argmax())
         if not inside[index]:
             return None
         return self.hazards[index]

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.geometry import AABB, Vec3
 from repro.world.markers import Marker
 from repro.world.obstacles import Obstacle, ObstacleKind
+from repro.world.static_geometry import geometry_for_world
 from repro.world.weather import Weather
 
 
@@ -48,8 +49,6 @@ class World:
         See :mod:`repro.world.static_geometry`; the snapshot is rebuilt when
         the obstacle or marker counts change.
         """
-        from repro.world.static_geometry import geometry_for_world
-
         return geometry_for_world(self)
 
     # ------------------------------------------------------------------ #

@@ -672,6 +672,49 @@ class TestCompare:
         ) == 0
         assert out.read_text().startswith("# Flight-trace phase comparison")
 
+    @staticmethod
+    def scenario_trace(directory, walls, first_scenario=0):
+        """One summary per scenario ``sc-<first_scenario + i>``, repetition 0."""
+        for index, seconds in enumerate(walls):
+            recorder = FlightRecorder()
+            recorder.span_counts["physics"] = 1
+            recorder.span_seconds["physics"] = seconds
+            append_trace_summary(
+                directory, recorder, system="MLS-V1",
+                scenario_id=f"sc-{first_scenario + index:02d}", repetition=0,
+            )
+
+    def test_same_runs_compare_paired(self, tmp_path):
+        from repro.obs.compare import compare_phases
+
+        # Scenarios spread from 0.05 s to 1.0 s; every run gets 15% faster.
+        base = [0.05 + 0.95 * ((7 * i) % 12) / 11 for i in range(12)]
+        self.scenario_trace(tmp_path / "base", base)
+        self.scenario_trace(tmp_path / "fast", [0.85 * seconds for seconds in base])
+        self.scenario_trace(tmp_path / "fast-elsewhere", [0.85 * seconds for seconds in base], 12)
+        baseline = collect_summaries(tmp_path / "base")
+
+        (paired,) = compare_phases(baseline, collect_summaries(tmp_path / "fast"))
+        (unpaired,) = compare_phases(baseline, collect_summaries(tmp_path / "fast-elsewhere"))
+        assert paired.paired and not unpaired.paired
+        assert paired.current_mean == unpaired.current_mean
+        assert unpaired.verdict == "~"
+        assert paired.verdict == "improved"
+
+        (same,) = compare_phases(baseline, baseline)
+        assert same.paired and (same.ci_low, same.ci_high) == (0.0, 0.0)
+
+    def test_repeated_runs_are_not_paired(self, tmp_path):
+        from repro.obs.compare import compare_phases
+
+        self.scenario_trace(tmp_path / "a", [0.1, 0.2])
+        self.scenario_trace(tmp_path / "b", [0.1, 0.2])
+        self.scenario_trace(tmp_path / "b", [0.1, 0.2])
+        (comparison,) = compare_phases(
+            collect_summaries(tmp_path / "a"), collect_summaries(tmp_path / "b")
+        )
+        assert not comparison.paired and comparison.current_runs == 4
+
 
 class TestReportCLI:
     def test_header_only_traces_exit_1(self, tmp_path, capsys):
