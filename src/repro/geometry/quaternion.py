@@ -119,7 +119,9 @@ class Quaternion:
 
     @property
     def yaw(self) -> float:
-        return self.to_euler()[2]
+        """Heading in radians: ``to_euler()[2]`` without the roll and pitch."""
+        w, x, y, z = self.w, self.x, self.y, self.z
+        return math.atan2(2 * (w * z + x * y), 1 - 2 * (y * y + z * z))
 
     def rotation_matrix(self) -> np.ndarray:
         """3x3 rotation matrix (body -> world)."""

@@ -10,7 +10,9 @@ relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,20 +21,30 @@ def box_filter(image: np.ndarray, radius: int) -> np.ndarray:
     """Mean filter with a square window of ``2*radius + 1`` pixels.
 
     Implemented with an integral image so it is O(1) per pixel; used by the
-    adaptive threshold.
+    adaptive threshold and the learned detector's contrast proposals.
     """
     if radius < 1:
         return image.copy()
-    padded = np.pad(image, radius + 1, mode="edge")
-    integral = padded.cumsum(axis=0).cumsum(axis=1)
+    pad = radius + 1
     size = 2 * radius + 1
     h, w = image.shape
-    top_left = integral[:h, :w]
-    top_right = integral[:h, size:size + w]
-    bottom_left = integral[size:size + h, :w]
-    bottom_right = integral[size:size + h, size:size + w]
-    window_sum = bottom_right - bottom_left - top_right + top_left
-    return window_sum / float(size * size)
+    # The integral image of the edge-padded image.  The padding is written
+    # in place, rows first and then whole columns, so the corners repeat the
+    # corner pixels as ``np.pad(mode="edge")`` does.
+    integral = np.empty((h + 2 * pad, w + 2 * pad))
+    integral[pad:pad + h, pad:pad + w] = image
+    integral[:pad, pad:pad + w] = image[0]
+    integral[pad + h:, pad:pad + w] = image[-1]
+    integral[:, :pad] = integral[:, pad:pad + 1]
+    integral[:, pad + w:] = integral[:, pad + w - 1:pad + w]
+    np.cumsum(integral, axis=0, out=integral)
+    np.cumsum(integral, axis=1, out=integral)
+    # bottom_right - bottom_left - top_right + top_left, in that order.
+    window_sum = integral[size:size + h, size:size + w] - integral[size:size + h, :w]
+    window_sum -= integral[:h, size:size + w]
+    window_sum += integral[:h, :w]
+    window_sum /= float(size * size)
+    return window_sum
 
 
 def adaptive_threshold(image: np.ndarray, radius: int = 8, offset: float = 0.05) -> np.ndarray:
@@ -42,7 +54,8 @@ def adaptive_threshold(image: np.ndarray, radius: int = 8, offset: float = 0.05)
     detector thresholds for *dark* regions.
     """
     local_mean = box_filter(image, radius)
-    return image < (local_mean - offset)
+    local_mean -= offset
+    return image < local_mean
 
 
 def connected_components(mask: np.ndarray, min_size: int = 12) -> list[np.ndarray]:
@@ -51,20 +64,26 @@ def connected_components(mask: np.ndarray, min_size: int = 12) -> list[np.ndarra
     Returns one boolean mask per component with at least ``min_size`` pixels,
     ordered largest first; ties keep discovery order, the order in which a
     row-major scan first reaches each component.  Labels the graph of
-    horizontal pixel runs in whole-array passes: runs come from one diff
-    over the mask laid out with a zero column after every row, each run's
-    overlapping runs in the next row from two ``searchsorted`` calls, and
-    labels from min-hooking plus pointer jumping.
+    horizontal pixel runs in whole-array passes: runs come from one
+    comparison of neighbouring pixels over the mask laid out with a zero
+    column after every row, each run's overlapping runs in the next row from
+    two ``searchsorted`` calls, and labels from min-hooking plus pointer
+    jumping.
     """
     h, w = mask.shape
     stride = w + 1
-    padded = np.zeros((h, stride), dtype=np.int8)
+    padded = np.zeros((h, stride), dtype=bool)
     padded[:, :w] = mask
-    delta = np.diff(padded.ravel(), prepend=np.int8(0))
+    flat = padded.ravel()
     # Flat keys in the padded layout: a run covers [start, end), and its
-    # next-row neighbours sit exactly ``stride`` keys further on.
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1)
+    # next-row neighbours sit exactly ``stride`` keys further on.  The mask
+    # changes value at every start and every end, and the zero column ends
+    # each row's last run, so the changes alternate start, end.
+    change = np.empty(flat.size, dtype=bool)
+    change[0] = flat[0]
+    np.not_equal(flat[1:], flat[:-1], out=change[1:])
+    bounds = np.flatnonzero(change)
+    starts, ends = bounds[0::2], bounds[1::2]
     run_count = len(starts)
     if run_count == 0:
         return []
@@ -135,14 +154,20 @@ class ComponentGeometry:
         return (self.width + self.height) / 2.0
 
 
+def _pixel_coordinates(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-D boolean mask, rows ascending: one flat pass
+    and a divmod, several times cheaper than the 2-D ``nonzero``."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def component_geometry(component: np.ndarray) -> ComponentGeometry:
     """Centroid, bounding box, fill ratio and aspect ratio of a component."""
-    rows, cols = np.nonzero(component)
-    min_row, max_row = int(rows.min()), int(rows.max())
+    rows, cols = _pixel_coordinates(component)
+    min_row, max_row = int(rows[0]), int(rows[-1])
     min_col, max_col = int(cols.min()), int(cols.max())
     height = max_row - min_row + 1
     width = max_col - min_col + 1
-    pixel_count = int(component.sum())
+    pixel_count = len(rows)
     fill_ratio = pixel_count / float(height * width)
     aspect = max(height, width) / max(1.0, float(min(height, width)))
     return ComponentGeometry(
@@ -162,24 +187,22 @@ def estimate_quad_corners(component: np.ndarray) -> np.ndarray | None:
     rotated squares).  Returns a ``(4, 2)`` array of (row, col) corners
     ordered around the quad, or ``None`` if the component is degenerate.
     """
-    rows, cols = np.nonzero(component)
+    rows, cols = _pixel_coordinates(component)
     if len(rows) < 4:
         return None
-    points = np.stack([rows, cols], axis=1).astype(float)
-    sums = points[:, 0] + points[:, 1]
-    diffs = points[:, 0] - points[:, 1]
-    corners = np.array(
-        [
-            points[np.argmin(sums)],   # top-left-ish
-            points[np.argmin(diffs)],  # top-right-ish
-            points[np.argmax(sums)],   # bottom-right-ish
-            points[np.argmax(diffs)],  # bottom-left-ish
-        ]
-    )
+    sums = rows + cols
+    diffs = rows - cols
+    # top-left-ish, top-right-ish, bottom-right-ish, bottom-left-ish
+    picks = [sums.argmin(), diffs.argmin(), sums.argmax(), diffs.argmax()]
+    corners = np.column_stack((rows[picks], cols[picks])).astype(float)
     # Degenerate (line-like) components produce nearly coincident corners.
+    # Pixel coordinates are integers, so every side's squared length is
+    # exact and its square root rounds as the vector norm's does.
+    points = corners.tolist()
     perimeter = 0.0
-    for i in range(4):
-        perimeter += np.linalg.norm(corners[i] - corners[(i + 1) % 4])
+    for (row, col), (next_row, next_col) in zip(points, points[1:] + points[:1]):
+        d_row, d_col = row - next_row, col - next_col
+        perimeter += math.sqrt(d_row * d_row + d_col * d_col)
     if perimeter < 8.0:
         return None
     return corners
@@ -196,34 +219,45 @@ def sample_quad_grid(image: np.ndarray, corners: np.ndarray, cells: int) -> np.n
         raise ValueError("corners must have shape (4, 2)")
     h, w = image.shape
     top_left, top_right, bottom_right, bottom_left = corners
-    v = (np.arange(cells) + 0.5) / cells
-    u = (np.arange(cells) + 0.5) / cells
-    left = top_left[None, :] + (bottom_left - top_left)[None, :] * v[:, None]
-    right = top_right[None, :] + (bottom_right - top_right)[None, :] * v[:, None]
-    points = left[:, None, :] + (right - left)[:, None, :] * u[None, :, None]
-    rows = np.clip(np.rint(points[..., 0]).astype(int), 0, h - 1)
-    cols = np.clip(np.rint(points[..., 1]).astype(int), 0, w - 1)
-    return image[rows, cols].astype(float)
+    centres = (np.arange(cells) + 0.5) / cells
+    left = top_left + (bottom_left - top_left) * centres[:, None]
+    right = top_right + (bottom_right - top_right) * centres[:, None]
+    points = left[:, None, :] + (right - left)[:, None, :] * centres[None, :, None]
+    index = np.rint(points).astype(int)
+    np.clip(index, 0, (h - 1, w - 1), out=index)
+    return image[index[..., 0], index[..., 1]].astype(float, copy=False)
+
+
+#: Otsu's 32 bin edges on [0, 1], as ``np.histogram(bins=32, range=(0, 1))``
+#: draws them, and each bin's summed edges (twice its centre).
+_OTSU_EDGES = np.linspace(0.0, 1.0, 33)
+_OTSU_BIN_SUMS = _OTSU_EDGES[:-1] + _OTSU_EDGES[1:]
+#: The edges ``searchsorted`` bins against: the last bin includes its right
+#: edge, so the search's last edge sits one ulp above 1.0.
+_OTSU_SEARCH_EDGES = np.append(_OTSU_EDGES[:-1], np.nextafter(1.0, 2.0))
 
 
 def otsu_threshold(values: np.ndarray) -> float:
     """Otsu's method on a flat array of intensities (used to binarise cells).
 
-    Scores every 32-bin split with one pass over cumulative sums and returns
-    the centre of the first best bin; 0.5 when no split leaves both classes
-    non-empty.
+    Bins the values as ``np.histogram(values, bins=32, range=(0, 1))`` does
+    (values outside [0, 1] count in no bin), scores every split with one
+    pass over cumulative sums and returns the centre of the first best bin;
+    0.5 when no split leaves both classes non-empty.
     """
     flat = values.ravel()
     if flat.size == 0:
         return 0.5
-    hist, edges = np.histogram(flat, bins=32, range=(0.0, 1.0))
+    # Bin i holds edges[i] <= v < edges[i + 1]; search index 0 is below 0.0
+    # and 33 above 1.0 (or NaN), and both fall outside the kept slice.
+    bins = np.searchsorted(_OTSU_SEARCH_EDGES, flat, side="right")
+    hist = np.bincount(bins, minlength=34)[1:33]
     total = flat.size
     cumulative = np.cumsum(hist)
     split = (cumulative > 0) & (cumulative < total)
     if not split.any():
         return 0.5
-    bin_sums = edges[:-1] + edges[1:]
-    cumulative_mean = np.cumsum(hist * bin_sums / 2.0)[split]
+    cumulative_mean = np.cumsum(hist * _OTSU_BIN_SUMS / 2.0)[split]
     cumulative = cumulative[split]
     global_mean = float(flat.mean())
     weight_background = cumulative / total
@@ -234,7 +268,7 @@ def otsu_threshold(values: np.ndarray) -> float:
     # differently from the array square; keep the scalar's bits.
     gap_squared = np.array([gap ** 2 for gap in (mean_background - mean_foreground).tolist()])
     variance = weight_background * weight_foreground * gap_squared
-    return float(bin_sums[split][np.argmax(variance)] / 2.0)
+    return float(_OTSU_BIN_SUMS[split][np.argmax(variance)] / 2.0)
 
 
 def crop_patch(image: np.ndarray, center: tuple[float, float], size: int) -> np.ndarray:
@@ -262,6 +296,12 @@ def resize_patch(patch: np.ndarray, target: int) -> np.ndarray:
     if target < 1:
         raise ValueError("target size must be positive")
     h, w = patch.shape
-    rows = np.clip((np.arange(target) + 0.5) * h / target, 0, h - 1).astype(int)
-    cols = np.clip((np.arange(target) + 0.5) * w / target, 0, w - 1).astype(int)
-    return patch[np.ix_(rows, cols)]
+    return patch[_nearest_index(h, target)[:, None], _nearest_index(w, target)]
+
+
+@lru_cache(maxsize=256)
+def _nearest_index(size: int, target: int) -> np.ndarray:
+    """The source index of each of ``target`` nearest-neighbour samples."""
+    index = np.clip((np.arange(target) + 0.5) * size / target, 0, size - 1).astype(int)
+    index.setflags(write=False)
+    return index

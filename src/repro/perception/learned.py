@@ -50,6 +50,24 @@ class LearnedDetectorConfig:
     non_max_suppression_distance: float = 8.0
 
 
+def proposal_threshold(contrast: np.ndarray, floor: float) -> float:
+    """The proposal cut: ``floor`` or 2.2 times the median local contrast.
+
+    The threshold adapts to the image's noise floor: under heavy rain or
+    fog the whole frame is speckled, so "high contrast" must mean high
+    relative to the median local contrast, not an absolute constant.
+
+    The median only matters when its 2.2-fold clears ``floor``.  With ``n``
+    values and at most ``n - n//2 - 1`` of them clearing it, the values at
+    both middle ranks do not, nor does their mean, so the cut is ``floor``
+    and the median is never computed.
+    """
+    n = contrast.size
+    if np.count_nonzero(contrast * 2.2 > floor) <= n - n // 2 - 1:
+        return floor
+    return max(floor, float(np.median(contrast)) * 2.2)
+
+
 class LearnedMarkerDetector:
     """Proposal + CNN-scoring + robust-decode detector.
 
@@ -115,15 +133,12 @@ class LearnedMarkerDetector:
         cfg = self.config
         mean = image_ops.box_filter(image, cfg.contrast_radius)
         mean_sq = image_ops.box_filter(image * image, cfg.contrast_radius)
-        variance = np.maximum(0.0, mean_sq - mean * mean)
-        contrast = np.sqrt(variance)
-
-        # The threshold adapts to the image's noise floor: under heavy rain or
-        # fog the whole frame is speckled, so "high contrast" must mean high
-        # relative to the median local contrast, not an absolute constant.
-        noise_floor = float(np.median(contrast))
-        threshold = max(cfg.contrast_threshold, noise_floor * 2.2)
-        mask = contrast > threshold
+        # max(0, mean_sq - mean²) and its square root, in one frame buffer.
+        variance = mean * mean
+        np.subtract(mean_sq, variance, out=variance)
+        np.maximum(0.0, variance, out=variance)
+        contrast = np.sqrt(variance, out=variance)
+        mask = contrast > proposal_threshold(contrast, cfg.contrast_threshold)
         components = image_ops.connected_components(mask, min_size=cfg.min_component_pixels)
 
         proposals: list[tuple[tuple[float, float], float]] = []

@@ -1,4 +1,4 @@
-"""Loop-based image kernels: the references for their whole-array versions.
+"""Earlier image kernels: the references for their current versions.
 
 ``connected_components`` and ``otsu_threshold`` are the versions
 ``repro.perception.image_ops`` used before they became whole-array passes,
@@ -8,13 +8,22 @@ input through both and demand identical results: the same list of
 component masks, the same threshold bits, the same ``cols``.
 
 ``connected_components`` is union-find over horizontal pixel runs, swept
-row pair by row pair in Python; ``otsu_threshold`` scores the 32 bins in a
-scalar loop; ``_im2col`` copies one output position's patch at a time.
+row pair by row pair in Python; ``otsu_threshold`` scores the 32 bins of
+``np.histogram`` in a scalar loop; ``_im2col`` copies one output position's
+patch at a time.
+
+``box_filter`` (with ``np.pad``), ``component_geometry``,
+``estimate_quad_corners``, ``sample_quad_grid`` and ``resize_patch`` are the
+kernels as they were before their redundant passes went, and
+``proposal_threshold`` is the learned detector's proposal cut as it was,
+with ``np.median`` on every frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.perception.image_ops import ComponentGeometry
 
 
 def connected_components(mask: np.ndarray, min_size: int = 12) -> list[np.ndarray]:
@@ -132,3 +141,114 @@ def _im2col(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, int, i
             cols[:, idx, :] = patch.reshape(n, -1)
             idx += 1
     return cols, out_h, out_w
+
+
+def box_filter(image: np.ndarray, radius: int) -> np.ndarray:
+    """Mean filter with a square window of ``2*radius + 1`` pixels.
+
+    Implemented with an integral image so it is O(1) per pixel; used by the
+    adaptive threshold.
+    """
+    if radius < 1:
+        return image.copy()
+    padded = np.pad(image, radius + 1, mode="edge")
+    integral = padded.cumsum(axis=0).cumsum(axis=1)
+    size = 2 * radius + 1
+    h, w = image.shape
+    top_left = integral[:h, :w]
+    top_right = integral[:h, size:size + w]
+    bottom_left = integral[size:size + h, :w]
+    bottom_right = integral[size:size + h, size:size + w]
+    window_sum = bottom_right - bottom_left - top_right + top_left
+    return window_sum / float(size * size)
+
+
+def proposal_threshold(contrast: np.ndarray, contrast_threshold: float) -> float:
+    """The learned detector's proposal cut, from the median on every frame."""
+    # The threshold adapts to the image's noise floor: under heavy rain or
+    # fog the whole frame is speckled, so "high contrast" must mean high
+    # relative to the median local contrast, not an absolute constant.
+    noise_floor = float(np.median(contrast))
+    threshold = max(contrast_threshold, noise_floor * 2.2)
+    return threshold
+
+
+def component_geometry(component: np.ndarray) -> ComponentGeometry:
+    """Centroid, bounding box, fill ratio and aspect ratio of a component."""
+    rows, cols = np.nonzero(component)
+    min_row, max_row = int(rows.min()), int(rows.max())
+    min_col, max_col = int(cols.min()), int(cols.max())
+    height = max_row - min_row + 1
+    width = max_col - min_col + 1
+    pixel_count = int(component.sum())
+    fill_ratio = pixel_count / float(height * width)
+    aspect = max(height, width) / max(1.0, float(min(height, width)))
+    return ComponentGeometry(
+        centroid=(float(rows.mean()), float(cols.mean())),
+        pixel_count=pixel_count,
+        bounding_box=(min_row, min_col, max_row, max_col),
+        fill_ratio=fill_ratio,
+        aspect_ratio=aspect,
+    )
+
+
+def estimate_quad_corners(component: np.ndarray) -> np.ndarray | None:
+    """Estimate the four corners of a roughly square component.
+
+    Finds the component pixels that are extremal along the two diagonal
+    directions (a cheap but effective corner heuristic for axis-aligned or
+    rotated squares).  Returns a ``(4, 2)`` array of (row, col) corners
+    ordered around the quad, or ``None`` if the component is degenerate.
+    """
+    rows, cols = np.nonzero(component)
+    if len(rows) < 4:
+        return None
+    points = np.stack([rows, cols], axis=1).astype(float)
+    sums = points[:, 0] + points[:, 1]
+    diffs = points[:, 0] - points[:, 1]
+    corners = np.array(
+        [
+            points[np.argmin(sums)],   # top-left-ish
+            points[np.argmin(diffs)],  # top-right-ish
+            points[np.argmax(sums)],   # bottom-right-ish
+            points[np.argmax(diffs)],  # bottom-left-ish
+        ]
+    )
+    # Degenerate (line-like) components produce nearly coincident corners.
+    perimeter = 0.0
+    for i in range(4):
+        perimeter += np.linalg.norm(corners[i] - corners[(i + 1) % 4])
+    if perimeter < 8.0:
+        return None
+    return corners
+
+
+def sample_quad_grid(image: np.ndarray, corners: np.ndarray, cells: int) -> np.ndarray:
+    """Sample a ``cells x cells`` grid of intensities inside a quadrilateral.
+
+    Uses bilinear interpolation of the quad defined by four corners ordered
+    (top-left, top-right, bottom-right, bottom-left); cell centres are sampled
+    so the result can be thresholded into a marker bit grid.
+    """
+    if corners.shape != (4, 2):
+        raise ValueError("corners must have shape (4, 2)")
+    h, w = image.shape
+    top_left, top_right, bottom_right, bottom_left = corners
+    v = (np.arange(cells) + 0.5) / cells
+    u = (np.arange(cells) + 0.5) / cells
+    left = top_left[None, :] + (bottom_left - top_left)[None, :] * v[:, None]
+    right = top_right[None, :] + (bottom_right - top_right)[None, :] * v[:, None]
+    points = left[:, None, :] + (right - left)[:, None, :] * u[None, :, None]
+    rows = np.clip(np.rint(points[..., 0]).astype(int), 0, h - 1)
+    cols = np.clip(np.rint(points[..., 1]).astype(int), 0, w - 1)
+    return image[rows, cols].astype(float)
+
+
+def resize_patch(patch: np.ndarray, target: int) -> np.ndarray:
+    """Nearest-neighbour resize of a square patch to ``target x target``."""
+    if target < 1:
+        raise ValueError("target size must be positive")
+    h, w = patch.shape
+    rows = np.clip((np.arange(target) + 0.5) * h / target, 0, h - 1).astype(int)
+    cols = np.clip((np.arange(target) + 0.5) * w / target, 0, w - 1).astype(int)
+    return patch[np.ix_(rows, cols)]

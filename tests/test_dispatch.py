@@ -394,6 +394,42 @@ class TestWorkerAndMerge:
         merged = merge_dispatch(directory)
         assert merged["MLS-V1"].read_bytes() == (serial / "MLS-V1.jsonl").read_bytes()
 
+    def test_idle_worker_returns_soon_after_the_last_shard_is_done(
+        self, tmp_path, suite, monkeypatch
+    ):
+        # A worker with nothing to claim polls until the plan is done; once a
+        # sibling marks the last shard done it must return within one short
+        # poll, not after a half-second sleep.
+        import threading
+
+        plan_smoke(tmp_path, suite, shards=2)
+        directory = tmp_path / "dispatch"
+        queue = ShardQueue(directory)
+        queue.claim("w0").mark_done({"MLS-V1": 2})
+        last = queue.claim("w1")
+        polling = threading.Event()
+        all_done = ShardQueue.all_done
+
+        def spying_all_done(self):
+            polling.set()
+            return all_done(self)
+
+        monkeypatch.setattr(ShardQueue, "all_done", spying_all_done)
+        returned = []
+        worker = threading.Thread(
+            target=lambda: returned.append((run_worker(directory, worker_id="w2"), time.monotonic()))
+        )
+        worker.start()
+        assert polling.wait(timeout=10.0)
+        time.sleep(0.1)
+        last.mark_done({"MLS-V1": 2})
+        done_at = time.monotonic()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        (report, returned_at), = returned
+        assert report.shards_completed == []
+        assert returned_at - done_at < 0.2
+
     def test_worker_abandons_shard_when_lease_is_lost(
         self, tmp_path, suite, stub_execute, monkeypatch
     ):

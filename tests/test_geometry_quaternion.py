@@ -72,6 +72,11 @@ class TestQuaternionProperties:
         v = Vec3(1.0, -2.0, 0.5)
         assert q.rotate(v).norm() == pytest.approx(v.norm(), rel=1e-9)
 
+    @given(st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 4) | st.tuples(angles, angles, angles))
+    def test_yaw_is_the_euler_yaw_bit_for_bit(self, parts):
+        q = Quaternion(*parts) if len(parts) == 4 else Quaternion.from_euler(*parts)
+        assert q.yaw.hex() == q.to_euler()[2].hex()
+
     @given(angles)
     def test_composition_of_yaws_adds_angles(self, yaw):
         a = Quaternion.from_yaw(yaw / 2)

@@ -1,10 +1,12 @@
-"""The whole-array image kernels against the loops they replaced.
+"""The image kernels against the versions they replaced.
 
 ``reference_image_ops`` keeps the union-find ``connected_components``, the
-scalar Otsu loop and the patch-by-patch ``_im2col``.  Every input must give
-the same list of component masks, the same threshold bits and the same
-``cols``, on random inputs and on the masks and cell grids one MLS-V1 and
-one MLS-V3 mission fed their detectors.
+scalar Otsu loop, the patch-by-patch ``_im2col``, the ``np.pad`` box filter,
+the median-on-every-frame proposal cut and the earlier geometry, quad-corner,
+grid-sampling and resize kernels.  Every input must give the same list of
+component masks, the same bits of every float and the same ``cols``, on
+random inputs and on the inputs one MLS-V1 and two MLS-V3 missions fed
+their detectors.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import mls_v1, mls_v3
 from repro.core.mission import MissionConfig, run_scenario
-from repro.perception import image_ops
+from repro.perception import image_ops, learned
 from repro.perception.neural.layers import _im2col
 from repro.perception.neural.training import load_pretrained_detector_net
 from repro.world.scenario_gen import generate_suite
@@ -34,6 +36,45 @@ def assert_same_threshold(values: np.ndarray) -> None:
     assert float(image_ops.otsu_threshold(values)).hex() == float(
         reference.otsu_threshold(values)
     ).hex()
+
+
+def assert_same_bits(got: np.ndarray | None, want: np.ndarray | None) -> None:
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_geometry(component: np.ndarray) -> None:
+    got = image_ops.component_geometry(component)
+    want = reference.component_geometry(component)
+    assert got.pixel_count == want.pixel_count and got.bounding_box == want.bounding_box
+    for value, expected in (
+        (got.centroid[0], want.centroid[0]),
+        (got.centroid[1], want.centroid[1]),
+        (got.fill_ratio, want.fill_ratio),
+        (got.aspect_ratio, want.aspect_ratio),
+    ):
+        assert type(value) is type(expected) and float(value).hex() == float(expected).hex()
+
+
+def assert_same_proposal_threshold(contrast: np.ndarray, floor: float) -> bool:
+    """Compare the proposal cut with the median reference; return whether
+    the median was computed."""
+    medians = []
+    median = np.median
+
+    def counting_median(values, *args, **kwargs):
+        medians.append(values.size)
+        return median(values, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "median", counting_median)
+        got = learned.proposal_threshold(contrast, floor)
+    want = reference.proposal_threshold(contrast, floor)
+    assert type(got) is float and got.hex() == float(want).hex()
+    return bool(medians)
 
 
 def spiral(size: int) -> np.ndarray:
@@ -160,6 +201,161 @@ def test_otsu_constant_and_empty_arrays(value, count):
 
 
 @given(
+    height=st.integers(min_value=1, max_value=140),
+    width=st.integers(min_value=1, max_value=140),
+    radius=st.integers(min_value=1, max_value=10),
+    scale=st.sampled_from([1.0, 1e-3, 1e3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_box_filter_matches_the_padded_integral(height, width, radius, scale, seed):
+    image = np.random.default_rng(seed).random((height, width)) * scale
+    assert_same_bits(image_ops.box_filter(image, radius), reference.box_filter(image, radius))
+    squared = image * image
+    assert_same_bits(image_ops.box_filter(squared, radius), reference.box_filter(squared, radius))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (3, 2), (9, 20)])
+@pytest.mark.parametrize("radius", [0, 4, 10])
+def test_box_filter_radius_beyond_the_image(shape, radius):
+    image = np.random.default_rng(sum(shape) + radius).random(shape)
+    assert_same_bits(image_ops.box_filter(image, radius), reference.box_filter(image, radius))
+
+
+def cut_bounds(floor: float) -> tuple[float, float]:
+    """The largest contrast whose 2.2-fold does not clear ``floor``, and the
+    smallest whose 2.2-fold does."""
+    below = floor / 2.2
+    while below * 2.2 > floor:
+        below = float(np.nextafter(below, -np.inf))
+    while float(np.nextafter(below, np.inf)) * 2.2 <= floor:
+        below = float(np.nextafter(below, np.inf))
+    return below, float(np.nextafter(below, np.inf))
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=12),
+    cols=st.integers(min_value=1, max_value=12),
+    median_rank_clears=st.booleans(),
+    floor=st.sampled_from([0.055]) | st.floats(min_value=1e-3, max_value=0.4),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_proposal_threshold_at_the_shortcut_bound(rows, cols, median_rank_clears, floor, data):
+    """Fields of odd and even size with exactly ``n - n//2 - 1`` values whose
+    2.2-fold clears the floor (the shortcut's bound: no median) or exactly
+    ``n - n//2`` (the upper middle rank clears: the median decides)."""
+    n = rows * cols
+    clearing = n - n // 2 - (0 if median_rank_clears else 1)
+    below, above = cut_bounds(floor)
+    lows = data.draw(st.lists(st.floats(0.0, below), min_size=n - clearing, max_size=n - clearing))
+    highs = data.draw(st.lists(st.floats(above, 1.0), min_size=clearing, max_size=clearing))
+    order = data.draw(st.permutations(range(n)))
+    contrast = np.array(lows + highs)[order].reshape(rows, cols)
+    assert np.count_nonzero(contrast * 2.2 > floor) == clearing
+    assert assert_same_proposal_threshold(contrast, floor) == median_rank_clears
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 16384])
+def test_proposal_threshold_on_flat_fields(n):
+    for value in (0.0, *cut_bounds(0.055), 0.5):
+        assert_same_proposal_threshold(np.full(n, value), 0.055)
+
+
+#: Otsu's bin edges, each with its neighbouring floats.
+OTSU_EDGES = np.linspace(0.0, 1.0, 33).tolist()
+on_and_beside_edges = st.sampled_from(
+    [float(np.nextafter(edge, side)) for edge in OTSU_EDGES for side in (-np.inf, np.inf)]
+    + OTSU_EDGES + [-0.0]
+)
+otsu_values = (
+    on_and_beside_edges
+    | st.floats(min_value=0.0, max_value=1.0)
+    | st.floats(min_value=-1.0, max_value=-1e-300)
+    | st.floats(min_value=float(np.nextafter(1.0, 2.0)), max_value=2.0)
+)
+
+
+@given(values=st.lists(otsu_values, min_size=0, max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_otsu_values_on_bin_edges_and_outside(values):
+    assert_same_threshold(np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("edge", OTSU_EDGES)
+def test_otsu_each_edge_between_zero_and_one(edge):
+    assert_same_threshold(np.array([0.0, edge, 1.0]))
+    assert_same_threshold(np.array([edge, 1.0, 1.0, float(np.nextafter(1.0, 0.0))]))
+    assert_same_threshold(np.array([-0.5, edge, edge, 1.5]))
+
+
+def random_mask(height: int, width: int, density: float, seed: int) -> np.ndarray:
+    mask = np.random.default_rng(seed).random((height, width)) < density
+    if not mask.any():
+        mask[height // 2, width // 2] = True
+    return mask
+
+
+@given(
+    height=st.integers(min_value=1, max_value=140),
+    width=st.integers(min_value=1, max_value=140),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_component_geometry_and_quad_corners(height, width, density, seed):
+    mask = random_mask(height, width, density, seed)
+    assert_same_geometry(mask)
+    assert_same_bits(image_ops.estimate_quad_corners(mask), reference.estimate_quad_corners(mask))
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [np.ones((128, 128), dtype=bool), np.ones((91, 140), dtype=bool), spiral(41), comb(30, 20)],
+    ids=["full-128", "full-91x140", "spiral", "comb"],
+)
+def test_geometry_of_large_components(mask):
+    assert_same_geometry(mask)
+    assert_same_bits(image_ops.estimate_quad_corners(mask), reference.estimate_quad_corners(mask))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8])
+def test_quad_corners_of_lines_and_dots(length):
+    for mask in (np.ones((1, length), dtype=bool), np.ones((length, 1), dtype=bool), np.eye(length, dtype=bool)):
+        assert_same_bits(image_ops.estimate_quad_corners(mask), reference.estimate_quad_corners(mask))
+
+
+@given(
+    height=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=40),
+    corners=st.lists(st.floats(min_value=-10.0, max_value=50.0), min_size=8, max_size=8),
+    cells=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_sample_quad_grid(height, width, corners, cells, seed):
+    image = np.random.default_rng(seed).random((height, width))
+    quad = np.array(corners).reshape(4, 2)
+    assert_same_bits(
+        image_ops.sample_quad_grid(image, quad, cells), reference.sample_quad_grid(image, quad, cells)
+    )
+
+
+@given(
+    height=st.integers(min_value=1, max_value=60),
+    width=st.integers(min_value=1, max_value=60),
+    target=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_resize_patch(height, width, target, seed):
+    patch = np.random.default_rng(seed).random((height, width))
+    # Twice: the second call reads the cached sample indices.
+    for _ in range(2):
+        assert_same_bits(image_ops.resize_patch(patch, target), reference.resize_patch(patch, target))
+
+
+@given(
     n=st.integers(min_value=1, max_value=3),
     c=st.integers(min_value=1, max_value=4),
     kernel=st.integers(min_value=1, max_value=5),
@@ -181,24 +377,40 @@ def test_im2col_matches_the_patch_loop(n, c, kernel, stride, extra_h, extra_w, s
 
 @pytest.fixture(scope="module")
 def mission_inputs():
-    """Every mask and cell grid one MLS-V1 and one MLS-V3 mission passed to
-    ``connected_components`` and ``otsu_threshold``, in order."""
-    scenario = generate_suite("smoke", count=1, seed=7).scenarios[0]
-    inputs = {"masks": [], "grids": []}
-    label, threshold = image_ops.connected_components, image_ops.otsu_threshold
+    """The inputs one MLS-V1 and two MLS-V3 missions passed to the kernels,
+    in order: every mask ``connected_components`` labelled, cell grid
+    ``otsu_threshold`` binarised, image ``box_filter`` smoothed, contrast
+    field ``proposal_threshold`` cut, component measured or cornered and quad
+    sampled.  The second MLS-V3 mission flies in glare without rain, where
+    fewer than half the pixels are speckled and the cut skips the median."""
+    rain, glare = generate_suite("smoke", count=2, seed=7).scenarios
+    inputs = {name: [] for name in ("masks", "grids", "filters", "contrasts", "components", "quads")}
 
-    def recording_label(mask, min_size=12):
-        inputs["masks"].append((mask.copy(), min_size))
-        return label(mask, min_size)
+    def recording(module, name, key, copy):
+        kernel = getattr(module, name)
 
-    def recording_threshold(values):
-        inputs["grids"].append(values.copy())
-        return threshold(values)
+        def record(*args, **kwargs):
+            inputs[key].append(copy(*args, **kwargs))
+            return kernel(*args, **kwargs)
 
+        return record
+
+    recorders = [
+        (image_ops, "connected_components", "masks", lambda mask, min_size=12: (mask.copy(), min_size)),
+        (image_ops, "otsu_threshold", "grids", lambda values: values.copy()),
+        (image_ops, "box_filter", "filters", lambda image, radius: (image.copy(), radius)),
+        (learned, "proposal_threshold", "contrasts", lambda contrast, floor: (contrast.copy(), floor)),
+        (image_ops, "component_geometry", "components", lambda component: component.copy()),
+        (image_ops, "estimate_quad_corners", "components", lambda component: component.copy()),
+        (
+            image_ops, "sample_quad_grid", "quads",
+            lambda image, corners, cells: (image.copy(), corners.copy(), cells),
+        ),
+    ]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(image_ops, "connected_components", recording_label)
-        patch.setattr(image_ops, "otsu_threshold", recording_threshold)
-        for system in (mls_v1(), mls_v3()):
+        for module, name, key, copy in recorders:
+            patch.setattr(module, name, recording(module, name, key, copy))
+        for scenario, system in ((rain, mls_v1()), (rain, mls_v3()), (glare, mls_v3())):
             run_scenario(
                 scenario,
                 system,
@@ -220,3 +432,33 @@ def test_mission_grids_give_the_same_threshold(mission_inputs):
     assert len(grids) > 10
     for grid in grids:
         assert_same_threshold(grid)
+
+
+def test_mission_images_give_the_same_box_filter(mission_inputs):
+    filters = mission_inputs["filters"]
+    assert len(filters) > 100
+    assert {radius for _, radius in filters} >= {3, 4, 8}
+    for image, radius in filters:
+        assert_same_bits(image_ops.box_filter(image, radius), reference.box_filter(image, radius))
+
+
+def test_mission_contrast_fields_take_both_threshold_branches(mission_inputs):
+    contrasts = mission_inputs["contrasts"]
+    assert len(contrasts) > 10
+    medians = [assert_same_proposal_threshold(contrast, floor) for contrast, floor in contrasts]
+    assert any(medians) and not all(medians)
+
+
+def test_mission_components_and_quads(mission_inputs):
+    components, quads = mission_inputs["components"], mission_inputs["quads"]
+    assert len(components) > 10 and len(quads) > 10
+    for component in components:
+        assert_same_geometry(component)
+        assert_same_bits(
+            image_ops.estimate_quad_corners(component), reference.estimate_quad_corners(component)
+        )
+    for image, corners, cells in quads:
+        assert_same_bits(
+            image_ops.sample_quad_grid(image, corners, cells),
+            reference.sample_quad_grid(image, corners, cells),
+        )
