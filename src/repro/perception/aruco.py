@@ -117,14 +117,15 @@ class ArucoDictionary:
         return full
 
     def _code_table(self) -> tuple[np.ndarray, list[int]]:
-        """Stacked ``(size, bits, bits)`` codes plus ids, in insertion order."""
+        """The ``(size, 4, bits, bits)`` table of every code turned back 0-3
+        quarter turns, plus ids, in insertion order."""
         cached = self.__dict__.get("_code_table_cache")
         if cached is not None and cached[0] == len(self.codes):
             return cached[1], cached[2]
         ids = list(self.codes.keys())
-        stack = np.stack([self.codes[i] for i in ids], axis=0).astype(bool)
-        self._code_table_cache = (len(self.codes), stack, ids)
-        return stack, ids
+        table = np.array([[np.rot90(self.codes[i], -turns) for turns in range(4)] for i in ids], dtype=bool)
+        self._code_table_cache = (len(self.codes), table, ids)
+        return table, ids
 
     def identify(self, observed: np.ndarray, max_errors: int = 1) -> tuple[int, int] | None:
         """Match an observed inner bit grid against the dictionary.
@@ -132,18 +133,18 @@ class ArucoDictionary:
         Tries all four rotations of the observation and returns the best
         ``(marker_id, rotation_index)`` whose Hamming distance is at most
         ``max_errors``; returns ``None`` if nothing matches.  Computed as one
-        ``(size, 4)`` Hamming matrix; ``argmin``'s first-occurrence rule
-        reproduces the reference scan order (lowest id, then lowest rotation,
-        wins ties).
+        ``(size, 4)`` Hamming matrix against the codes turned back instead
+        of the observation turned forward (a rotation only permutes cells,
+        so the distances are the same); ``argmin``'s first-occurrence rule
+        reproduces the reference scan order (lowest id, then lowest
+        rotation, wins ties).
         """
         if observed.shape != (self.bits, self.bits):
             raise ValueError(
                 f"observed grid has shape {observed.shape}, expected {(self.bits, self.bits)}"
             )
-        observed = observed.astype(bool)
-        stack, ids = self._code_table()
-        rotations = np.stack(_rotations(observed), axis=0)
-        distances = (stack[:, None, :, :] != rotations[None, :, :, :]).sum(axis=(2, 3))
+        table, ids = self._code_table()
+        distances = (table != observed.astype(bool)).sum(axis=(2, 3))
         flat = int(np.argmin(distances))
         if int(distances.flat[flat]) > max_errors:
             return None

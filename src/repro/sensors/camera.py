@@ -116,6 +116,11 @@ class DownwardCamera:
             resolution below 5 m.
         dictionary: the fiducial dictionary to render markers from.
         seed: seed for the per-frame noise.
+
+    Each camera owns the full-frame work space its captures render in (nine
+    float planes and two boolean ones, about 1.2 MB at 128x128), so a
+    capture allocates one full-frame array: the image it returns.  Cameras
+    share nothing mutable, and no frame aliases the work space.
     """
 
     def __init__(
@@ -127,7 +132,11 @@ class DownwardCamera:
         self.intrinsics = intrinsics or CameraIntrinsics()
         self.dictionary = dictionary or default_dictionary()
         self._rng = np.random.default_rng(seed)
-        self._frame_count = 0
+        shape = (self.intrinsics.height, self.intrinsics.width)
+        # Planes 0-2 hold the world-frame ray directions, 3 the ray length
+        # to the ground and 4-8 are work planes (see ``capture``).
+        self._planes = np.empty((9, *shape))
+        self._masks = np.empty((2, *shape), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # rendering
@@ -148,26 +157,39 @@ class DownwardCamera:
                 for back-projection; defaults to the true pose.
             timestamp: simulation time.
         """
-        self._frame_count += 1
         intr = self.intrinsics
         weather = world.weather
+        dirs, t, work = self._planes[:3], self._planes[3], self._planes[4:]
+        mask = self._masks[0]
 
         # Pixel rays in the camera frame (camera looks along -z of its frame,
-        # which is straight down when the drone is level); invariant per
-        # intrinsics, so computed once and cached process-wide.
-        dirs_cam = _pixel_ray_grid(intr)
+        # which is straight down when the drone is level), turned into the
+        # world frame as one (3, 3) @ (3, H*W) product.
         rotation = true_pose.orientation.rotation_matrix()
-        dirs_world = dirs_cam @ rotation.T
+        np.matmul(rotation, _pixel_ray_planes(intr), out=dirs.reshape(3, -1))
         origin = true_pose.position.to_array()
 
-        dz = dirs_world[..., 2]
-        dz = np.where(np.abs(dz) < 1e-9, -1e-9, dz)
-        t = (world.ground_altitude - origin[2]) / dz
-        t = np.where(t <= 0, np.nan, t)
-        ground_x = origin[0] + dirs_world[..., 0] * t
-        ground_y = origin[1] + dirs_world[..., 1] * t
+        # Ray length to the ground, NaN for rays that never reach it; a ray
+        # parallel to the ground counts as pointing down by 1e-9.
+        dz = dirs[2]
+        parallel = np.less(np.abs(dz, out=work[2]), 1e-9, out=mask)
+        if parallel.any():
+            dz = work[2]
+            np.copyto(dz, dirs[2])
+            np.copyto(dz, -1e-9, where=parallel)
+        np.divide(world.ground_altitude - origin[2], dz, out=t)
+        behind = np.less_equal(t, 0.0, out=mask)
+        if behind.any():
+            np.copyto(t, np.nan, where=behind)
+        # The ground hits live in the first two work planes until the
+        # markers are drawn.
+        ground_x = np.multiply(dirs[0], t, out=work[0])
+        ground_x += origin[0]
+        ground_y = np.multiply(dirs[1], t, out=work[1])
+        ground_y += origin[1]
 
-        image = self._ground_texture(ground_x, ground_y)
+        image = np.empty(t.shape)
+        self._ground_texture(image, ground_x, ground_y, work[2:4], mask)
 
         # Each marker is rasterised only inside its pixel window: the pixels
         # whose rays can reach its ground square.
@@ -182,12 +204,10 @@ class DownwardCamera:
 
         # Obstacle shadows / rooftops: pixels whose ray hits an obstacle before
         # the ground show the obstacle top instead of the marker.
-        image = self._mask_obstacle_pixels(
-            image, world, origin, rotation, dirs_world, t, ground_x, ground_y
-        )
+        self._mask_obstacle_pixels(image, world, origin, rotation)
 
-        image = self._apply_weather(image, weather)
-        image = np.clip(image, 0.0, 1.0)
+        self._apply_weather(image, weather, work[:2])
+        np.clip(image, 0.0, 1.0, out=image)
 
         return CameraFrame(
             image=image,
@@ -200,11 +220,25 @@ class DownwardCamera:
     # ------------------------------------------------------------------ #
     # internal rendering helpers
     # ------------------------------------------------------------------ #
-    def _ground_texture(self, ground_x: np.ndarray, ground_y: np.ndarray) -> np.ndarray:
-        """A cheap deterministic pseudo-texture for the ground."""
-        base = 0.45 + 0.06 * np.sin(ground_x * 0.9) * np.cos(ground_y * 1.1)
-        base += 0.04 * np.sin(ground_x * 0.23 + ground_y * 0.31)
-        return np.where(np.isnan(ground_x), 0.2, base)
+    @staticmethod
+    def _ground_texture(
+        image: np.ndarray, ground_x: np.ndarray, ground_y: np.ndarray, work: np.ndarray, mask: np.ndarray
+    ) -> None:
+        """Write a cheap deterministic pseudo-texture for the ground into
+        ``image``, 0.2 where a ray misses the ground; ``work`` is two planes,
+        ``mask`` one boolean plane."""
+        a, b = work
+        np.multiply(ground_x, 0.9, out=image)
+        np.sin(image, out=image)
+        image *= 0.06
+        image *= np.cos(np.multiply(ground_y, 1.1, out=a), out=a)
+        image += 0.45
+        np.multiply(ground_x, 0.23, out=a)
+        a += np.multiply(ground_y, 0.31, out=b)
+        image += np.multiply(np.sin(a, out=a), 0.04, out=a)
+        missed = np.isnan(ground_x, out=mask)
+        if missed.any():
+            np.copyto(image, 0.2, where=missed)
 
     def _draw_marker(
         self,
@@ -245,33 +279,27 @@ class DownwardCamera:
         return True
 
     def _mask_obstacle_pixels(
-        self,
-        image: np.ndarray,
-        world: World,
-        origin: np.ndarray,
-        rotation: np.ndarray,
-        dirs_world: np.ndarray,
-        t_ground: np.ndarray,
-        ground_x: np.ndarray,
-        ground_y: np.ndarray,
-    ) -> np.ndarray:
-        """Replace pixels whose ray hits an obstacle before the ground.
+        self, image: np.ndarray, world: World, origin: np.ndarray, rotation: np.ndarray
+    ) -> None:
+        """Set to the rooftop value every pixel whose ray hits an obstacle
+        before the ground.
 
         Obstacles are pre-culled against the hull box of the view frustum
         (camera origin plus every ground hit): when all pixel rays reach the
         ground, a blocking hit must lie on one of those segments, so any
         obstacle outside the hull cannot affect a pixel.  Each survivor gets
-        the vectorised slab test inside its pixel window; all block masks
-        are OR-combined into one frame mask and applied in one pass, which
-        matches the sequential per-obstacle writes exactly (every blocked
-        pixel takes the same constant).
+        the slab test inside its pixel window and writes its blocked pixels
+        straight away: every blocked pixel takes the same constant and no
+        test reads the image, so the order of the writes does not matter.
         """
         geometry = world.geometry()
         if not geometry.hazards:
-            return image
+            return
+        dirs, t_ground, work = self._planes[:3], self._planes[3], self._planes[4:]
+        # The ground hits, until the slab tests reuse all five work planes.
+        ground_x, ground_y = work[0], work[1]
         camera_height = origin[2]
-        nan_ground = np.isnan(t_ground)
-        if not nan_ground.any():
+        if not np.isnan(t_ground, out=self._masks[0]).any():
             ground_alt = world.ground_altitude
             hull_lo = np.array(
                 [
@@ -293,50 +321,58 @@ class DownwardCamera:
             # distance, so no spatial cull is sound.
             indices = np.flatnonzero(geometry.hazard_lo[:, 2] < camera_height)
 
-        blocked = np.zeros(t_ground.shape, dtype=bool)
         for index in indices:
             lo, hi = geometry.hazard_lo[index], geometry.hazard_hi[index]
             window = _pixel_window(np.where(_BOX_CORNERS, hi, lo), origin, rotation, self.intrinsics)
             if window is None:
                 continue
-            t_hit = _vectorised_aabb_hit(origin, dirs_world[window], lo, hi)
-            blocked[window] |= (~np.isnan(t_hit)) & (
-                nan_ground[window] | (t_hit < t_ground[window])
+            planes = (slice(None), *window)
+            blocked = _blocked_pixels(
+                origin, dirs[planes], t_ground[window], lo, hi, work[planes], self._masks[planes]
             )
-        if blocked.any():
             # Rooftop / canopy intensity: darker than ground, no pattern.
-            image = np.where(blocked, 0.3, image)
-        return image
+            image[window][blocked] = 0.3
 
-    def _apply_weather(self, image: np.ndarray, weather: Weather) -> np.ndarray:
-        """Fog contrast loss, sun glare and sensor noise."""
-        image = 0.5 + (image - 0.5) * weather.visibility
+    def _apply_weather(self, image: np.ndarray, weather: Weather, work: np.ndarray) -> None:
+        """Fog contrast loss, sun glare and sensor noise, in place in
+        ``image``; ``work`` is two planes."""
+        image -= 0.5
+        image *= weather.visibility
+        image += 0.5
 
         if weather.glare > 0:
             h, w = image.shape
             glare_row = self._rng.uniform(0, h)
             glare_col = self._rng.uniform(0, w)
             radius = weather.glare * 0.45 * min(h, w)
-            rows, cols = _glare_grid(h, w)
-            distance = np.sqrt((rows - glare_row) ** 2 + (cols - glare_col) ** 2)
-            glare_mask = np.clip(1.0 - distance / max(radius, 1e-6), 0.0, 1.0)
-            image = image + glare_mask * weather.glare * 0.9
+            # Squared row and column offsets, spread over the planes by
+            # copying: a broadcasting ufunc would allocate its own buffers.
+            distance, rows = work
+            np.copyto(distance, (np.arange(w) - glare_col) ** 2)
+            np.copyto(rows, ((np.arange(h) - glare_row) ** 2)[:, None])
+            np.sqrt(np.add(rows, distance, out=distance), out=distance)
+            distance /= max(radius, 1e-6)
+            glare_mask = np.clip(np.subtract(1.0, distance, out=distance), 0.0, 1.0, out=distance)
+            glare_mask *= weather.glare
+            glare_mask *= 0.9
+            image += glare_mask
 
         if weather.image_noise > 0:
-            image = image + self._rng.normal(0.0, weather.image_noise, size=image.shape)
-        return image
+            noise = self._rng.standard_normal(out=work[0])
+            noise *= weather.image_noise
+            image += noise
 
 
 #: Selects ``hi`` (True) or ``lo`` per axis for each of a box's 8 corners.
 _BOX_CORNERS = np.array(list(itertools.product((False, True), repeat=3)))
 
-_PIXEL_GRID_CACHE: dict[CameraIntrinsics, np.ndarray] = {}
-_GLARE_GRID_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_PIXEL_RAY_CACHE: dict[CameraIntrinsics, np.ndarray] = {}
 
 
-def _pixel_ray_grid(intr: CameraIntrinsics) -> np.ndarray:
-    """Cached ``(H, W, 3)`` camera-frame ray directions for one intrinsics."""
-    cached = _PIXEL_GRID_CACHE.get(intr)
+def _pixel_ray_planes(intr: CameraIntrinsics) -> np.ndarray:
+    """Cached read-only ``(3, H*W)`` camera-frame ray directions for one
+    intrinsics: the x, y and z components, each a row-major pixel plane."""
+    cached = _PIXEL_RAY_CACHE.get(intr)
     if cached is None:
         rows, cols = np.meshgrid(
             np.arange(intr.height, dtype=float),
@@ -348,23 +384,10 @@ def _pixel_ray_grid(intr: CameraIntrinsics) -> np.ndarray:
                 (cols - intr.cx) / intr.focal_length,
                 (rows - intr.cy) / intr.focal_length,
                 -np.ones_like(rows),
-            ],
-            axis=-1,
-        )
+            ]
+        ).reshape(3, -1)
         cached.setflags(write=False)
-        _PIXEL_GRID_CACHE[intr] = cached
-    return cached
-
-
-def _glare_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached integer meshgrid used by the glare falloff."""
-    cached = _GLARE_GRID_CACHE.get((h, w))
-    if cached is None:
-        rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        cached = (rows, cols)
-        _GLARE_GRID_CACHE[(h, w)] = cached
+        _PIXEL_RAY_CACHE[intr] = cached
     return cached
 
 
@@ -403,23 +426,38 @@ def _pixel_window(
     return slice(row0, row1), slice(col0, col1)
 
 
-def _vectorised_aabb_hit(
-    origin: np.ndarray, directions: np.ndarray, lo: np.ndarray, hi: np.ndarray
+def _blocked_pixels(
+    origin: np.ndarray, dirs: np.ndarray, t_ground: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    work: np.ndarray, masks: np.ndarray,
 ) -> np.ndarray:
-    """Slab-test every ray in ``directions`` against the AABB ``[lo, hi]``.
+    """The pixels whose ray hits the AABB ``[lo, hi]`` before the ground.
 
-    Returns the hit distance per ray, NaN where there is no hit.  ``fmax`` /
-    ``fmin`` chains give the same NaN-ignoring fold as ``nanmax`` / ``nanmin``
-    along the axis at a fraction of the cost.
+    ``dirs`` is the window's ``(3, h, w)`` ray directions and ``t_ground``
+    its ray lengths to the ground (NaN where a ray misses it).  The slab
+    test runs one axis at a time in the five ``(h, w)`` planes of ``work``:
+    ``fmax`` / ``fmin`` folds over the axes give the NaN-ignoring ``nanmax``
+    / ``nanmin`` of the entry and exit distances.  A ray is blocked when it
+    hits (its exit is no nearer than ``t0``, its entry clamped to the
+    origin) and ``t0`` lies before the ground or the ray misses the ground.
+    Returns a boolean ``(h, w)`` view of ``masks``; ``work[0]`` is left
+    holding ``t0`` and ``work[1]`` the exit distances.
     """
+    t_near, t_far, t1, t2, fold = work
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / directions
-        t1 = (lo - origin) * inv
-        t2 = (hi - origin) * inv
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
-    t_near = np.fmax(np.fmax(near[..., 0], near[..., 1]), near[..., 2])
-    t_far = np.fmin(np.fmin(far[..., 0], far[..., 1]), far[..., 2])
-    hit = (t_far >= np.maximum(t_near, 0.0))
-    result = np.where(hit, np.maximum(t_near, 0.0), np.nan)
-    return result
+        for axis in range(3):
+            inv = np.divide(1.0, dirs[axis], out=t1)
+            np.multiply(inv, hi[axis] - origin[axis], out=t2)
+            inv *= lo[axis] - origin[axis]
+            if axis == 0:
+                np.minimum(t1, t2, out=t_near)
+                np.maximum(t1, t2, out=t_far)
+            else:
+                np.fmax(t_near, np.minimum(t1, t2, out=fold), out=t_near)
+                np.fmin(t_far, np.maximum(t1, t2, out=fold), out=t_far)
+    t0 = np.maximum(t_near, 0.0, out=t_near)
+    blocked, before_ground = masks[0], masks[1]
+    np.isnan(t_ground, out=before_ground)
+    before_ground |= np.less(t0, t_ground, out=blocked)
+    np.greater_equal(t_far, t0, out=blocked)
+    blocked &= before_ground
+    return blocked

@@ -16,13 +16,16 @@ patch at a time.
 ``estimate_quad_corners``, ``sample_quad_grid`` and ``resize_patch`` are the
 kernels as they were before their redundant passes went, and
 ``proposal_threshold`` is the learned detector's proposal cut as it was,
-with ``np.median`` on every frame.
+with ``np.median`` on every frame.  ``identify`` is
+``ArucoDictionary.identify`` as it was, turning the observed grid with
+``np.rot90`` three times and stacking the four rotations on every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.perception.aruco import ArucoDictionary
 from repro.perception.image_ops import ComponentGeometry
 
 
@@ -252,3 +255,32 @@ def resize_patch(patch: np.ndarray, target: int) -> np.ndarray:
     rows = np.clip((np.arange(target) + 0.5) * h / target, 0, h - 1).astype(int)
     cols = np.clip((np.arange(target) + 0.5) * w / target, 0, w - 1).astype(int)
     return patch[np.ix_(rows, cols)]
+
+
+def identify(
+    dictionary: ArucoDictionary, observed: np.ndarray, max_errors: int = 1
+) -> tuple[int, int] | None:
+    """Match an observed inner bit grid against the dictionary.
+
+    Tries all four rotations of the observation and returns the best
+    ``(marker_id, rotation_index)`` whose Hamming distance is at most
+    ``max_errors``; returns ``None`` if nothing matches.  Computed as one
+    ``(size, 4)`` Hamming matrix; ``argmin``'s first-occurrence rule
+    reproduces the reference scan order (lowest id, then lowest rotation,
+    wins ties).
+    """
+    if observed.shape != (dictionary.bits, dictionary.bits):
+        raise ValueError(
+            f"observed grid has shape {observed.shape}, expected {(dictionary.bits, dictionary.bits)}"
+        )
+    observed = observed.astype(bool)
+    ids = list(dictionary.codes.keys())
+    stack = np.stack([dictionary.codes[i] for i in ids], axis=0).astype(bool)
+    rotations = np.stack(
+        [observed, np.rot90(observed, 1), np.rot90(observed, 2), np.rot90(observed, 3)], axis=0
+    )
+    distances = (stack[:, None, :, :] != rotations[None, :, :, :]).sum(axis=(2, 3))
+    flat = int(np.argmin(distances))
+    if int(distances.flat[flat]) > max_errors:
+        return None
+    return ids[flat // 4], flat % 4

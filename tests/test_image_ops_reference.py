@@ -2,8 +2,9 @@
 
 ``reference_image_ops`` keeps the union-find ``connected_components``, the
 scalar Otsu loop, the patch-by-patch ``_im2col``, the ``np.pad`` box filter,
-the median-on-every-frame proposal cut and the earlier geometry, quad-corner,
-grid-sampling and resize kernels.  Every input must give the same list of
+the median-on-every-frame proposal cut, the earlier geometry, quad-corner,
+grid-sampling and resize kernels and the ``identify`` that turned the
+observed grid on every call.  Every input must give the same list of
 component masks, the same bits of every float and the same ``cols``, on
 random inputs and on the inputs one MLS-V1 and two MLS-V3 missions fed
 their detectors.
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import mls_v1, mls_v3
 from repro.core.mission import MissionConfig, run_scenario
 from repro.perception import image_ops, learned
+from repro.perception.aruco import default_dictionary
 from repro.perception.neural.layers import _im2col
 from repro.perception.neural.training import load_pretrained_detector_net
 from repro.world.scenario_gen import generate_suite
@@ -373,6 +375,56 @@ def test_im2col_matches_the_patch_loop(n, c, kernel, stride, extra_h, extra_w, s
     assert cols.dtype == want.dtype and cols.shape == want.shape
     assert cols.flags.c_contiguous
     assert np.array_equal(cols, want)
+
+
+DICTIONARY = default_dictionary()
+
+
+def grid_of(bits: int) -> np.ndarray:
+    """The ``4 x 4`` bit grid whose row-major cells are the bits of ``bits``."""
+    return ((bits >> np.arange(16)) & 1).astype(bool).reshape(4, 4)
+
+
+def assert_same_match(grid: np.ndarray, max_errors: int) -> None:
+    assert DICTIONARY.identify(grid, max_errors) == reference.identify(DICTIONARY, grid, max_errors)
+
+
+@given(
+    code=st.integers(min_value=0, max_value=DICTIONARY.size - 1),
+    turns=st.integers(min_value=0, max_value=3),
+    flips=st.lists(st.integers(min_value=0, max_value=15), max_size=6),
+    max_errors=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_identify_rotated_codes_with_flipped_bits(code, turns, flips, max_errors):
+    grid = np.rot90(DICTIONARY.bit_grid(code), turns).copy()
+    for cell in flips:
+        grid.flat[cell] = not grid.flat[cell]
+    assert_same_match(grid, max_errors)
+    assert_same_match(grid.astype(np.uint8), max_errors)
+
+
+@given(bits=st.integers(min_value=0, max_value=2**16 - 1), max_errors=st.integers(min_value=0, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_identify_any_grid(bits, max_errors):
+    assert_same_match(grid_of(bits), max_errors)
+
+
+def test_identify_ties_keep_the_scan_order():
+    """Grids whose best distance, within ``max_errors``, is reached by
+    several ``(id, rotation)`` pairs: the lowest id, then the lowest
+    rotation, must win in both versions."""
+    grids = np.array([grid_of(bits) for bits in range(0, 2**16, 16)])
+    rotations = np.stack([np.rot90(grids, turns, axes=(1, 2)) for turns in range(4)], axis=1)
+    codes = np.array([DICTIONARY.bit_grid(i) for i in DICTIONARY.codes])
+    distances = (codes[None, :, None] != rotations[:, None]).sum(axis=(3, 4))
+    best = distances.min(axis=(1, 2))
+    tied = ((distances == best[:, None, None]).sum(axis=(1, 2)) > 1) & (best <= 3)
+    assert tied.sum() > 100 and set(best[tied].tolist()) == {2, 3}
+    for grid, distance in zip(grids[tied], best[tied]):
+        for max_errors in range(4):
+            assert_same_match(grid, max_errors)
+        assert DICTIONARY.identify(grid, int(distance)) is not None
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Tests for the synthetic downward camera."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,11 +149,11 @@ def random_scene(rng):
     ]
     if level:
         intr = CameraIntrinsics()
-        rays = camera_module._pixel_ray_grid(intr)
+        rays = camera_module._pixel_ray_planes(intr)
         for _ in range(6):
             row, col = rng.integers(1, intr.height - 1), rng.integers(1, intr.width - 1)
-            ground_x = x + rays[row, col, 0] * altitude
-            ground_y = y + rays[row, col, 1] * altitude
+            ground_x = x + rays[0, row * intr.width + col] * altitude
+            ground_y = y + rays[1, row * intr.width + col] * altitude
             half = rng.uniform(0.1, 1.5) * altitude / 2.0
             side_x, side_y = rng.choice([-1.0, 1.0], size=2)
             markers.append(
@@ -226,3 +227,49 @@ class TestPixelWindows:
         assert camera_module._pixel_window(straddling, origin, rotation, intr) == whole_frame(
             None, None, None, intr
         )
+
+
+class TestFrameBuffers:
+    def test_warm_capture_allocates_one_frame(self):
+        """After one warm-up capture, a capture's new allocations peak below
+        two frames' bytes: its own image plus small per-item arrays, no
+        full-frame temporaries.  The scene takes the costliest path: rays
+        past the horizon, a building beside the camera whose corners
+        straddle the image plane (its window is the whole frame), glare and
+        noise.  No two frames share memory."""
+        world = make_world(
+            weather=Weather.preset(WeatherCondition.SUN_GLARE, 1.0),
+            markers=[Marker(marker_id=7, position=Vec3(0.0, 5.0, 0.0), size=0.6, is_target=True)],
+            obstacles=[building(3.0, 0.0, 4.0, 4.0, 12.0, name="tower")],
+        )
+        pose = Pose(Vec3(0.0, 0.0, 3.0), Quaternion.from_euler(1.2, 0.0, 0.0))
+        camera = DownwardCamera(seed=5)
+        blocked_pixels, windows = camera_module._blocked_pixels, []
+
+        def spy(origin, dirs, t_ground, *rest):
+            blocked = blocked_pixels(origin, dirs, t_ground, *rest)
+            windows.append((t_ground.shape, bool(np.isnan(t_ground).any()), bool(blocked.any())))
+            return blocked
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(camera_module, "_blocked_pixels", spy)
+            frames = [camera.capture(world, pose)]
+        intr = camera.intrinsics
+        assert windows == [((intr.height, intr.width), True, True)]
+        assert frames[0].visible_markers
+
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                frames.append(camera.capture(world, pose))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 2 * frames[0].image.nbytes, peaks
+        for index, frame in enumerate(frames):
+            assert frame.image.tobytes() != frames[index - 1].image.tobytes()
+            for other in frames[:index]:
+                assert not np.shares_memory(frame.image, other.image)
