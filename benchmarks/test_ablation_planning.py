@@ -29,7 +29,7 @@ def run_pair(half_width, height):
 
     grid = VoxelGrid(VoxelGridConfig(window_size=30.0, resolution=1.0))
     grid.integrate_cloud(PointCloud(points=points, sensor_position=Vec3.zero()))
-    ego = EgoLocalPlanner(grid, EgoPlannerConfig(max_expansions=250))
+    ego = EgoLocalPlanner(InflatedMap(grid), EgoPlannerConfig(max_expansions=250))
     ego_result = ego.plan(problem)
     ego_safe = ego_result.succeeded and ego.path_is_safe(ego_result.waypoints)
 

@@ -36,7 +36,7 @@ def test_fig5a_local_planner_fails_at_large_building(benchmark):
     """MLS-V2 failure: the bounded A* pool cannot route around a big building."""
     grid = VoxelGrid(VoxelGridConfig(window_size=30.0, resolution=1.0))
     grid.integrate_cloud(PointCloud(points=_building_wall_points(), sensor_position=Vec3.zero()))
-    planner = EgoLocalPlanner(grid, EgoPlannerConfig(max_expansions=250))
+    planner = EgoLocalPlanner(InflatedMap(grid), EgoPlannerConfig(max_expansions=250))
     problem = PlanningProblem(start=Vec3(0, 0, 6), goal=Vec3(20, 0, 6), min_altitude=2, max_altitude=9)
 
     result = benchmark(planner.plan, problem)

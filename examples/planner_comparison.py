@@ -48,7 +48,7 @@ def geometry_demo() -> None:
     # MLS-V2: bounded local A* over the dense sliding window.
     grid = VoxelGrid(VoxelGridConfig(window_size=30.0, resolution=1.0))
     grid.integrate_cloud(PointCloud(points=points, sensor_position=Vec3.zero()))
-    ego = EgoLocalPlanner(grid, EgoPlannerConfig(max_expansions=400))
+    ego = EgoLocalPlanner(InflatedMap(grid), EgoPlannerConfig(max_expansions=400))
     ego_result = ego.plan(problem)
     print("MLS-V2 local planner (EGO-style bounded A*):")
     print(f"  waypoints: {len(ego_result.waypoints)}, fallback used: {ego.last_fallback_used}")

@@ -117,9 +117,9 @@ class CampaignJob:
     faults: tuple[FaultSpec, ...] = ()
     #: Directory receiving flight-trace summaries (``Campaign.trace(...)``),
     #: or ``None``.  Strictly a side channel: it is excluded from every
-    #: content fingerprint, and the ``REPRO_TRACE_DIR`` environment variable
-    #: fills it in for execution modes that do not ship jobs (dispatch
-    #: workers on other machines).
+    #: content fingerprint, and when it is ``None`` the ``REPRO_TRACE_DIR``
+    #: environment variable fills it in (how ``python -m repro.dispatch
+    #: work`` processes are traced).
     trace_dir: str | None = None
     #: Correlation context (sorted ``(key, value)`` pairs) identifying where
     #: this run came from: the ids given to ``Campaign.correlate`` (a fault
@@ -646,7 +646,8 @@ class Campaign:
         Like ``.run()``, one worker drains the queue in-process and reports
         each run to ``.progress()``; more spawn worker processes.  Either
         way the ``.correlate()`` ids reach every run, next to the ``job``
-        and ``shard`` ids the workers add.  ``directory`` can
+        and ``shard`` ids the workers add, and ``.trace()`` reaches every
+        worker as its ``trace_dir``.  ``directory`` can
         simultaneously be served by workers on other machines (``python -m
         repro.dispatch work <directory>``), and re-dispatching the same
         campaign into the same directory resumes instead of re-flying.
@@ -671,33 +672,22 @@ class Campaign:
         )
         workers = workers if workers is not None else self._workers
         correlation = dict(self._correlation)
-        # Dispatch does not ship jobs, so tracing travels by environment:
-        # local worker processes inherit REPRO_TRACE_DIR at spawn (workers
-        # on other machines set it themselves).
-        previous_trace = os.environ.get("REPRO_TRACE_DIR")
-        if self._trace is not None:
-            os.environ["REPRO_TRACE_DIR"] = str(self._trace)
-        try:
-            if workers == 1:
-                run_worker(
-                    directory,
-                    lease_seconds=lease_seconds,
-                    progress=self._progress,
-                    correlation=correlation,
-                )
-            else:
-                run_local_workers(
-                    directory,
-                    workers=workers,
-                    lease_seconds=lease_seconds,
-                    correlation=correlation,
-                )
-        finally:
-            if self._trace is not None:
-                if previous_trace is None:
-                    os.environ.pop("REPRO_TRACE_DIR", None)
-                else:
-                    os.environ["REPRO_TRACE_DIR"] = previous_trace
+        if workers == 1:
+            run_worker(
+                directory,
+                lease_seconds=lease_seconds,
+                progress=self._progress,
+                correlation=correlation,
+                trace_dir=self._trace,
+            )
+        else:
+            run_local_workers(
+                directory,
+                workers=workers,
+                lease_seconds=lease_seconds,
+                correlation=correlation,
+                trace_dir=self._trace,
+            )
         merge_dispatch(directory)
         return load_merged(directory)
 

@@ -108,13 +108,6 @@ class LandingSystem:
         # planning: the planner factory sees the built mapping stack
         context.mapping = stack
         self.planner = self._planner_spec.build(context)
-        # Planners that maintain their own inflated view (e.g. the EGO local
-        # planner) expose it; adopt it so safety checks and the corridor test
-        # use the same map the planner plans against.
-        planner_inflated = getattr(self.planner, "inflated", None)
-        if planner_inflated is not None:
-            self.inflated = planner_inflated
-            stack.inflated = planner_inflated
 
         # --- validation ---------------------------------------------------
         proposes_unidentified = bool(
@@ -155,7 +148,6 @@ class LandingSystem:
         self.planner_failures = 0
         self.planner_fallbacks = 0
         self.aborts = 0
-        self.replans = 0
 
     # ------------------------------------------------------------------ #
     # module entry points
@@ -452,7 +444,6 @@ class LandingSystem:
         )
         result = self.planner.plan(problem)
         self.last_timings.planning += self._planner_spec.nominal_latency
-        self.replans += 1
         self._last_replan_time = now
 
         if not result.succeeded:

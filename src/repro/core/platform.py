@@ -31,7 +31,6 @@ class TickBudget:
 
     allow_replan: bool = True
     skip_mapping: bool = False
-    processing_latency: float = 0.0
     cpu_utilisation: float = 0.0
     memory_mb: float = 0.0
     gpu_utilisation: float = 0.0
@@ -57,12 +56,10 @@ class DesktopPlatform(ExecutionPlatform):
     """The SIL platform: a desktop that never misses a deadline."""
 
     def schedule_tick(self, timings, tick_period: float) -> TickBudget:
-        total = timings.total
-        utilisation = min(1.0, total / max(tick_period, 1e-6))
+        utilisation = min(1.0, timings.total / max(tick_period, 1e-6))
         return TickBudget(
             allow_replan=True,
             skip_mapping=False,
-            processing_latency=total,
             cpu_utilisation=utilisation * 0.5,
             memory_mb=DESKTOP_MEMORY_MB,
             gpu_utilisation=0.25 if timings.detection > 0.02 else 0.05,

@@ -391,18 +391,18 @@ def _build_straight_line_planner(context: ComponentContext):
     latency=0.035,
     aliases=("ego", "ego-planner", "local-astar"),
     description="EGO-style bounded local A* over the dense grid (MLS-V2)",
-    metadata={"requires": ("local_grid",)},
+    metadata={"requires": ("local_grid", "inflated")},
 )
 def _build_ego_planner(context: ComponentContext):
     from repro.planning.ego_planner import EgoLocalPlanner
 
     mapping = context.mapping
-    if mapping is None or mapping.local_grid is None:
+    if mapping is None or mapping.local_grid is None or mapping.inflated is None:
         raise ComponentError(
             "the 'ego-local-astar' planner requires a mapper providing a dense "
-            "local grid (e.g. mapper='dense-grid')"
+            "local grid and its inflated view (e.g. mapper='dense-grid')"
         )
-    return EgoLocalPlanner(mapping.local_grid)
+    return EgoLocalPlanner(mapping.inflated)
 
 
 @register_planner(

@@ -100,6 +100,7 @@ def _shard_campaign(
     results_dir: Path,
     progress: Callable[[str], None] | None,
     correlation: Mapping[str, str] | None = None,
+    trace_dir: str | Path | None = None,
 ) -> Campaign:
     """The campaign executing exactly one shard's slice of the plan."""
     campaign = (
@@ -115,6 +116,7 @@ def _shard_campaign(
         # summaries, so fleet series link back to the dispatch unit (and
         # the fault probe, say) that produced them.
         .correlate(**{**(correlation or {}), "job": plan.fingerprint[:10], "shard": shard.name})
+        .trace(trace_dir)
     )
     if progress is not None:
         campaign.progress(progress)
@@ -131,6 +133,7 @@ def run_worker(
     wait: bool = True,
     progress: Callable[[str], None] | None = None,
     correlation: Mapping[str, str] | None = None,
+    trace_dir: str | Path | None = None,
 ) -> WorkerReport:
     """Drain shards from a dispatch directory until the plan is complete.
 
@@ -152,6 +155,8 @@ def run_worker(
         progress: optional callback receiving one line per completed run.
         correlation: ids stamped on every run's metric labels and trace
             summary, next to the ``job`` and ``shard`` ids the worker adds.
+        trace_dir: directory receiving every run's flight-trace summary
+            (``None``: the ``REPRO_TRACE_DIR`` environment variable, if set).
     """
     directory = Path(directory)
     plan = load_plan(directory)
@@ -190,7 +195,7 @@ def run_worker(
                     f"{plan.runs_per_shard(shard)} runs)"
                 )
             campaign = _shard_campaign(
-                plan, suite, shard, lease.results_dir, per_run, correlation
+                plan, suite, shard, lease.results_dir, per_run, correlation, trace_dir
             )
             with heartbeat:
                 results = campaign.run()
@@ -249,10 +254,11 @@ def _local_worker_entry(
     worker_id: str,
     lease_seconds: float,
     correlation: Mapping[str, str] | None,
+    trace_dir: str | Path | None,
 ) -> None:  # pragma: no cover - exercised via subprocesses
     run_worker(
         directory, worker_id=worker_id, lease_seconds=lease_seconds,
-        correlation=correlation,
+        correlation=correlation, trace_dir=trace_dir,
     )
 
 
@@ -262,13 +268,15 @@ def run_local_workers(
     workers: int = 2,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     correlation: Mapping[str, str] | None = None,
+    trace_dir: str | Path | None = None,
 ) -> None:
     """Drain a dispatch directory with ``workers`` local worker processes.
 
     The multi-process half of ``Campaign.dispatch(...)``, which drains
     in-process (:func:`run_worker`) when it has one worker;
     cross-machine pools start ``python -m repro.dispatch work`` everywhere
-    instead.  ``correlation`` reaches every worker's :func:`run_worker`.
+    instead.  ``correlation`` and ``trace_dir`` reach every worker's
+    :func:`run_worker`.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
@@ -281,7 +289,7 @@ def run_local_workers(
     processes = [
         multiprocessing.Process(
             target=_local_worker_entry,
-            args=(str(directory), f"{prefix}-w{index}", lease_seconds, correlation),
+            args=(str(directory), f"{prefix}-w{index}", lease_seconds, correlation, trace_dir),
             name=f"dispatch-worker-{index}",
         )
         for index in range(workers)

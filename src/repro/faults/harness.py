@@ -315,18 +315,13 @@ class FaultHarness:
                         fault.events += 1
                     else:
                         kept.append(detection)
-                result = DetectionFrame(
-                    timestamp=result.timestamp,
-                    detections=kept,
-                    processing_latency=result.processing_latency,
-                )
+                result = DetectionFrame(timestamp=result.timestamp, detections=kept)
             elif mode == "phantom-detection":
                 if fault.rng.random() < 0.15 + 0.5 * fault.spec.severity:
                     fault.events += 1
                     result = DetectionFrame(
                         timestamp=result.timestamp,
                         detections=result.detections + [self._phantom(frame, fault)],
-                        processing_latency=result.processing_latency,
                     )
         return result
 

@@ -11,26 +11,24 @@ This package models that platform:
 * :mod:`repro.hil.jetson` — the Jetson Nano resource model
   (:class:`JetsonNanoPlatform`), an :class:`~repro.core.platform.ExecutionPlatform`
   that scales the modules' nominal desktop latencies to Nano-class hardware,
-  tracks CPU/GPU/memory utilisation and misses deadlines when the decision
-  period is exceeded.  The ``jetson-nano`` campaign platform flies it with
-  the default consumer-grade IMU and its jitter on seed 0; the field platform
+  reports each tick's CPU/GPU/memory utilisation and misses deadlines when
+  the decision period is exceeded.  The mission runner gathers those
+  per-tick figures into each record's
+  :class:`~repro.core.metrics.ResourceStats`, which Table III and Fig. 7
+  read.  The ``jetson-nano`` campaign platform flies it with the default
+  consumer-grade IMU and its jitter on seed 0; the field platform
   (:class:`repro.realworld.FieldPlatform`) extends it with live camera I/O,
   the live map's memory and the flight controller's IMU.
 * :mod:`repro.hil.tensorrt` — the TensorRT-style optimisation model that
   reduces the learned detector's inference latency on the GPU.
-* :mod:`repro.hil.monitor` — utilisation bookkeeping (the `tegrastats`
-  substitute) used to produce Fig. 7.
 """
 
 from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
 from repro.hil.tensorrt import TensorRtEngine, TensorRtOptimizationReport
-from repro.hil.monitor import ResourceMonitor, UtilisationSample
 
 __all__ = [
     "JetsonNanoPlatform",
     "JetsonNanoSpec",
     "TensorRtEngine",
     "TensorRtOptimizationReport",
-    "ResourceMonitor",
-    "UtilisationSample",
 ]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.platform import ExecutionPlatform, TickBudget
-from repro.hil.monitor import ResourceMonitor, UtilisationSample
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,11 @@ class JetsonNanoPlatform(ExecutionPlatform):
 
     def __init__(self, spec: JetsonNanoSpec | None = None, seed: int = 0) -> None:
         self.spec = spec or JetsonNanoSpec()
-        self.monitor = ResourceMonitor()
         self._rng = np.random.default_rng(seed)
         self._lag = 0.0           # accumulated processing backlog, seconds
-        self._time = 0.0
         # Returns the live map's size in bytes once a subclass binds it; the
         # HIL Nano charges no map memory.
         self._map_memory_provider = None
-        self.deadline_misses = 0
-        self.ticks = 0
 
     # ------------------------------------------------------------------ #
     # ExecutionPlatform interface
@@ -68,8 +63,6 @@ class JetsonNanoPlatform(ExecutionPlatform):
     def schedule_tick(self, timings, tick_period: float) -> TickBudget:
         """Charge one decision tick's workload to the Nano."""
         spec = self.spec
-        self.ticks += 1
-        self._time += tick_period
 
         # Detection runs on the GPU through TensorRT; everything else is CPU.
         gpu_time = spec.gpu_inference_latency if timings.detection > 0 else 0.0
@@ -89,30 +82,18 @@ class JetsonNanoPlatform(ExecutionPlatform):
 
         self._lag = max(0.0, self._lag + tick_wall_time - tick_period)
         deadline_missed = self._lag > 0.25 * tick_period
-        if deadline_missed:
-            self.deadline_misses += 1
 
         cpu_utilisation = min(1.0, (cpu_time / spec.cpu_cores + gpu_time * 0.1) / tick_period)
-        gpu_utilisation = min(1.0, gpu_time / tick_period)
-        memory_mb = self._memory_mb()
-
-        self.monitor.record(
-            UtilisationSample(
-                timestamp=self._time,
-                cpu_utilisation=cpu_utilisation,
-                memory_mb=memory_mb,
-                gpu_utilisation=gpu_utilisation,
-                per_core_utilisation=self._per_core(cpu_utilisation),
-            )
-        )
+        # One unread uniform draw per core: the draws keep every later
+        # tick's jitter, and so every record, where it is.
+        self._rng.random(spec.cpu_cores)
 
         return TickBudget(
             allow_replan=not deadline_missed,
             skip_mapping=self._lag > 0.6 * tick_period,
-            processing_latency=tick_wall_time,
             cpu_utilisation=cpu_utilisation,
-            memory_mb=memory_mb,
-            gpu_utilisation=gpu_utilisation,
+            memory_mb=self._memory_mb(),
+            gpu_utilisation=min(1.0, gpu_time / tick_period),
             deadline_missed=deadline_missed,
         )
 
@@ -131,15 +112,3 @@ class JetsonNanoPlatform(ExecutionPlatform):
             + 650.0  # detector runtime, point-cloud buffers, planner state
         )
         return min(spec.usable_memory_mb, memory)
-
-    def _per_core(self, mean_utilisation: float) -> tuple[float, ...]:
-        cores = []
-        for _ in range(self.spec.cpu_cores):
-            cores.append(float(np.clip(mean_utilisation * self._rng.uniform(0.85, 1.15), 0.0, 1.0)))
-        return tuple(cores)
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        if self.ticks == 0:
-            return 0.0
-        return self.deadline_misses / self.ticks

@@ -37,7 +37,6 @@ class DetectionFrame:
 
     timestamp: float
     detections: list[Detection] = field(default_factory=list)
-    processing_latency: float = 0.0
 
     def best_for(self, marker_id: int) -> Detection | None:
         """The highest-confidence detection matching ``marker_id``."""

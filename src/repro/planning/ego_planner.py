@@ -1,7 +1,8 @@
 """EGO-Planner-style local planner (MLS-V2).
 
-A* over the dense local voxel window, with the two behaviours the paper
-documents and later fixes:
+A* over the inflated view of the dense local voxel window (the dense-grid
+mapper's ``mapping.inflated``, sized by the system's ``SafetyConfig``), with
+the two behaviours the paper documents and later fixes:
 
 * **Bounded search pool** — the A* expansion budget reflects the real-time
   deadline; when a large obstacle (building) blocks the way, the bounded
@@ -18,8 +19,7 @@ import time
 from dataclasses import dataclass
 
 from repro.geometry import Vec3
-from repro.mapping.inflation import InflatedMap, InflationConfig
-from repro.mapping.voxel_grid import VoxelGrid
+from repro.mapping.inflation import InflatedMap
 from repro.planning.astar import AStarConfig, AStarPlanner
 from repro.planning.types import PlannerStatus, PlanningProblem, PlanningResult, path_length
 
@@ -31,19 +31,16 @@ class EgoPlannerConfig:
     grid_resolution: float = 1.0
     max_expansions: int = 900
     local_goal_horizon: float = 12.0
-    inflation: InflationConfig = InflationConfig()
-    fallback_to_straight_line: bool = True
 
 
 class EgoLocalPlanner:
-    """Local A* planner over the dense sliding-window grid."""
+    """Local A* planner over an inflated view of the dense sliding-window grid."""
 
     name = "EGO-Planner (local A*)"
 
-    def __init__(self, local_map: VoxelGrid, config: EgoPlannerConfig | None = None) -> None:
-        self.local_map = local_map
+    def __init__(self, inflated: InflatedMap, config: EgoPlannerConfig | None = None) -> None:
+        self.inflated = inflated
         self.config = config or EgoPlannerConfig()
-        self.inflated = InflatedMap(local_map, self.config.inflation)
         self._astar = AStarPlanner(
             self.inflated.is_colliding,
             AStarConfig(
@@ -81,20 +78,14 @@ class EgoLocalPlanner:
         # (large obstacle, goal voxel occupied), the system falls back to the
         # straight segment towards the local goal — which is exactly what made
         # some V2 runs end in collisions near buildings.
-        if self.config.fallback_to_straight_line:
-            self.last_fallback_used = True
-            waypoints = [problem.start, local_goal]
-            return PlanningResult(
-                status=PlannerStatus.SUCCESS,
-                waypoints=waypoints,
-                cost=path_length(waypoints),
-                iterations=result.iterations,
-                nodes_expanded=result.nodes_expanded,
-                planning_time=time.perf_counter() - started,
-            )
-        return PlanningResult.failure(
-            result.status,
+        self.last_fallback_used = True
+        waypoints = [problem.start, local_goal]
+        return PlanningResult(
+            status=PlannerStatus.SUCCESS,
+            waypoints=waypoints,
+            cost=path_length(waypoints),
             iterations=result.iterations,
+            nodes_expanded=result.nodes_expanded,
             planning_time=time.perf_counter() - started,
         )
 

@@ -28,9 +28,7 @@ class FlightControllerProfile:
         q = self.imu_quality
         return ImuQuality(
             accel_noise_std=q.accel_noise_std * factor,
-            gyro_noise_std=q.gyro_noise_std * factor,
             accel_bias_instability=q.accel_bias_instability * factor,
-            gyro_bias_instability=q.gyro_bias_instability * factor,
         )
 
 

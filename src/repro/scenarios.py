@@ -4,9 +4,8 @@ Subcommands:
 
 * ``presets`` — list the named suite presets and the stress axes.
 * ``generate`` — sample a suite from a preset, print its axis coverage and
-  optionally export it as JSONL (``--out``).
-* ``describe`` — inspect a preset's spec or a previously exported suite file.
-* ``export`` — ``generate`` that requires ``--out`` (for scripts/CI).
+  optionally write it as JSONL (``--out``).
+* ``describe`` — inspect a preset's spec or a previously written suite file.
 * ``run`` — the one command that flies a campaign: serially, over
   ``--workers`` processes, or as a sharded dispatch (``--dispatch DIR
   --shards N``), on any ``--platform`` and under any ``--faults`` axis.
@@ -19,7 +18,7 @@ The six suite flags of :func:`add_suite_args` are shared with
 Examples::
 
     python -m repro.scenarios generate --seed 7 --count 500
-    python -m repro.scenarios export --preset night --count 50 --out night.jsonl
+    python -m repro.scenarios generate --preset night --count 50 --out night.jsonl
     python -m repro.scenarios describe --suite night.jsonl
     python -m repro.scenarios run --preset smoke --systems mls-v1 \\
         --workers 2 --out results/
@@ -160,10 +159,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace, require_out: bool = False) -> int:
-    if require_out and not args.out:
-        print("export requires --out FILE", file=sys.stderr)
-        return 2
+def _cmd_generate(args: argparse.Namespace) -> int:
     suite, _ = resolve_suite_args(args)
     failures = 0
     if args.check_buildable:
@@ -269,18 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("presets", help="list suite presets and stress axes")
 
-    for name, help_text in (
-        ("generate", "sample a suite and print its axis coverage"),
-        ("export", "sample a suite and write it as JSONL (requires --out)"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        add_suite_args(cmd)
-        cmd.add_argument("--out", default=None, help="write the suite as JSONL here")
-        cmd.add_argument(
-            "--check-buildable",
-            action="store_true",
-            help="also instantiate every scenario's world (slower)",
-        )
+    generate = sub.add_parser("generate", help="sample a suite and print its axis coverage")
+    add_suite_args(generate)
+    generate.add_argument("--out", default=None, help="write the suite as JSONL here")
+    generate.add_argument(
+        "--check-buildable",
+        action="store_true",
+        help="also instantiate every scenario's world (slower)",
+    )
 
     describe = sub.add_parser("describe", help="inspect a preset spec or a suite file")
     add_suite_args(describe)
@@ -321,8 +313,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_presets(args)
         if args.command == "generate":
             return _cmd_generate(args)
-        if args.command == "export":
-            return _cmd_generate(args, require_out=True)
         if args.command == "describe":
             return _cmd_describe(args)
         return _cmd_run(args)

@@ -10,7 +10,7 @@ rangefinder).
 from repro.sensors.camera import CameraIntrinsics, DownwardCamera, CameraFrame
 from repro.sensors.depth import DepthCamera, PointCloud
 from repro.sensors.gps import GpsSensor, GpsFix
-from repro.sensors.imu import ImuSensor, ImuSample
+from repro.sensors.imu import ImuSensor
 from repro.sensors.rangefinder import Rangefinder
 from repro.sensors.barometer import Barometer
 
@@ -23,7 +23,6 @@ __all__ = [
     "GpsSensor",
     "GpsFix",
     "ImuSensor",
-    "ImuSample",
     "Rangefinder",
     "Barometer",
 ]

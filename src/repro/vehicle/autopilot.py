@@ -159,8 +159,7 @@ class Autopilot:
         state = self.dynamics.step(dt, wind=wind)
 
         # Sensor measurements and estimation.
-        imu_sample = self.imu.measure(state.acceleration, state.angular_rate, self.time)
-        self.ekf.predict(imu_sample.acceleration, dt)
+        self.ekf.predict(self.imu.measure(state.acceleration), dt)
         self.ekf.update_orientation(state.orientation)
         if self._tick % self.config.gps_rate_divisor == 0:
             fix = self.gps.measure(state.position, self.world.weather, self.time)

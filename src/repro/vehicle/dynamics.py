@@ -128,16 +128,11 @@ class QuadrotorDynamics:
         tilt_y = max(-limits.max_tilt_radians, min(limits.max_tilt_radians, ay / GRAVITY))
         orientation = Quaternion.from_euler(-tilt_y * 0.5, tilt_x * 0.5, self._commanded_yaw)
 
-        angular_rate = clamp_norm_xyz(
-            0.0, 0.0, (self._commanded_yaw - state.orientation.yaw) / max(dt, 1e-6), 2.0
-        )
-
         self.state = VehicleState(
             position=Vec3(px, py, pz),
             velocity=Vec3(vx, vy, vz),
             acceleration=Vec3(ax, ay, az),
             orientation=orientation,
-            angular_rate=Vec3(*angular_rate),
         )
         return self.state
 

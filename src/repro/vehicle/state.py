@@ -15,7 +15,6 @@ class VehicleState:
     velocity: Vec3 = field(default_factory=Vec3.zero)
     acceleration: Vec3 = field(default_factory=Vec3.zero)
     orientation: Quaternion = field(default_factory=Quaternion.identity)
-    angular_rate: Vec3 = field(default_factory=Vec3.zero)
 
     @property
     def pose(self) -> Pose:
@@ -28,15 +27,6 @@ class VehicleState:
     @property
     def altitude(self) -> float:
         return self.position.z
-
-    def copy(self) -> "VehicleState":
-        return VehicleState(
-            position=self.position,
-            velocity=self.velocity,
-            acceleration=self.acceleration,
-            orientation=self.orientation,
-            angular_rate=self.angular_rate,
-        )
 
 
 @dataclass

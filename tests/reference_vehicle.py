@@ -8,27 +8,32 @@ tests can run any input through both and demand identical bits:
   per-axis 2x2 matmul chains per predict and numpy scalar updates;
 * ``ReferenceDynamics``, ``ReferenceWindModel`` and ``ReferenceController``
   -- ``QuadrotorDynamics``, ``WindModel`` and ``PositionController`` in
-  ``Vec3`` arithmetic, the wind drawing ``normal(size=3)``;
+  ``Vec3`` arithmetic, the wind drawing ``normal(size=3)``, the dynamics
+  also computing the yaw rate (kept as ``angular_rate`` beside the state);
 * ``ReferenceImuSensor`` and ``ReferenceBarometer`` -- the four
-  ``normal(size=3)`` IMU draws and the two scalar barometer draws;
+  ``normal(size=3)`` IMU draws, gyroscope channel included, and the two
+  scalar barometer draws;
 * ``ReferenceAutopilot`` -- ``Autopilot`` over those components, its mode
   logic building an ``EstimatedState`` every tick;
 * ``reference_colliding_obstacle`` -- ``WorldGeometry.colliding_obstacle``
   as twelve per-axis comparisons.
 
-Only the class names differ from the originals, and ``ReferenceAutopilot``
-builds the ``Reference*`` components.
+Only the class names differ from the originals, ``ReferenceAutopilot``
+builds the ``Reference*`` components, and the gyroscope's rate and grade,
+which the vehicle state and ``ImuQuality`` no longer carry, live on the
+reference dynamics and IMU.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.geometry import Pose, Quaternion, Vec3
 from repro.sensors.gps import GpsFix, GpsSensor
-from repro.sensors.imu import ImuQuality, ImuSample
+from repro.sensors.imu import ImuQuality
 from repro.sensors.rangefinder import Rangefinder
 from repro.vehicle.autopilot import AutopilotConfig, FlightMode
 from repro.vehicle.controller import ControllerGains
@@ -142,6 +147,7 @@ class ReferenceDynamics:
     ) -> None:
         self.limits = limits or QuadrotorLimits()
         self.state = initial_state or VehicleState()
+        self.angular_rate = Vec3.zero()
         self._commanded_velocity = Vec3.zero()
         self._commanded_yaw = 0.0
 
@@ -201,7 +207,7 @@ class ReferenceDynamics:
         tilt_y = max(-limits.max_tilt_radians, min(limits.max_tilt_radians, accel.y / GRAVITY))
         orientation = Quaternion.from_euler(-tilt_y * 0.5, tilt_x * 0.5, self._commanded_yaw)
 
-        angular_rate = Vec3(
+        self.angular_rate = Vec3(
             0.0, 0.0, (self._commanded_yaw - state.orientation.yaw) / max(dt, 1e-6)
         ).clamp_norm(2.0)
 
@@ -210,7 +216,6 @@ class ReferenceDynamics:
             velocity=new_velocity,
             acceleration=accel,
             orientation=orientation,
-            angular_rate=angular_rate,
         )
         return self.state
 
@@ -220,6 +225,7 @@ class ReferenceDynamics:
             position=position,
             orientation=Quaternion.from_yaw(yaw),
         )
+        self.angular_rate = Vec3.zero()
         self._commanded_velocity = Vec3.zero()
         self._commanded_yaw = yaw
 
@@ -302,8 +308,21 @@ class ReferenceController:
         return estimate.position.distance_to(target) <= tolerance
 
 
+@dataclass(frozen=True)
+class ImuSample:
+    """One IMU measurement: specific force and angular rate in the body frame."""
+
+    acceleration: Vec3
+    angular_rate: Vec3
+    timestamp: float
+
+
 class ReferenceImuSensor:
     """Simulated IMU with white noise plus slowly wandering bias."""
+
+    #: The consumer grade's gyroscope (``ImuQuality`` has no gyroscope).
+    gyro_noise_std = 0.015
+    gyro_bias_instability = 0.002
 
     def __init__(self, quality: ImuQuality | None = None, seed: int = 0) -> None:
         self.quality = quality or ImuQuality.consumer_grade()
@@ -319,7 +338,7 @@ class ReferenceImuSensor:
     ) -> ImuSample:
         q = self.quality
         self._accel_bias += self._rng.normal(0.0, q.accel_bias_instability, size=3) * 0.01
-        self._gyro_bias += self._rng.normal(0.0, q.gyro_bias_instability, size=3) * 0.01
+        self._gyro_bias += self._rng.normal(0.0, self.gyro_bias_instability, size=3) * 0.01
 
         accel = (
             true_acceleration.to_array()
@@ -329,7 +348,7 @@ class ReferenceImuSensor:
         gyro = (
             true_angular_rate.to_array()
             + self._gyro_bias
-            + self._rng.normal(0.0, q.gyro_noise_std, size=3)
+            + self._rng.normal(0.0, self.gyro_noise_std, size=3)
         )
         return ImuSample(
             acceleration=Vec3.from_array(accel),
@@ -474,7 +493,7 @@ class ReferenceAutopilot:
         state = self.dynamics.step(dt, wind=wind)
 
         # Sensor measurements and estimation.
-        imu_sample = self.imu.measure(state.acceleration, state.angular_rate, self.time)
+        imu_sample = self.imu.measure(state.acceleration, self.dynamics.angular_rate, self.time)
         self.ekf.predict(imu_sample.acceleration, dt)
         self.ekf.update_orientation(state.orientation)
         if self._tick % self.config.gps_rate_divisor == 0:

@@ -30,11 +30,9 @@ from repro.core.metrics import (
     RECORD_FACTORS,
     CampaignResult,
     DetectionStats,
-    ResourceStats,
     RunOutcome,
     RunRecord,
 )
-from repro.hil.monitor import ResourceMonitor, UtilisationSample
 from repro.world.scenario_gen import generate_suite
 
 
@@ -322,34 +320,6 @@ class TestCompare:
         success = next(d for d in deltas if d.metric == "success")
         assert success.paper_rate == pytest.approx(0.2467)
         assert not success.paper_in_interval  # 80% CI excludes 24.67%
-
-
-class TestResourceStatsDelegation:
-    def test_monitor_delegates_to_resource_stats(self):
-        monitor = ResourceMonitor()
-        for index, cpu in enumerate([0.5, 0.9, 0.7]):
-            monitor.record(
-                UtilisationSample(
-                    timestamp=float(index),
-                    cpu_utilisation=cpu,
-                    memory_mb=1000.0 + 100.0 * index,
-                    gpu_utilisation=0.2 * index,
-                )
-            )
-        stats = monitor.to_stats()
-        assert isinstance(stats, ResourceStats)
-        assert monitor.mean_cpu == pytest.approx(stats.mean_cpu)
-        assert monitor.peak_cpu == pytest.approx(0.9) == pytest.approx(stats.peak_cpu)
-        assert monitor.peak_memory_mb == pytest.approx(1200.0)
-        summary = monitor.summary()
-        assert summary["mean_cpu_utilisation"] == pytest.approx(0.7)
-        assert summary["samples"] == 3.0
-
-    def test_empty_monitor(self):
-        monitor = ResourceMonitor()
-        assert monitor.mean_cpu == 0.0
-        assert monitor.peak_cpu == 0.0
-        assert monitor.to_stats().peak_cpu == 0.0
 
 
 class TestRateEstimate:

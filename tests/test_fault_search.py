@@ -104,12 +104,12 @@ def interleaved_workers(monkeypatch):
 
     drains = []
 
-    def two_workers(directory, *, workers, lease_seconds, correlation):
+    def two_workers(directory, *, workers, lease_seconds, correlation, trace_dir):
         drains.append(correlation)
         for worker_id, max_shards in (("w0", 1), ("w1", None), ("w0", None)):
             run_worker(
                 directory, worker_id=worker_id, max_shards=max_shards, wait=False,
-                correlation=correlation,
+                correlation=correlation, trace_dir=trace_dir,
             )
 
     monkeypatch.setattr(worker_module, "run_local_workers", two_workers)

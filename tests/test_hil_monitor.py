@@ -1,100 +1,70 @@
-"""Edge-case tests for the HIL resource monitor (repro.hil.monitor).
+"""Edge-case tests for the HIL resource figures (ResourceStats).
 
-The mean/peak arithmetic lives in ResourceStats; these tests pin the
-monitor's delegation to it across the degenerate shapes a campaign can
-produce: no samples at all (a run that fails before the first tick), a
-single sample, and samples where peak and mean genuinely diverge.
+Each run's :class:`ResourceStats` collects the CPU, memory and GPU
+utilisation the execution platform reports on every decision tick, and
+Table III and Fig. 7 read their means and peaks.  These tests pin that
+arithmetic across the degenerate shapes a campaign can produce: no samples
+at all (a run that fails before the first tick), a single sample, and
+samples where peak and mean genuinely diverge.
 """
 
 import pytest
 
 from repro.core.metrics import ResourceStats
-from repro.hil.monitor import ResourceMonitor, UtilisationSample
 
 
-def sample(ts, cpu, mem, gpu, cores=()):
-    return UtilisationSample(
-        timestamp=ts,
-        cpu_utilisation=cpu,
-        memory_mb=mem,
-        gpu_utilisation=gpu,
-        per_core_utilisation=cores,
+def stats(*samples):
+    """ResourceStats over ``(cpu, memory_mb, gpu)`` samples."""
+    return ResourceStats(
+        cpu_utilisation_samples=[cpu for cpu, _, _ in samples],
+        memory_mb_samples=[memory for _, memory, _ in samples],
+        gpu_utilisation_samples=[gpu for _, _, gpu in samples],
     )
 
 
 class TestEmptyMonitor:
     def test_no_samples_reports_zeroes_not_errors(self):
-        monitor = ResourceMonitor()
-        assert len(monitor) == 0
-        assert monitor.mean_cpu == 0.0
-        assert monitor.peak_cpu == 0.0
-        assert monitor.mean_memory_mb == 0.0
-        assert monitor.peak_memory_mb == 0.0
-        assert monitor.mean_gpu == 0.0
-
-    def test_empty_summary(self):
-        summary = ResourceMonitor().summary()
-        assert summary == {
-            "mean_cpu_utilisation": 0.0,
-            "peak_cpu_utilisation": 0.0,
-            "mean_memory_mb": 0.0,
-            "peak_memory_mb": 0.0,
-            "mean_gpu_utilisation": 0.0,
-            "samples": 0.0,
-        }
+        empty = ResourceStats()
+        assert empty.cpu_utilisation_samples == []
+        assert empty.mean_cpu == 0.0
+        assert empty.peak_cpu == 0.0
+        assert empty.mean_memory_mb == 0.0
+        assert empty.peak_memory_mb == 0.0
+        assert empty.mean_gpu == 0.0
 
     def test_empty_to_stats_round_trips(self):
-        stats = ResourceMonitor().to_stats()
-        assert isinstance(stats, ResourceStats)
-        assert stats.cpu_utilisation_samples == []
-        assert ResourceStats.from_dict(stats.to_dict()).mean_cpu == 0.0
+        restored = ResourceStats.from_dict(ResourceStats().to_dict())
+        assert restored == ResourceStats()
+        assert restored.mean_cpu == 0.0
 
 
 class TestSingleSample:
     def test_mean_equals_peak_equals_value(self):
-        monitor = ResourceMonitor()
-        monitor.record(sample(0.0, 0.62, 2213.0, 0.4))
-        assert len(monitor) == 1
-        assert monitor.mean_cpu == monitor.peak_cpu == 0.62
-        assert monitor.mean_memory_mb == monitor.peak_memory_mb == 2213.0
-        assert monitor.mean_gpu == 0.4
-
-    def test_per_core_utilisation_defaults_empty(self):
-        bare = sample(0.0, 0.5, 100.0, 0.0)
-        assert bare.per_core_utilisation == ()
-        cored = sample(0.0, 0.5, 100.0, 0.0, cores=(0.9, 0.8, 0.7, 0.6))
-        assert len(cored.per_core_utilisation) == 4
+        single = stats((0.62, 2213.0, 0.4))
+        assert single.mean_cpu == single.peak_cpu == 0.62
+        assert single.mean_memory_mb == single.peak_memory_mb == 2213.0
+        assert single.mean_gpu == 0.4
 
 
 class TestPeakVersusMean:
     def test_peak_tracks_max_not_last(self):
-        monitor = ResourceMonitor()
-        monitor.record(sample(0.0, 0.20, 1000.0, 0.1))
-        monitor.record(sample(1.0, 0.90, 2900.0, 0.8))  # the spike
-        monitor.record(sample(2.0, 0.40, 1500.0, 0.3))
-        assert monitor.peak_cpu == 0.90
-        assert monitor.peak_memory_mb == 2900.0
-        assert monitor.mean_cpu == pytest.approx(0.5)
-        assert monitor.mean_memory_mb == pytest.approx(1800.0)
-        assert monitor.mean_gpu == pytest.approx(0.4)
-
-    def test_summary_rounds_and_counts(self):
-        monitor = ResourceMonitor()
-        monitor.record(sample(0.0, 0.3333333, 2211.11, 0.12345))
-        monitor.record(sample(1.0, 0.6666667, 2255.55, 0.54321))
-        summary = monitor.summary()
-        assert summary["mean_cpu_utilisation"] == 0.5
-        assert summary["peak_cpu_utilisation"] == 0.667
-        assert summary["mean_memory_mb"] == 2233.3
-        assert summary["peak_memory_mb"] == 2255.6
-        assert summary["mean_gpu_utilisation"] == 0.333
-        assert summary["samples"] == 2.0
+        spiked = stats(
+            (0.20, 1000.0, 0.1),
+            (0.90, 2900.0, 0.8),  # the spike
+            (0.40, 1500.0, 0.3),
+        )
+        assert spiked.peak_cpu == 0.90
+        assert spiked.peak_memory_mb == 2900.0
+        assert spiked.mean_cpu == pytest.approx(0.5)
+        assert spiked.mean_memory_mb == pytest.approx(1800.0)
+        assert spiked.mean_gpu == pytest.approx(0.4)
 
     def test_to_stats_merge_accumulates_across_runs(self):
-        first, second = ResourceMonitor(), ResourceMonitor()
-        first.record(sample(0.0, 0.2, 1000.0, 0.1))
-        second.record(sample(0.0, 0.8, 2000.0, 0.9))
-        stats = first.to_stats()
-        stats.merge(second.to_stats())
-        assert stats.mean_cpu == pytest.approx(0.5)
-        assert stats.peak_memory_mb == 2000.0
+        first = stats((0.2, 1000.0, 0.1))
+        first.deadline_misses = 1
+        second = stats((0.8, 2000.0, 0.9))
+        second.deadline_misses = 2
+        first.merge(second)
+        assert first.mean_cpu == pytest.approx(0.5)
+        assert first.peak_memory_mb == 2000.0
+        assert first.deadline_misses == 3

@@ -71,17 +71,18 @@ class TestEndToEnd:
         assert record.system_name == "MLS-V1"
 
     def test_hil_platform_records_resources(self, network):
-        platform = JetsonNanoPlatform(seed=7)
         record = MissionRunner(
             easy_scenario(seed=105),
             mls_v3(),
             mission_config=fast_mission_config(),
-            platform=platform,
+            platform=JetsonNanoPlatform(seed=7),
             detector_network=network,
         ).run()
-        assert record.resources.cpu_utilisation_samples
-        assert record.resources.mean_memory_mb > 1500.0
-        assert len(platform.monitor) > 0
+        resources = record.resources
+        assert resources.cpu_utilisation_samples
+        assert len(resources.memory_mb_samples) == len(resources.cpu_utilisation_samples)
+        assert len(resources.gpu_utilisation_samples) == len(resources.cpu_utilisation_samples)
+        assert resources.mean_memory_mb > 1500.0
 
     def test_runs_are_reproducible(self, network):
         records = []

@@ -6,6 +6,7 @@ tracing on or off — is asserted here over a real (short) campaign; the CI
 """
 
 import json
+import os
 import sys
 import threading
 
@@ -506,6 +507,57 @@ class TestMetricsExport:
         )
         text = fleet_render([tmp_path], registry=registry)
         assert 'repro_runs_total{outcome="success",system="MLS-V1"} 13' in text
+
+
+def span_counts(directory):
+    """Per run, in report order: scenario, repetition, span counts, counters."""
+    return [
+        (
+            summary["scenario_id"],
+            summary["repetition"],
+            {phase: span["count"] for phase, span in summary["spans"].items()},
+            summary["counters"],
+        )
+        for summary in collect_summaries(directory)
+    ]
+
+
+class TestDispatchTracing:
+    """``Campaign.dispatch`` hands ``.trace()`` to its workers directly."""
+
+    @staticmethod
+    def two_scenarios():
+        from repro.world.scenario_gen import generate_suite
+
+        return (
+            Campaign("mls-v1")
+            .suite(generate_suite("smoke", count=2, seed=3))
+            .repetitions(1)
+            .mission(max_mission_time=8.0)
+        )
+
+    def test_one_worker_traces_every_run_without_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+        seen = []
+        results = (
+            self.two_scenarios()
+            .trace(tmp_path / "trace")
+            .progress(lambda line: seen.append(os.environ.get("REPRO_TRACE_DIR")))
+            .dispatch(tmp_path / "dispatch", shards=2, workers=1)
+        )
+        assert seen and seen == [None] * len(seen)
+        assert "REPRO_TRACE_DIR" not in os.environ
+        assert len(collect_summaries(tmp_path / "trace")) == len(results["MLS-V1"]) == 2
+
+    def test_two_workers_trace_the_span_counts_of_a_serial_run(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+        self.two_scenarios().trace(tmp_path / "serial").run()
+        self.two_scenarios().trace(tmp_path / "dispatched").dispatch(
+            tmp_path / "dispatch", shards=2, workers=2
+        )
+        serial = span_counts(tmp_path / "serial")
+        assert len(serial) == 2
+        assert span_counts(tmp_path / "dispatched") == serial
 
 
 # ---------------------------------------------------------------------- #

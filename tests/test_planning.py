@@ -85,7 +85,9 @@ class TestEgoLocalPlanner:
         grid = VoxelGrid(VoxelGridConfig(window_size=30.0, resolution=1.0))
         if occupied_points:
             grid.integrate_cloud(PointCloud(points=list(occupied_points), sensor_position=Vec3.zero()))
-        return EgoLocalPlanner(grid, EgoPlannerConfig(grid_resolution=1.0, max_expansions=max_expansions))
+        return EgoLocalPlanner(
+            InflatedMap(grid), EgoPlannerConfig(grid_resolution=1.0, max_expansions=max_expansions)
+        )
 
     def test_plans_in_free_space(self):
         planner = self.make_planner()

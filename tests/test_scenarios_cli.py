@@ -88,3 +88,18 @@ def test_dispatch_with_out_exits_2(tmp_path, flown, capsys):
     assert "--dispatch" in capsys.readouterr().err
     assert not flown
     assert not queue.exists() and not out.exists()
+
+
+def test_generate_out_writes_the_suite_and_export_is_gone(tmp_path, capsys):
+    from repro.world.scenario_gen import generate_suite
+
+    path = tmp_path / "suite.jsonl"
+    assert scenarios_main(
+        ["generate", "--preset", "smoke", "--count", "3", "--seed", "7", "--out", str(path)]
+    ) == 0
+    assert f"wrote {path}" in capsys.readouterr().out
+    expected = generate_suite("smoke", count=3, seed=7).to_jsonl(tmp_path / "expected.jsonl")
+    assert path.read_bytes() == expected.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        scenarios_main(["export", "--preset", "smoke", "--out", str(path)])
+    assert exit_info.value.code == 2
