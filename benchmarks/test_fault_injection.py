@@ -35,10 +35,12 @@ ROUNDS = 5
 #: per-tick hook cost being measured.
 MISSION = MissionConfig(max_mission_time=60.0)
 
-#: One disarmed spec per target: every harness hook path stays exercised
-#: (filter_frame, filter_cloud, filter_estimate, wrappers, corrupt_mapping,
+#: One disarmed spec per target: the hooks MLS-V1 flies through stay
+#: exercised (filter_frame, filter_estimate, wrappers, corrupt_mapping,
 #: filter_command, adjust_timings) while probability=0 keeps all of them
-#: no-ops — the harness tax with none of the fault effects.
+#: no-ops — the harness tax with none of the fault effects.  filter_cloud
+#: does not run: MLS-V1 maps no clouds, so with no depth fault armed
+#: neither campaign renders depth.
 NOOP_FAULTS = tuple(
     FaultSpec(target=target, mode=modes[0], probability=0.0)
     for target, modes in sorted(FAULT_MODES.items())

@@ -112,7 +112,7 @@ from repro.world.scenario_gen import (
 )
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     # configuration & presets

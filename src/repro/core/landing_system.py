@@ -104,6 +104,15 @@ class LandingSystem:
         self.local_grid: VoxelGrid | None = stack.local_grid
         self.octree: OcTree | None = stack.octree
         self.inflated: InflatedMap | None = stack.inflated
+        #: Whether depth clouds reach a map: a local grid, an octree, or a
+        #: custom primary map with ``integrate_cloud``.  Without one,
+        #: :meth:`process_cloud` ignores its cloud and the mission runner
+        #: renders none unless a fault reads it.
+        self.maps_clouds = (
+            self.local_grid is not None
+            or self.octree is not None
+            or hasattr(stack.primary, "integrate_cloud")
+        )
 
         # planning: the planner factory sees the built mapping stack
         context.mapping = stack
@@ -164,24 +173,20 @@ class LandingSystem:
         return result
 
     def process_cloud(self, cloud: PointCloud, estimate: EstimatedState) -> None:
-        """Fuse a depth point cloud into the configured occupancy map."""
-        integrated = False
+        """Fuse a depth point cloud into the configured occupancy map; a
+        no-op unless the system :attr:`maps_clouds`."""
+        if not self.maps_clouds:
+            return
         if self.local_grid is not None:
             self.local_grid.recenter(estimate.position)
             self.local_grid.integrate_cloud(cloud)
-            integrated = True
         if self.octree is not None:
             self.octree.integrate_cloud(cloud)
-            integrated = True
-        if not integrated:
-            # Custom mappers without the built-in representations can expose
+        if self.local_grid is None and self.octree is None:
+            # Custom mappers without the built-in representations expose
             # ``integrate_cloud`` on their primary map object.
-            primary = self.mapping.primary
-            if primary is not None and hasattr(primary, "integrate_cloud"):
-                primary.integrate_cloud(cloud)
-                integrated = True
-        if integrated:
-            self.last_timings.mapping = self._mapper_spec.nominal_latency
+            self.mapping.primary.integrate_cloud(cloud)
+        self.last_timings.mapping = self._mapper_spec.nominal_latency
 
     # ------------------------------------------------------------------ #
     # decision tick

@@ -126,6 +126,12 @@ class MissionRunner:
         # perf_counter durations and event counts and reads no RNG.
         rec = self.recorder
         harness = self.fault_harness
+        # Depth is rendered only for a reader: a system that maps clouds or
+        # an armed depth fault.  Each depth camera draws from its own
+        # generator, so a skipped capture moves no other draw.
+        render_depth = self.system.maps_clouds or (
+            harness is not None and harness.reads_clouds
+        )
 
         while time_now < mission.max_mission_time:
             time_now += mission.physics_dt
@@ -149,7 +155,9 @@ class MissionRunner:
             if self.autopilot.is_landed:
                 break
 
-            # Depth sensing and mapping at its own (lower) rate.
+            # Depth sensing and mapping at its own (lower) rate.  The
+            # estimate and mapping hooks run at every depth tick, rendered or
+            # not: armed vehicle and mapping faults count events there.
             if time_now >= next_depth and not budget.skip_mapping:
                 next_depth = time_now + mission.depth_period
                 estimate = self.autopilot.estimated_state
@@ -157,28 +165,29 @@ class MissionRunner:
                     _t = perf_counter()
                     estimate = harness.filter_estimate(estimate, time_now)
                     rec.add("harness", _t)
-                _t = perf_counter()
-                cloud = self.depth_forward.capture(
-                    self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
-                )
-                cloud_down = self.depth_down.capture(
-                    self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
-                )
-                merged = cloud.merged_with(cloud_down)
-                rec.add("sense", _t)
-                rec.count("depth-captures")
-                if harness is not None:
+                if render_depth:
                     _t = perf_counter()
-                    merged = harness.filter_cloud(merged, time_now)
-                    rec.add("harness", _t)
-                if merged is not None:
-                    _t = perf_counter()
-                    self.system.process_cloud(merged, estimate)
-                    rec.add("map", _t)
-                else:
-                    # Cloud lost to a sensor fault: no fusion, no cost.
-                    self.system.last_timings.mapping = 0.0
-                    rec.count("clouds-lost")
+                    cloud = self.depth_forward.capture(
+                        self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
+                    )
+                    cloud_down = self.depth_down.capture(
+                        self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
+                    )
+                    merged = cloud.merged_with(cloud_down)
+                    rec.add("sense", _t)
+                    rec.count("depth-captures")
+                    if harness is not None:
+                        _t = perf_counter()
+                        merged = harness.filter_cloud(merged, time_now)
+                        rec.add("harness", _t)
+                    if merged is not None:
+                        _t = perf_counter()
+                        self.system.process_cloud(merged, estimate)
+                        rec.add("map", _t)
+                    else:
+                        # Cloud lost to a sensor fault: no fusion, no cost.
+                        self.system.last_timings.mapping = 0.0
+                        rec.count("clouds-lost")
                 if harness is not None:
                     _t = perf_counter()
                     harness.corrupt_mapping(self.system, estimate, time_now)

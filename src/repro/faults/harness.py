@@ -220,6 +220,14 @@ class FaultHarness:
         """Apply camera faults; ``None`` means the frame was lost entirely."""
         return self._filter_stream("camera", frame, now, "_frozen_frame", self._perturb_frame)
 
+    @property
+    def reads_clouds(self) -> bool:
+        """Whether :meth:`filter_cloud` can act on a cloud this run: only an
+        armed ``depth`` fault does.  Arming is drawn at construction, and a
+        disarmed fault neither draws nor counts, so without one every cloud
+        passes through untouched."""
+        return any(fault.armed for fault in self._targets("depth"))
+
     def filter_cloud(self, cloud: PointCloud, now: float) -> PointCloud | None:
         """Apply depth faults; ``None`` means the cloud was lost entirely."""
         return self._filter_stream("depth", cloud, now, "_frozen_cloud", self._perturb_cloud)

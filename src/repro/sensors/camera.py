@@ -137,6 +137,7 @@ class DownwardCamera:
         # to the ground and 4-8 are work planes (see ``capture``).
         self._planes = np.empty((9, *shape))
         self._masks = np.empty((2, *shape), dtype=bool)
+        self._reflectances: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # rendering
@@ -199,7 +200,7 @@ class DownwardCamera:
             window = _pixel_window(corners, origin, rotation, intr)
             if window is None:
                 continue
-            if self._draw_marker(image[window], ground_x[window], ground_y[window], marker, weather):
+            if self._draw_marker(image, window, marker):
                 visible.append(marker)
 
         # Obstacle shadows / rooftops: pixels whose ray hits an obstacle before
@@ -240,43 +241,65 @@ class DownwardCamera:
         if missed.any():
             np.copyto(image, 0.2, where=missed)
 
-    def _draw_marker(
-        self,
-        image: np.ndarray,
-        ground_x: np.ndarray,
-        ground_y: np.ndarray,
-        marker: Marker,
-        weather: Weather,
-    ) -> bool:
-        """Rasterise one marker into the image; returns True if any pixel hit."""
+    def _draw_marker(self, image: np.ndarray, window: tuple[slice, slice], marker: Marker) -> bool:
+        """Rasterise one marker into ``image`` inside its pixel ``window``;
+        returns True if any pixel hit.
+
+        The marker-frame coordinates and the hit mask live in window views
+        of work planes 2-4 and mask plane 1 (the ground hits stay in work
+        planes 0 and 1), so only the per-hit arrays are allocated.
+        """
+        work = self._planes[4:]
+        ground_x, ground_y = work[0][window], work[1][window]
+        local_x, local_y, scratch = (plane[window] for plane in work[2:5])
+        inside = self._masks[1][window]
         cos_y, sin_y = math.cos(-marker.yaw), math.sin(-marker.yaw)
-        dx = ground_x - marker.position.x
-        dy = ground_y - marker.position.y
-        local_x = cos_y * dx - sin_y * dy
-        local_y = sin_y * dx + cos_y * dy
+        x0, y0 = marker.position.x, marker.position.y
+        # local_x = cos·dx - sin·dy and local_y = sin·dx + cos·dy, from the
+        # offsets dx, dy, which are recomputed rather than kept.
+        np.multiply(np.subtract(ground_x, x0, out=local_x), cos_y, out=local_x)
+        local_x -= np.multiply(np.subtract(ground_y, y0, out=scratch), sin_y, out=scratch)
+        np.multiply(np.subtract(ground_x, x0, out=local_y), sin_y, out=local_y)
+        local_y += np.multiply(np.subtract(ground_y, y0, out=scratch), cos_y, out=scratch)
         half = marker.size / 2.0
-        inside = (
-            (np.abs(local_x) <= half)
-            & (np.abs(local_y) <= half)
-            & ~np.isnan(ground_x)
-        )
-        if not np.any(inside):
+        # A ray that misses the ground has NaN coordinates, which no
+        # comparison passes.
+        np.less_equal(np.abs(local_x, out=scratch), half, out=inside)
+        np.less_equal(np.abs(local_y, out=scratch), half, out=inside, where=inside)
+        if not inside.any():
             return False
 
-        u = (local_x[inside] + half) / marker.size
-        v = (local_y[inside] + half) / marker.size
-        values = self.dictionary.sample_at(marker.marker_id, u, v)
-        # Map bits to realistic paper/paint reflectances.
-        values = np.where(values > 0.5, 0.92, 0.08)
-
+        # Normalised marker coordinates u, v in place of the local ones,
+        # then each hit's cell of the bordered grid, as ``sample_at`` finds
+        # it: truncate, then clamp to the last cell (u and v lie in [0, 1]).
+        cells = self.dictionary.bits + 2
+        for coordinate in (local_x, local_y):
+            coordinate += half
+            coordinate /= marker.size
         if marker.occlusion > 0:
             # A band across the marker is covered (shadow or debris): those
             # pixels take a mid-gray value that destroys the bit pattern.
-            occluded = u < marker.occlusion
-            values = np.where(occluded, 0.45, values)
-
-        image[inside] = values
+            occluded = np.less(local_x, marker.occlusion, out=self._masks[0][window])
+        for coordinate in (local_x, local_y):
+            coordinate *= cells
+            np.trunc(coordinate, out=coordinate)
+            np.minimum(coordinate, cells - 1, out=coordinate)
+        local_y *= cells
+        local_y += local_x
+        values = self._reflectance(marker.marker_id)[local_y[inside].astype(np.intp)]
+        if marker.occlusion > 0:
+            values[occluded[inside]] = 0.45
+        image[window][inside] = values
         return True
+
+    def _reflectance(self, marker_id: int) -> np.ndarray:
+        """Paper/paint reflectance of each cell of a marker's bordered grid,
+        row-major: 0.92 for white bits, 0.08 for black."""
+        table = self._reflectances.get(marker_id)
+        if table is None:
+            table = np.where(self.dictionary.bordered_grid(marker_id).ravel(), 0.92, 0.08)
+            self._reflectances[marker_id] = table
+        return table
 
     def _mask_obstacle_pixels(
         self, image: np.ndarray, world: World, origin: np.ndarray, rotation: np.ndarray

@@ -6,6 +6,7 @@ import pytest
 from repro.core.commands import CommandKind
 from repro.core.config import mls_v1, mls_v2, mls_v3
 from repro.core.landing_system import LandingSystem
+from repro.core.registry import MAPPER, REGISTRY, register_mapper
 from repro.core.states import DecisionState
 from repro.geometry import Vec3
 from repro.mapping.inflation import InflatedMap
@@ -202,9 +203,33 @@ class TestMappingIntegration:
 
     def test_process_cloud_noop_for_v1(self, network):
         system = make_system(mls_v1())
+        assert not system.maps_clouds
         cloud = PointCloud(points=[Vec3(5, 0, 5)], sensor_position=Vec3.zero())
         system.process_cloud(cloud, estimate_at(0, 0, 5))   # must not raise
         assert system.last_timings.mapping == 0.0
+
+    def test_maps_clouds_follows_the_mapping_stack(self, network):
+        assert make_system(mls_v2(), network_instance=network).maps_clouds
+        assert make_system(mls_v3(), network_instance=network).maps_clouds
+
+        class CloudLog:
+            def __init__(self):
+                self.clouds = []
+
+            def integrate_cloud(self, cloud):
+                self.clouds.append(cloud)
+
+        cloud = PointCloud(points=[Vec3(5, 0, 5)], sensor_position=Vec3.zero())
+        for key, primary, maps in (("test-cloud-log", CloudLog(), True), ("test-no-cloud", object(), False)):
+            register_mapper(key, latency=0.004)(lambda context, primary=primary: primary)
+            try:
+                system = make_system(mls_v1().with_components(mapper=key))
+                assert system.maps_clouds is maps
+                system.process_cloud(cloud, estimate_at(0, 0, 5))
+            finally:
+                REGISTRY.unregister(MAPPER, key)
+            assert system.last_timings.mapping == (0.004 if maps else 0.0)
+            assert getattr(primary, "clouds", [cloud]) == [cloud]
 
     def test_planning_avoids_mapped_obstacle(self, network):
         system = make_system(mls_v3(), gps_target=Vec3(14, 0, 0), network_instance=network)

@@ -285,6 +285,20 @@ class TestDepthInjectors:
         assert len(jittered.points) == len(cloud.points)
         assert any((s - p).norm() > 1e-6 for s, p in zip(jittered.points, cloud.points))
 
+    def test_reads_clouds_only_with_an_armed_depth_fault(self):
+        depth = FaultSpec(target="depth", mode="dropout", severity=1.0, start=0.0, duration=None)
+        camera = FaultSpec(target="camera", mode="dropout", start=0.0, duration=None)
+        assert harness_for(depth).reads_clouds
+        assert harness_for(camera, depth).reads_clouds
+        assert not harness_for().reads_clouds
+        assert not harness_for(camera).reads_clouds
+        disarmed = harness_for(replace(depth, probability=0.0))
+        assert not disarmed.reads_clouds
+        # What it promises: a disarmed depth fault passes every cloud through.
+        cloud = self.make_cloud()
+        assert disarmed.filter_cloud(cloud, 1.0) is cloud
+        assert disarmed.faults[0].events == 0
+
 
 class _FixedDetector:
     marker_word = "inner-attr"

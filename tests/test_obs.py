@@ -215,11 +215,34 @@ def short_campaign():
     )
 
 
+#: The fault-harness hooks the mission loop calls, each under one
+#: ``harness`` span except ``adjust_timings``, which shares the command's.
+HARNESS_HOOKS = (
+    "filter_estimate", "filter_cloud", "corrupt_mapping", "filter_frame", "filter_command",
+    "adjust_timings",
+)
+
+
+def count_harness_hooks(monkeypatch):
+    """Count every harness hook call from here on, per hook."""
+    from repro.faults.harness import FaultHarness
+
+    calls = dict.fromkeys(HARNESS_HOOKS, 0)
+    for name in HARNESS_HOOKS:
+        def counting(self, *args, _name=name, _hook=getattr(FaultHarness, name)):
+            calls[_name] += 1
+            return _hook(self, *args)
+
+        monkeypatch.setattr(FaultHarness, name, counting)
+    return calls
+
+
 class TestTracingSideChannel:
-    def test_traced_records_byte_identical_to_untraced(self, tmp_path):
+    def test_traced_records_byte_identical_to_untraced(self, tmp_path, monkeypatch):
         # Faulted, so the harness hooks run under the byte-identity check too.
         faulted = lambda: short_campaign().faults("smoke")
         faulted().out(tmp_path / "plain").run()
+        calls = count_harness_hooks(monkeypatch)
         faulted().out(tmp_path / "traced").trace(tmp_path / "trace").run()
         assert (tmp_path / "plain" / "MLS-V1.jsonl").read_bytes() == (
             tmp_path / "traced" / "MLS-V1.jsonl"
@@ -230,12 +253,15 @@ class TestTracingSideChannel:
         for phase in ("physics", "sense", "detect", "plan", "control"):
             assert nominal["spans"][phase]["count"] > 0, phase
         assert "harness" not in nominal["spans"]
-        # Three hooks per depth tick (estimate, cloud, mapping) and three per
-        # decision tick (estimate, frame, command), every one timed.
+        # Every hook call is timed.  A depth tick runs the estimate and
+        # mapping hooks, plus the cloud hook when it renders (MLS-V1 renders
+        # only under an armed depth fault, which the smoke preset lacks); a
+        # decision tick runs the estimate, frame and command hooks.
         counters = summary["counters"]
-        assert summary["spans"]["harness"]["count"] == 3 * (
-            counters["depth-captures"] + counters["frames-rendered"]
-        ) > 0
+        assert calls["filter_cloud"] == counters["depth-captures"] == 0
+        assert calls["filter_frame"] == calls["adjust_timings"] == counters["frames-rendered"]
+        assert calls["corrupt_mapping"] > 0
+        assert summary["spans"]["harness"]["count"] == sum(calls.values()) - calls["adjust_timings"]
 
     def test_trace_dir_env_var_reaches_execution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "envtrace"))
