@@ -51,10 +51,7 @@ from repro.analysis import (
 )
 from repro.bench.campaign import Campaign
 from repro.core.config import (
-    DetectorKind,
     LandingSystemConfig,
-    MapperKind,
-    PlannerKind,
     SystemGeneration,
     ablation_grid,
     config_for,
@@ -112,15 +109,12 @@ from repro.world.scenario_gen import (
 )
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     # configuration & presets
     "LandingSystemConfig",
     "SystemGeneration",
-    "DetectorKind",
-    "MapperKind",
-    "PlannerKind",
     "config_for",
     "preset",
     "ablation_grid",

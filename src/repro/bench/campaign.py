@@ -144,20 +144,17 @@ def _shared_network():
 def _execute_job(job: CampaignJob) -> RunRecord:
     """Run one campaign job; used both in-process and in worker processes."""
     from repro.core.registry import ComponentError
+    from repro.faults.harness import FaultHarness
     from repro.obs.metrics import METRICS
 
     network = _shared_network() if job.needs_network else None
-    harness = None
-    if job.faults:
-        # Built per run from content hashes only, so every execution mode
-        # (serial / parallel / dispatched shard) injects identically.
-        from repro.faults.harness import FaultHarness
-
-        harness = FaultHarness(
-            job.faults,
-            scenario_fingerprint=job.scenario.fingerprint(),
-            repetition=job.repetition,
-        )
+    # Built per run from content hashes only, so every execution mode
+    # (serial / parallel / dispatched shard) injects identically.
+    harness = FaultHarness(
+        job.faults,
+        scenario_fingerprint=job.scenario.fingerprint(),
+        repetition=job.repetition,
+    )
     try:
         runner = MissionRunner(
             job.scenario,

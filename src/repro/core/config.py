@@ -12,52 +12,23 @@ validation thresholds, safety margins) is shared, which is what makes the
 comparison an ablation of detector / mapper / planner choices.
 
 Beyond the three presets, :meth:`LandingSystemConfig.custom` composes any
-registered component combination by string key — the full 2x3x3 built-in
+registered component combination by registry key — the full 2x3x3 built-in
 ablation grid (see :func:`ablation_grid`) plus anything registered through
 :mod:`repro.core.registry` — and :meth:`LandingSystemConfig.to_dict` /
 :meth:`~LandingSystemConfig.from_dict` round-trip a configuration through
-plain JSON-compatible dicts for CLI and multiprocessing use.
-
-The ``DetectorKind`` / ``MapperKind`` / ``PlannerKind`` enums are kept as
-back-compat aliases for the built-in component keys: config fields accept
-either the enum member or its string key, and built-in selections are
-normalized to the enum so existing identity comparisons keep working.
-Custom (registry-registered) components are carried as plain strings.
+plain JSON-compatible dicts for CLI and multiprocessing use.  A component is
+always named by its canonical registry key (a ``str``); aliases such as
+``"learned"`` resolve to it when the config is built.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import product
 from typing import Any, Iterator
 
 # Safe: the registry module does not depend on this one at runtime.
-from repro.core.registry import REGISTRY
-from repro.core.registry import component_key as component_key_of
-
-
-class DetectorKind(enum.Enum):
-    """Built-in marker detectors (back-compat alias for registry keys)."""
-
-    CLASSICAL = "opencv"
-    LEARNED = "tph-yolo"
-
-
-class MapperKind(enum.Enum):
-    """Built-in occupancy-map representations (back-compat alias)."""
-
-    NONE = "none"
-    DENSE_GRID = "dense-grid"
-    OCTOMAP = "octomap"
-
-
-class PlannerKind(enum.Enum):
-    """Built-in path planners (back-compat alias)."""
-
-    STRAIGHT_LINE = "straight-line"
-    EGO_LOCAL_ASTAR = "ego-local-astar"
-    RRT_STAR = "rrt-star"
+from repro.core.registry import KINDS, REGISTRY
 
 
 class SystemGeneration(enum.Enum):
@@ -66,32 +37,6 @@ class SystemGeneration(enum.Enum):
     MLS_V1 = "MLS-V1"
     MLS_V2 = "MLS-V2"
     MLS_V3 = "MLS-V3"
-
-
-def _normalize_component(value: Any, kind_enum: type[enum.Enum], kind_name: str) -> Any:
-    """Map a component selector to the back-compat enum when it is built in.
-
-    Enum members pass through; strings matching a built-in key (or a registry
-    alias of one, e.g. ``"learned"`` for ``"tph-yolo"``) become the enum
-    member; anything else (a custom registry key) is kept as its canonical
-    string key.
-    """
-    if isinstance(value, kind_enum):
-        return value
-    if isinstance(value, enum.Enum):  # a foreign enum: use its value
-        value = value.value
-    try:
-        return kind_enum(value)
-    except ValueError:
-        pass
-    # Resolve registry aliases (e.g. "learned") to canonical keys.
-    if REGISTRY.has(kind_name, value):
-        canonical = REGISTRY.canonical_key(kind_name, value)
-        try:
-            return kind_enum(canonical)
-        except ValueError:
-            return canonical
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -133,8 +78,6 @@ class SafetyConfig:
     obstacle_clearance: float = 0.5
     vehicle_radius: float = 0.35
     replan_check_horizon: float = 6.0
-    mission_timeout: float = 240.0
-    min_planning_clearance_to_descend: float = 1.0
 
 
 #: The nested config sections and their types, shared by to_dict / from_dict.
@@ -150,17 +93,18 @@ _SECTION_TYPES = {
 class LandingSystemConfig:
     """Full configuration of one landing-system composition.
 
-    ``detector`` / ``mapper`` / ``planner`` accept either a back-compat enum
-    member or a registry string key; built-in keys are normalized to the
-    enum.  ``generation`` is set for the paper presets and ``None`` for custom
+    ``detector`` / ``mapper`` / ``planner`` are registry keys: a registered
+    key or alias resolves to its canonical key, and an unregistered one (a
+    component registered later, in a worker) is kept as given.
+    ``generation`` is set for the paper presets and ``None`` for custom
     compositions, whose display name comes from ``label`` (or is derived from
     the component keys).
     """
 
     generation: SystemGeneration | None = None
-    detector: DetectorKind | str = DetectorKind.CLASSICAL
-    mapper: MapperKind | str = MapperKind.NONE
-    planner: PlannerKind | str = PlannerKind.STRAIGHT_LINE
+    detector: str = "opencv"
+    mapper: str = "none"
+    planner: str = "straight-line"
     cruise_altitude: float = 12.0
     search: SearchConfig = field(default_factory=SearchConfig)
     validation: ValidationConfig = field(default_factory=ValidationConfig)
@@ -169,15 +113,11 @@ class LandingSystemConfig:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "detector", _normalize_component(self.detector, DetectorKind, "detector")
-        )
-        object.__setattr__(
-            self, "mapper", _normalize_component(self.mapper, MapperKind, "mapper")
-        )
-        object.__setattr__(
-            self, "planner", _normalize_component(self.planner, PlannerKind, "planner")
-        )
+        for kind in KINDS:
+            key = str(getattr(self, kind))
+            if REGISTRY.has(kind, key):
+                key = REGISTRY.canonical_key(kind, key)
+            object.__setattr__(self, kind, key)
 
     # ------------------------------------------------------------------ #
     # identity
@@ -188,28 +128,11 @@ class LandingSystemConfig:
             return self.label
         if self.generation is not None:
             return self.generation.value
-        return (
-            f"custom({self.detector_key}+{self.mapper_key}+{self.planner_key})"
-        )
-
-    @property
-    def detector_key(self) -> str:
-        """Registry string key of the configured detector."""
-        return component_key_of(self.detector)
-
-    @property
-    def mapper_key(self) -> str:
-        """Registry string key of the configured mapper."""
-        return component_key_of(self.mapper)
-
-    @property
-    def planner_key(self) -> str:
-        """Registry string key of the configured planner."""
-        return component_key_of(self.planner)
+        return f"custom({self.detector}+{self.mapper}+{self.planner})"
 
     @property
     def has_avoidance(self) -> bool:
-        return self.mapper_key != MapperKind.NONE.value
+        return self.mapper != "none"
 
     # ------------------------------------------------------------------ #
     # builders
@@ -217,9 +140,9 @@ class LandingSystemConfig:
     @classmethod
     def custom(
         cls,
-        detector: DetectorKind | str = DetectorKind.CLASSICAL,
-        mapper: MapperKind | str = MapperKind.NONE,
-        planner: PlannerKind | str = PlannerKind.STRAIGHT_LINE,
+        detector: str = "opencv",
+        mapper: str = "none",
+        planner: str = "straight-line",
         *,
         name: str | None = None,
         **overrides: Any,
@@ -227,7 +150,7 @@ class LandingSystemConfig:
         """Compose a system from component keys (the ablation-grid builder).
 
         Args:
-            detector / mapper / planner: registry keys (or back-compat enums).
+            detector / mapper / planner: registry keys or aliases.
             name: optional display name used in campaign tables.
             overrides: any other :class:`LandingSystemConfig` field
                 (``cruise_altitude``, ``search``, ``validation``, ...).
@@ -251,9 +174,9 @@ class LandingSystemConfig:
 
     def with_components(
         self,
-        detector: DetectorKind | str | None = None,
-        mapper: MapperKind | str | None = None,
-        planner: PlannerKind | str | None = None,
+        detector: str | None = None,
+        mapper: str | None = None,
+        planner: str | None = None,
         name: str | None = None,
     ) -> "LandingSystemConfig":
         """Copy with some components swapped (clears the generation tag)."""
@@ -273,9 +196,9 @@ class LandingSystemConfig:
         """A JSON-compatible dict representation (see :meth:`from_dict`)."""
         return {
             "generation": self.generation.value if self.generation is not None else None,
-            "detector": self.detector_key,
-            "mapper": self.mapper_key,
-            "planner": self.planner_key,
+            "detector": self.detector,
+            "mapper": self.mapper,
+            "planner": self.planner,
             "cruise_altitude": self.cruise_altitude,
             "search": asdict(self.search),
             "validation": asdict(self.validation),
@@ -289,33 +212,40 @@ class LandingSystemConfig:
         """Rebuild a configuration from :meth:`to_dict` output.
 
         Missing keys fall back to defaults, so hand-written partial dicts
-        (e.g. from a CLI ``--config`` JSON file) are accepted too.
+        (e.g. from a CLI ``--config`` JSON file) are accepted too; an unknown
+        key, top-level or in a section, raises ``ValueError`` naming it.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown LandingSystemConfig keys: {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        _check_keys(cls, data)
         kwargs: dict[str, Any] = {}
         for key, value in data.items():
             if key == "generation":
                 kwargs[key] = SystemGeneration(value) if value is not None else None
             elif key in _SECTION_TYPES and isinstance(value, dict):
-                kwargs[key] = _SECTION_TYPES[key](**value)
+                kwargs[key] = _SECTION_TYPES[key](**_check_keys(_SECTION_TYPES[key], value))
             else:
                 kwargs[key] = value
         return cls(**kwargs)
+
+
+def _check_keys(config_type: type, data: dict[str, Any]) -> dict[str, Any]:
+    """``data`` unchanged, or ``ValueError`` naming keys ``config_type`` lacks."""
+    known = {f.name for f in fields(config_type)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(
+            f"unknown {config_type.__name__} keys: {sorted(unknown)}; "
+            f"expected a subset of {sorted(known)}"
+        )
+    return data
 
 
 def mls_v1() -> LandingSystemConfig:
     """First generation: OpenCV detection, no obstacle avoidance."""
     return LandingSystemConfig(
         generation=SystemGeneration.MLS_V1,
-        detector=DetectorKind.CLASSICAL,
-        mapper=MapperKind.NONE,
-        planner=PlannerKind.STRAIGHT_LINE,
+        detector="opencv",
+        mapper="none",
+        planner="straight-line",
     )
 
 
@@ -323,9 +253,9 @@ def mls_v2() -> LandingSystemConfig:
     """Second generation: TPH-YOLO detection + EGO-Planner local avoidance."""
     return LandingSystemConfig(
         generation=SystemGeneration.MLS_V2,
-        detector=DetectorKind.LEARNED,
-        mapper=MapperKind.DENSE_GRID,
-        planner=PlannerKind.EGO_LOCAL_ASTAR,
+        detector="tph-yolo",
+        mapper="dense-grid",
+        planner="ego-local-astar",
     )
 
 
@@ -333,9 +263,9 @@ def mls_v3() -> LandingSystemConfig:
     """Third generation: TPH-YOLO detection + OctoMap + RRT*."""
     return LandingSystemConfig(
         generation=SystemGeneration.MLS_V3,
-        detector=DetectorKind.LEARNED,
-        mapper=MapperKind.OCTOMAP,
-        planner=PlannerKind.RRT_STAR,
+        detector="tph-yolo",
+        mapper="octomap",
+        planner="rrt-star",
     )
 
 
@@ -375,12 +305,6 @@ def ablation_grid(
     of.  ``valid_only`` filters to combinations whose planner requirements
     are satisfied by the mapper (12 of the built-in 18).
     """
-    if valid_only:
-        for detector, mapper, planner in REGISTRY.valid_combinations():
-            yield LandingSystemConfig.custom(detector, mapper, planner, **overrides)
-        return
-    detectors = [k.value for k in DetectorKind]
-    mappers = [k.value for k in MapperKind]
-    planners = [k.value for k in PlannerKind]
-    for detector, mapper, planner in product(detectors, mappers, planners):
+    combinations = REGISTRY.valid_combinations() if valid_only else REGISTRY.combinations()
+    for detector, mapper, planner in combinations:
         yield LandingSystemConfig.custom(detector, mapper, planner, **overrides)

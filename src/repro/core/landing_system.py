@@ -31,8 +31,6 @@ from repro.core.registry import (
 from repro.core.states import DecisionState, FailsafeAction, StateTransition
 from repro.geometry import Vec3
 from repro.mapping.inflation import InflatedMap
-from repro.mapping.octomap import OcTree
-from repro.mapping.voxel_grid import VoxelGrid
 from repro.perception.detection import Detection, DetectionFrame
 from repro.perception.validation import ValidationGate, ValidationResult
 from repro.planning.spiral import spiral_search_waypoints
@@ -101,18 +99,7 @@ class LandingSystem:
         if not isinstance(stack, MappingStack):
             stack = MappingStack(primary=stack, inflated=getattr(stack, "inflated", None))
         self.mapping: MappingStack = stack
-        self.local_grid: VoxelGrid | None = stack.local_grid
-        self.octree: OcTree | None = stack.octree
         self.inflated: InflatedMap | None = stack.inflated
-        #: Whether depth clouds reach a map: a local grid, an octree, or a
-        #: custom primary map with ``integrate_cloud``.  Without one,
-        #: :meth:`process_cloud` ignores its cloud and the mission runner
-        #: renders none unless a fault reads it.
-        self.maps_clouds = (
-            self.local_grid is not None
-            or self.octree is not None
-            or hasattr(stack.primary, "integrate_cloud")
-        )
 
         # planning: the planner factory sees the built mapping stack
         context.mapping = stack
@@ -173,19 +160,14 @@ class LandingSystem:
         return result
 
     def process_cloud(self, cloud: PointCloud, estimate: EstimatedState) -> None:
-        """Fuse a depth point cloud into the configured occupancy map; a
-        no-op unless the system :attr:`maps_clouds`."""
-        if not self.maps_clouds:
+        """Fuse a depth point cloud into the occupancy maps; a no-op unless
+        the mapping stack :attr:`~MappingStack.maps_clouds`."""
+        mapping = self.mapping
+        if not mapping.maps_clouds:
             return
-        if self.local_grid is not None:
-            self.local_grid.recenter(estimate.position)
-            self.local_grid.integrate_cloud(cloud)
-        if self.octree is not None:
-            self.octree.integrate_cloud(cloud)
-        if self.local_grid is None and self.octree is None:
-            # Custom mappers without the built-in representations expose
-            # ``integrate_cloud`` on their primary map object.
-            self.mapping.primary.integrate_cloud(cloud)
+        if mapping.local_grid is not None:
+            mapping.local_grid.recenter(estimate.position)
+        mapping.integrate_cloud(cloud)
         self.last_timings.mapping = self._mapper_spec.nominal_latency
 
     # ------------------------------------------------------------------ #

@@ -61,6 +61,14 @@ class MissionRunner:
         self.mission_config = mission_config or MissionConfig()
         self.platform = platform or DesktopPlatform()
         self.world = scenario.build_world()
+        if fault_harness is None:
+            # Deferred import: the fault subsystem imports this module's
+            # config types.  An empty harness injects nothing and classifies
+            # the record, so every run takes the same hooks.
+            from repro.faults.harness import FaultHarness
+
+            fault_harness = FaultHarness((), scenario_fingerprint=scenario.fingerprint())
+        #: The run's fault harness; owned like the flight recorder.
         self.fault_harness = fault_harness
         #: The run's flight recorder (see :mod:`repro.obs.trace`): phase
         #: spans, frame and cloud counters and nominal module costs.  Strictly
@@ -91,11 +99,10 @@ class MissionRunner:
             seed=scenario.seed,
             detector_network=detector_network,
         )
-        if fault_harness is not None:
-            # Injectors wrap the registry-built components at the interfaces
-            # the registry declares; the harness sees sensor products and the
-            # estimate only — the same boundary discipline as the system.
-            fault_harness.attach(self.system)
+        # Injectors wrap the registry-built components at the interfaces the
+        # registry declares; the harness sees sensor products and the estimate
+        # only — the same boundary discipline as the system.
+        fault_harness.attach(self.system)
         self.platform.bind(self.system)
 
     def _target_marker_id(self) -> int:
@@ -129,9 +136,7 @@ class MissionRunner:
         # Depth is rendered only for a reader: a system that maps clouds or
         # an armed depth fault.  Each depth camera draws from its own
         # generator, so a skipped capture moves no other draw.
-        render_depth = self.system.maps_clouds or (
-            harness is not None and harness.reads_clouds
-        )
+        render_depth = self.system.mapping.maps_clouds or harness.reads_clouds
 
         while time_now < mission.max_mission_time:
             time_now += mission.physics_dt
@@ -161,10 +166,9 @@ class MissionRunner:
             if time_now >= next_depth and not budget.skip_mapping:
                 next_depth = time_now + mission.depth_period
                 estimate = self.autopilot.estimated_state
-                if harness is not None:
-                    _t = perf_counter()
-                    estimate = harness.filter_estimate(estimate, time_now)
-                    rec.add("harness", _t)
+                _t = perf_counter()
+                estimate = harness.filter_estimate(estimate, time_now)
+                rec.add("harness", _t)
                 if render_depth:
                     _t = perf_counter()
                     cloud = self.depth_forward.capture(
@@ -176,10 +180,9 @@ class MissionRunner:
                     merged = cloud.merged_with(cloud_down)
                     rec.add("sense", _t)
                     rec.count("depth-captures")
-                    if harness is not None:
-                        _t = perf_counter()
-                        merged = harness.filter_cloud(merged, time_now)
-                        rec.add("harness", _t)
+                    _t = perf_counter()
+                    merged = harness.filter_cloud(merged, time_now)
+                    rec.add("harness", _t)
                     if merged is not None:
                         _t = perf_counter()
                         self.system.process_cloud(merged, estimate)
@@ -188,29 +191,26 @@ class MissionRunner:
                         # Cloud lost to a sensor fault: no fusion, no cost.
                         self.system.last_timings.mapping = 0.0
                         rec.count("clouds-lost")
-                if harness is not None:
-                    _t = perf_counter()
-                    harness.corrupt_mapping(self.system, estimate, time_now)
-                    rec.add("harness", _t)
+                _t = perf_counter()
+                harness.corrupt_mapping(self.system, estimate, time_now)
+                rec.add("harness", _t)
 
             # Perception + decision at the decision rate.
             if time_now >= next_decision:
                 next_decision = time_now + mission.decision_period
                 estimate = self.autopilot.estimated_state
-                if harness is not None:
-                    _t = perf_counter()
-                    estimate = harness.filter_estimate(estimate, time_now)
-                    rec.add("harness", _t)
+                _t = perf_counter()
+                estimate = harness.filter_estimate(estimate, time_now)
+                rec.add("harness", _t)
                 _t = perf_counter()
                 frame = self.camera.capture(
                     self.world, state.pose, estimated_pose=estimate.pose, timestamp=time_now
                 )
                 rec.add("sense", _t)
                 rec.count("frames-rendered")
-                if harness is not None:
-                    _t = perf_counter()
-                    frame = harness.filter_frame(frame, time_now)
-                    rec.add("harness", _t)
+                _t = perf_counter()
+                frame = harness.filter_frame(frame, time_now)
+                rec.add("harness", _t)
                 if frame is not None:
                     _t = perf_counter()
                     result = self.system.process_frame(frame)
@@ -228,11 +228,10 @@ class MissionRunner:
                     estimate, time_now, allow_replan=budget.allow_replan
                 )
                 rec.add("plan", _t)
-                if harness is not None:
-                    _t = perf_counter()
-                    command = harness.filter_command(command, time_now)
-                    harness.adjust_timings(self.system.last_timings, time_now)
-                    rec.add("harness", _t)
+                _t = perf_counter()
+                command = harness.filter_command(command, time_now)
+                harness.adjust_timings(self.system.last_timings, time_now)
+                rec.add("harness", _t)
                 _t = perf_counter()
                 self._apply_command(command)
 
@@ -370,15 +369,8 @@ class MissionRunner:
             ),
             failsafe_reason=failsafe_reason,
         )
-        if self.fault_harness is not None:
-            # Stamps injected-fault metadata and the failure-mode label.
-            self.fault_harness.finalize(record)
-        else:
-            # Deferred import: the taxonomy lives with the fault subsystem,
-            # which imports this module's config types.
-            from repro.faults.classifier import classify_record
-
-            record.failure_mode = classify_record(record).value
+        # Stamps injected-fault metadata and the failure-mode label.
+        self.fault_harness.finalize(record)
         return record
 
 

@@ -36,7 +36,6 @@ the full ablation grid without instantiating anything.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -54,13 +53,6 @@ class ComponentError(LookupError):
     """Raised for unknown keys, duplicate registrations or unbuildable combos."""
 
 
-def component_key(value: Any) -> str:
-    """Canonical string key for a component selector (enum member or string)."""
-    if isinstance(value, enum.Enum):
-        return str(value.value)
-    return str(value)
-
-
 @dataclass
 class MappingStack:
     """The occupancy-map products a mapper component builds.
@@ -69,7 +61,8 @@ class MappingStack:
     ``None``), ``inflated`` is the collision-check view planners consume, and
     ``primary`` is the object whose :meth:`memory_bytes` feeds the resource
     model.  ``provides`` mirrors the spec's declaration so planner factories
-    can give precise error messages.
+    can give precise error messages.  The stack alone decides which maps a
+    depth cloud feeds (:meth:`integrate_cloud`).
     """
 
     local_grid: Any = None
@@ -77,6 +70,24 @@ class MappingStack:
     inflated: Any = None
     primary: Any = None
     provides: tuple[str, ...] = ()
+
+    def _cloud_maps(self) -> tuple[Any, ...]:
+        """The maps a depth cloud feeds: the local grid and the octree, or
+        else a custom primary map with ``integrate_cloud``."""
+        built_in = tuple(m for m in (self.local_grid, self.octree) if m is not None)
+        if built_in or not hasattr(self.primary, "integrate_cloud"):
+            return built_in
+        return (self.primary,)
+
+    @property
+    def maps_clouds(self) -> bool:
+        """Whether a depth cloud reaches any map of this stack."""
+        return bool(self._cloud_maps())
+
+    def integrate_cloud(self, cloud: Any) -> None:
+        """Fuse ``cloud`` into every map that takes clouds (none for MLS-V1)."""
+        for target in self._cloud_maps():
+            target.integrate_cloud(cloud)
 
     def memory_bytes(self) -> int:
         # Duck-typed (like cloud integration): custom primary maps without a
@@ -153,7 +164,6 @@ class ComponentRegistry:
     ) -> Callable[[Callable[[ComponentContext], Any]], Callable[[ComponentContext], Any]]:
         """Decorator registering ``factory`` as component ``key`` of ``kind``."""
         self._check_kind(kind)
-        key = component_key(key)
 
         def decorator(factory: Callable[[ComponentContext], Any]):
             doc = (factory.__doc__ or "").strip()
@@ -197,27 +207,25 @@ class ComponentRegistry:
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
-    def spec(self, kind: str, key: Any) -> ComponentSpec:
-        """Resolve ``key`` (string, alias or enum member) to its spec."""
+    def spec(self, kind: str, key: str) -> ComponentSpec:
+        """Resolve ``key`` (a key or an alias) to its spec."""
         self._check_kind(kind)
-        name = component_key(key)
-        name = self._aliases[kind].get(name, name)
         try:
-            return self._specs[kind][name]
+            return self._specs[kind][self._aliases[kind].get(key, key)]
         except KeyError:
             known = ", ".join(sorted(self._specs[kind])) or "<none>"
             raise ComponentError(
-                f"unknown {kind} {component_key(key)!r}; registered {kind}s: {known}"
+                f"unknown {kind} {key!r}; registered {kind}s: {known}"
             ) from None
 
-    def has(self, kind: str, key: Any) -> bool:
+    def has(self, kind: str, key: str) -> bool:
         try:
             self.spec(kind, key)
             return True
         except ComponentError:
             return False
 
-    def canonical_key(self, kind: str, key: Any) -> str:
+    def canonical_key(self, kind: str, key: str) -> str:
         """The canonical string key ``key`` resolves to."""
         return self.spec(kind, key).key
 
@@ -225,11 +233,11 @@ class ComponentRegistry:
         self._check_kind(kind)
         return tuple(sorted(self._specs[kind]))
 
-    def nominal_latency(self, kind: str, key: Any) -> float:
+    def nominal_latency(self, kind: str, key: str) -> float:
         """Declared desktop-class latency (seconds) of one component call."""
         return self.spec(kind, key).nominal_latency
 
-    def create(self, kind: str, key: Any, context: ComponentContext | None = None) -> Any:
+    def create(self, kind: str, key: str, context: ComponentContext | None = None) -> Any:
         """Build the component ``key`` of ``kind`` with ``context``."""
         return self.spec(kind, key).build(context or ComponentContext())
 
@@ -243,7 +251,7 @@ class ComponentRegistry:
                 for planner in self.keys(PLANNER):
                     yield detector, mapper, planner
 
-    def is_valid_combination(self, mapper: Any, planner: Any) -> bool:
+    def is_valid_combination(self, mapper: str, planner: str) -> bool:
         """Whether ``mapper`` provides everything ``planner`` requires."""
         provided = set(self.spec(MAPPER, mapper).provides)
         return set(self.spec(PLANNER, planner).requires) <= provided

@@ -386,15 +386,7 @@ class FaultHarness:
             points = [p.with_z(max(0.3, p.z)) for p in points]
             fault.events += len(points)
             phantom = PointCloud(points=points, timestamp=now, sensor_position=estimate.position)
-            corrupted = False
-            for target_map in (system.mapping.local_grid, system.mapping.octree):
-                if target_map is not None:
-                    target_map.integrate_cloud(phantom)
-                    corrupted = True
-            if not corrupted:
-                primary = system.mapping.primary
-                if primary is not None and hasattr(primary, "integrate_cloud"):
-                    primary.integrate_cloud(phantom)
+            system.mapping.integrate_cloud(phantom)
 
     def filter_command(self, command: Command, now: float) -> Command:
         """Apply command-delay faults to the decision output stream.

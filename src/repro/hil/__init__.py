@@ -18,17 +18,14 @@ This package models that platform:
   read.  The ``jetson-nano`` campaign platform flies it with the default
   consumer-grade IMU and its jitter on seed 0; the field platform
   (:class:`repro.realworld.FieldPlatform`) extends it with live camera I/O,
-  the live map's memory and the flight controller's IMU.
-* :mod:`repro.hil.tensorrt` — the TensorRT-style optimisation model that
-  reduces the learned detector's inference latency on the GPU.
+  the live map's memory and the flight controller's IMU.  Detection runs on
+  the GPU at ``JetsonNanoSpec.gpu_inference_latency`` a frame, the
+  TensorRT-optimised detector's cost.
 """
 
 from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
-from repro.hil.tensorrt import TensorRtEngine, TensorRtOptimizationReport
 
 __all__ = [
     "JetsonNanoPlatform",
     "JetsonNanoSpec",
-    "TensorRtEngine",
-    "TensorRtOptimizationReport",
 ]

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.perception import image_ops
+
 #: Default inner-grid size (ArUco 4x4 family).
 DEFAULT_BITS = 4
 #: Default dictionary size (ArUco DICT_4X4_50 has 50 entries).
@@ -149,6 +151,34 @@ class ArucoDictionary:
         if int(distances.flat[flat]) > max_errors:
             return None
         return ids[flat // 4], flat % 4
+
+    def decode_quad(
+        self,
+        image: np.ndarray,
+        corners: np.ndarray,
+        *,
+        min_contrast: float,
+        max_border_bits: int,
+        max_errors: int,
+    ) -> int | None:
+        """The marker ID inside a quad of ``image``, or ``None``.
+
+        Samples the quad's bordered bit grid, requires ``min_contrast``
+        between its brightest and darkest cell (glare and fog collapse it),
+        binarises it at the Otsu threshold, allows at most
+        ``max_border_bits`` bright cells in the (black) border and looks the
+        inner grid up with :meth:`identify` within ``max_errors`` bits.  Both
+        detectors decode through here, each with its own three budgets.
+        """
+        grid = image_ops.sample_quad_grid(image, corners, self.bits + 2)
+        if float(grid.max() - grid.min()) < min_contrast:
+            return None
+        bits = grid > image_ops.otsu_threshold(grid)
+        border = np.concatenate([bits[0, :], bits[-1, :], bits[:, 0], bits[:, -1]])
+        if border.sum() > max_border_bits:
+            return None
+        match = self.identify(bits[1:-1, 1:-1], max_errors=max_errors)
+        return None if match is None else match[0]
 
     def render(self, marker_id: int, pixels_per_cell: int = 8) -> np.ndarray:
         """Render a marker as a grayscale image in [0, 1] (including border)."""

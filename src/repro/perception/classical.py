@@ -110,29 +110,15 @@ class ClassicalMarkerDetector:
         corners = image_ops.estimate_quad_corners(component)
         if corners is None:
             return None
-
-        cells = self.dictionary.bits + 2
-        grid = image_ops.sample_quad_grid(image, corners, cells)
-
-        # The sampled grid must have enough contrast to binarise; glare and
-        # fog collapse it.
-        contrast = float(grid.max() - grid.min())
-        if contrast < cfg.cell_contrast_minimum:
+        marker_id = self.dictionary.decode_quad(
+            image,
+            corners,
+            min_contrast=cfg.cell_contrast_minimum,
+            max_border_bits=2,
+            max_errors=cfg.max_bit_errors,
+        )
+        if marker_id is None:
             return None
-
-        threshold = image_ops.otsu_threshold(grid)
-        bits = grid > threshold
-
-        # Border must be (mostly) black.
-        border = np.concatenate([bits[0, :], bits[-1, :], bits[:, 0], bits[:, -1]])
-        if border.sum() > 2:
-            return None
-
-        inner = bits[1:-1, 1:-1]
-        match = self.dictionary.identify(inner, max_errors=cfg.max_bit_errors)
-        if match is None:
-            return None
-        marker_id, _rotation = match
 
         center_row, center_col = geometry.centroid
         world_position = frame.pixel_to_ground(center_row, center_col)

@@ -182,21 +182,13 @@ class LearnedMarkerDetector:
         corners = image_ops.estimate_quad_corners(components[0])
         if corners is None:
             return None
-
-        cells = self.dictionary.bits + 2
-        grid = image_ops.sample_quad_grid(region, corners, cells)
-        if float(grid.max() - grid.min()) < 0.12:
-            return None
-        threshold = image_ops.otsu_threshold(grid)
-        bits = grid > threshold
-        border = np.concatenate([bits[0, :], bits[-1, :], bits[:, 0], bits[:, -1]])
-        if border.sum() > 4:
-            return None
-        inner = bits[1:-1, 1:-1]
-        match = self.dictionary.identify(inner, max_errors=self.config.decode_max_errors)
-        if match is None:
-            return None
-        return match[0]
+        return self.dictionary.decode_quad(
+            region,
+            corners,
+            min_contrast=0.12,
+            max_border_bits=4,
+            max_errors=self.config.decode_max_errors,
+        )
 
     # ------------------------------------------------------------------ #
     # post-processing

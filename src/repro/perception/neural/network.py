@@ -100,7 +100,7 @@ class MarkerPatchNet:
         return float((predictions == labels).mean())
 
     # ------------------------------------------------------------------ #
-    # persistence (TensorRT-style export is modelled in repro.hil.tensorrt)
+    # persistence
     # ------------------------------------------------------------------ #
     def state_dict(self) -> list[np.ndarray]:
         return [param.copy() for layer in self.layers for param, _ in layer.parameters()]

@@ -33,23 +33,6 @@ class PositionController:
     def __init__(self, gains: ControllerGains | None = None) -> None:
         self.gains = gains or ControllerGains()
 
-    def velocity_command(
-        self,
-        estimate: EstimatedState,
-        target: Vec3,
-        speed_limit: float | None = None,
-    ) -> Vec3:
-        """Velocity setpoint that moves the vehicle towards ``target``.
-
-        Args:
-            estimate: current state estimate.
-            target: position setpoint in world coordinates.
-            speed_limit: optional extra cap on the horizontal speed (the
-                landing state uses a low cap during the final descent).
-        """
-        position = estimate.position
-        return Vec3(*self.velocity_command_xyz(position.x, position.y, position.z, target, speed_limit))
-
     def velocity_command_xyz(
         self,
         x: float,
@@ -58,8 +41,12 @@ class PositionController:
         target: Vec3,
         speed_limit: float | None = None,
     ) -> tuple[float, float, float]:
-        """:meth:`velocity_command` from a bare estimated position ``(x, y, z)``,
-        in plain floats (the autopilot's tick)."""
+        """Velocity setpoint that moves the vehicle from the estimated
+        position ``(x, y, z)`` towards ``target``, in plain floats.
+
+        ``speed_limit`` is an optional extra cap on the horizontal speed (the
+        landing state uses a low cap during the final descent).
+        """
         gains = self.gains
         # error = target - position; command = error * position_p.
         ex, ey, ez = target.x - x, target.y - y, target.z - z

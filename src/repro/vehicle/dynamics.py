@@ -56,24 +56,16 @@ class QuadrotorDynamics:
     # ------------------------------------------------------------------ #
     # commands
     # ------------------------------------------------------------------ #
-    def command_velocity(self, velocity: Vec3, yaw: float | None = None) -> None:
-        """Set the velocity setpoint (clamped to the airframe envelope)."""
-        self.command_velocity_xyz(velocity.x, velocity.y, velocity.z, yaw)
-
     def command_velocity_xyz(
         self, vx: float, vy: float, vz: float, yaw: float | None = None
     ) -> None:
-        """:meth:`command_velocity` on bare components (the autopilot's tick)."""
+        """Set the velocity setpoint (clamped to the airframe envelope)."""
         limits = self.limits
         hx, hy, _ = clamp_norm_xyz(vx, vy, 0.0, limits.max_horizontal_speed)
         vertical = max(-limits.max_vertical_speed, min(limits.max_vertical_speed, vz))
         self._commanded_velocity = (hx, hy, vertical)
         if yaw is not None:
             self._commanded_yaw = yaw
-
-    @property
-    def commanded_velocity(self) -> Vec3:
-        return Vec3(*self._commanded_velocity)
 
     # ------------------------------------------------------------------ #
     # integration

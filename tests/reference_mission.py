@@ -1,26 +1,39 @@
-"""The mission loop as it was when it rendered depth at every depth tick.
+"""The mission loop as it was when it rendered depth at every depth tick
+and flew unfaulted runs without a fault harness.
 
 ``ReferenceMissionRunner`` is ``MissionRunner`` with the ``run`` loop it
 had before depth was rendered only for a reader: at every depth tick both
 depth cameras capture and the merged cloud goes through the fault harness
 to ``LandingSystem.process_cloud``, whether or not the system maps clouds
-or an armed depth fault reads them.  Only ``run`` is kept; the helpers it
-calls are the runner's own.
+or an armed depth fault reads them.  Given no harness it keeps the
+hook-free path of that time: ``fault_harness`` is ``None``, no hook runs,
+and ``_build_record`` classifies the record itself instead of through
+``FaultHarness.finalize``.  Only ``__init__``, ``run`` and
+``_build_record`` are its own; the helpers they call are the runner's.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
-from repro.core.metrics import DetectionStats, ResourceStats, RunRecord
+from repro.core.metrics import DetectionStats, ResourceStats, RunOutcome, RunRecord
 from repro.core.mission import MissionRunner
 from repro.core.platform import TickBudget
 from repro.core.states import DecisionState
+from repro.faults.classifier import classify_record
 from repro.vehicle.autopilot import FlightMode
 
 
 class ReferenceMissionRunner(MissionRunner):
-    """``MissionRunner`` whose depth tick always renders."""
+    """``MissionRunner`` whose depth tick always renders and which, given
+    no harness, runs no hooks."""
+
+    def __init__(self, *args, fault_harness=None, **kwargs) -> None:
+        super().__init__(*args, fault_harness=fault_harness, **kwargs)
+        if fault_harness is None:
+            # The runner built and attached an empty harness, which wraps
+            # nothing; drop it so the loop below takes its hook-free path.
+            self.fault_harness = None
 
     def run(self) -> RunRecord:
         """Execute the mission and return its record."""
@@ -160,3 +173,78 @@ class ReferenceMissionRunner(MissionRunner):
         return self._build_record(
             time_now, collided, collision_name, detection_stats, resource_stats
         )
+
+    def _build_record(
+        self,
+        mission_time: float,
+        collided: bool,
+        collision_name: str,
+        detection_stats: DetectionStats,
+        resource_stats: ResourceStats,
+    ) -> RunRecord:
+        target = self.world.target_marker
+        final_position = self.autopilot.true_state.position
+        landed = self.autopilot.is_landed
+        landing_error = (
+            final_position.horizontal_distance_to(target.position)
+            if target is not None
+            else float("nan")
+        )
+
+        if collided:
+            outcome = RunOutcome.COLLISION
+            reason = f"collision with {collision_name}"
+        elif (
+            landed
+            and target is not None
+            and landing_error <= self.mission_config.success_radius
+            and self.world.is_valid_landing_point(final_position)
+        ):
+            outcome = RunOutcome.SUCCESS
+            reason = ""
+        else:
+            outcome = RunOutcome.POOR_LANDING
+            if not landed:
+                reason = (
+                    "failsafe abort"
+                    if self.system.state is DecisionState.FAILSAFE
+                    else "mission timeout"
+                )
+            else:
+                reason = "landed away from the marker"
+
+        failsafe_reason = ""
+        for transition in self.system.transitions:
+            if transition.to_state is DecisionState.FAILSAFE:
+                failsafe_reason = transition.reason
+                break
+
+        record = RunRecord(
+            scenario_id=self.scenario.scenario_id,
+            system_name=self.system_config.name,
+            outcome=outcome,
+            landing_error=landing_error if landed else float("nan"),
+            collided=collided,
+            collision_obstacle=collision_name,
+            landed=landed,
+            mission_time=mission_time,
+            detection=detection_stats,
+            resources=resource_stats,
+            planner_failures=self.system.planner_failures,
+            planner_fallbacks=self.system.planner_fallbacks,
+            aborts=self.system.aborts,
+            adverse_weather=self.scenario.is_adverse_weather,
+            failure_reason=reason,
+            failsafe_action=(
+                self.system.failsafe_action.value
+                if self.system.failsafe_action is not None
+                else ""
+            ),
+            failsafe_reason=failsafe_reason,
+        )
+        if self.fault_harness is not None:
+            # Stamps injected-fault metadata and the failure-mode label.
+            self.fault_harness.finalize(record)
+        else:
+            record.failure_mode = classify_record(record).value
+        return record

@@ -1,6 +1,7 @@
 """Tests for system configuration presets, commands and metrics aggregation."""
 
 import re
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,7 @@ import pytest
 import repro
 from repro.core.commands import Command, CommandKind
 from repro.core.config import (
-    DetectorKind,
-    MapperKind,
-    PlannerKind,
+    LandingSystemConfig,
     SystemGeneration,
     config_for,
     mls_v1,
@@ -24,24 +23,46 @@ from repro.geometry import Vec3
 class TestConfigPresets:
     def test_v1_composition(self):
         config = mls_v1()
-        assert config.detector is DetectorKind.CLASSICAL
-        assert config.mapper is MapperKind.NONE
-        assert config.planner is PlannerKind.STRAIGHT_LINE
+        assert (config.detector, config.mapper, config.planner) == (
+            "opencv", "none", "straight-line"
+        )
         assert not config.has_avoidance
         assert config.name == "MLS-V1"
 
     def test_v2_composition(self):
         config = mls_v2()
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.DENSE_GRID
-        assert config.planner is PlannerKind.EGO_LOCAL_ASTAR
+        assert config.detector == "tph-yolo" and type(config.detector) is str
+        assert config.mapper == "dense-grid"
+        assert config.planner == "ego-local-astar"
         assert config.has_avoidance
 
     def test_v3_composition(self):
         config = mls_v3()
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.OCTOMAP
-        assert config.planner is PlannerKind.RRT_STAR
+        assert (config.detector, config.mapper, config.planner) == (
+            "tph-yolo", "octomap", "rrt-star"
+        )
+
+    def test_components_are_canonical_registry_keys(self):
+        config = LandingSystemConfig.custom(detector="learned", mapper="grid", planner="rrt")
+        assert (config.detector, config.mapper, config.planner) == (
+            "tph-yolo", "dense-grid", "rrt-star"
+        )
+        assert all(type(key) is str for key in (config.detector, config.mapper, config.planner))
+        # A key nothing has registered (yet) is kept as given.
+        assert LandingSystemConfig.custom(detector="plugin-detector").detector == "plugin-detector"
+
+    def test_package_exports_no_component_enum(self):
+        assert not any(name.endswith("Kind") for name in repro.__all__)
+        exported = [getattr(repro, name) for name in repro.__all__]
+        enums = {value.__name__ for value in exported if isinstance(value, type) and issubclass(value, Enum)}
+        # Generations, outcomes and failure modes are enums; components are keys.
+        assert enums == {"SystemGeneration", "RunOutcome", "FailureMode"}
+
+    def test_unknown_section_key_is_a_value_error_naming_it(self):
+        with pytest.raises(ValueError, match="bogus"):
+            LandingSystemConfig.from_dict({"safety": {"bogus": 1}})
+        for knob in ("mission_timeout", "min_planning_clearance_to_descend"):
+            assert knob not in mls_v1().to_dict()["safety"]
 
     def test_config_for_maps_generations(self):
         assert config_for(SystemGeneration.MLS_V1).name == "MLS-V1"

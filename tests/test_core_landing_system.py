@@ -63,15 +63,16 @@ def inject_frame(system, frame):
 class TestModuleAssembly:
     def test_v1_has_no_map(self, network):
         system = make_system(mls_v1())
-        assert system.local_grid is None and system.octree is None and system.inflated is None
+        mapping = system.mapping
+        assert mapping.local_grid is None and mapping.octree is None and system.inflated is None
 
     def test_v2_uses_dense_grid(self, network):
         system = make_system(mls_v2(), network_instance=network)
-        assert system.local_grid is not None and system.octree is None
+        assert system.mapping.local_grid is not None and system.mapping.octree is None
 
     def test_v3_uses_octree(self, network):
         system = make_system(mls_v3(), network_instance=network)
-        assert system.octree is not None and system.local_grid is None
+        assert system.mapping.octree is not None and system.mapping.local_grid is None
 
     def test_v2_builds_one_inflated_map_for_planner_and_checks(self, network, monkeypatch):
         built = []
@@ -85,7 +86,7 @@ class TestModuleAssembly:
         system = make_system(mls_v2(), network_instance=network)
         assert len(built) == 1
         assert built[0] is system.inflated is system.mapping.inflated is system.planner.inflated
-        assert system.inflated.base_map is system.local_grid
+        assert system.inflated.base_map is system.mapping.local_grid
 
     @pytest.mark.parametrize("config", [mls_v2, mls_v3], ids=["v2", "v3"])
     def test_plans_and_checks_the_descent_corridor_at_the_safety_clearance(self, network, config):
@@ -199,18 +200,18 @@ class TestMappingIntegration:
         system = make_system(mls_v3(), network_instance=network)
         cloud = PointCloud(points=[Vec3(5, 0, 5)] * 4, sensor_position=Vec3.zero())
         system.process_cloud(cloud, estimate_at(0, 0, 5))
-        assert system.octree.is_occupied(Vec3(5, 0, 5))
+        assert system.mapping.octree.is_occupied(Vec3(5, 0, 5))
 
     def test_process_cloud_noop_for_v1(self, network):
         system = make_system(mls_v1())
-        assert not system.maps_clouds
+        assert not system.mapping.maps_clouds
         cloud = PointCloud(points=[Vec3(5, 0, 5)], sensor_position=Vec3.zero())
         system.process_cloud(cloud, estimate_at(0, 0, 5))   # must not raise
         assert system.last_timings.mapping == 0.0
 
     def test_maps_clouds_follows_the_mapping_stack(self, network):
-        assert make_system(mls_v2(), network_instance=network).maps_clouds
-        assert make_system(mls_v3(), network_instance=network).maps_clouds
+        assert make_system(mls_v2(), network_instance=network).mapping.maps_clouds
+        assert make_system(mls_v3(), network_instance=network).mapping.maps_clouds
 
         class CloudLog:
             def __init__(self):
@@ -224,7 +225,7 @@ class TestMappingIntegration:
             register_mapper(key, latency=0.004)(lambda context, primary=primary: primary)
             try:
                 system = make_system(mls_v1().with_components(mapper=key))
-                assert system.maps_clouds is maps
+                assert system.mapping.maps_clouds is maps
                 system.process_cloud(cloud, estimate_at(0, 0, 5))
             finally:
                 REGISTRY.unregister(MAPPER, key)

@@ -20,6 +20,7 @@ from repro.core.metrics import (
     read_campaign_jsonl,
 )
 from repro.core.config import mls_v1
+from repro.core.landing_system import LandingSystem
 from repro.core.mission import MissionConfig, MissionRunner
 from repro.core.registry import MappingStack
 from repro.faults.classifier import FailureMode, classify_record, failure_mode_label
@@ -472,6 +473,35 @@ class TestMappingInjector:
         for tick in range(5):
             harness.corrupt_mapping(system, estimate, float(tick))
         assert grid.occupied_voxel_count() > before
+
+    def test_cell_corruption_feeds_only_the_maps_a_stack_has(self):
+        # A custom mapper without a grid or an octree takes clouds on its
+        # primary map, phantom ones included.  MLS-V1 maps nothing, so no
+        # phantom cloud lands anywhere, yet the fault draws and counts
+        # exactly as it does on the stack that takes them.
+        class CloudLog:
+            def __init__(self):
+                self.clouds = []
+
+            def integrate_cloud(self, cloud):
+                self.clouds.append(cloud)
+
+        v1 = LandingSystem(mls_v1(), target_marker_id=7, gps_target=Vec3(20.0, 0.0, 0.0))
+        log = CloudLog()
+        faults = []
+        for system in (v1, SimpleNamespace(mapping=MappingStack(primary=log))):
+            harness = harness_for(
+                FaultSpec(target="mapping", mode="cell-corruption", severity=1.0,
+                          start=0.0, duration=None)
+            )
+            for tick in range(3):
+                harness.corrupt_mapping(system, make_estimate(altitude=8.0), float(tick))
+            faults.append(harness.faults[0])
+        unmapped, fed = faults
+        assert [len(cloud.points) for cloud in log.clouds] == [7, 7, 7]
+        assert not v1.mapping.maps_clouds and v1.map_memory_bytes() == 0
+        assert unmapped.events == fed.events == 21
+        assert unmapped.rng.random() == fed.rng.random()
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for the Jetson platform model, TensorRT model and real-world effects."""
+"""Tests for the Jetson platform model and real-world effects."""
 
 from types import SimpleNamespace
 
@@ -14,9 +14,6 @@ from repro.core.mission import MissionConfig, MissionRunner
 from repro.core.platform import DesktopPlatform
 from repro.geometry import Pose, Vec3
 from repro.hil.jetson import JetsonNanoPlatform, JetsonNanoSpec
-from repro.hil.tensorrt import TensorRtEngine
-from repro.perception.neural.network import PATCH_SIZE
-from repro.perception.neural.training import load_pretrained_detector_net
 from repro.realworld.field_test import (
     MAX_TARGET_DISTANCE,
     MINIMUM_GPS_DEGRADATION,
@@ -121,23 +118,6 @@ class TestResourceMonitor:
         resources = hil_run(JetsonNanoPlatform(seed=5), max_mission_time=0.0).resources
         assert resources.cpu_utilisation_samples == []
         assert resources.mean_cpu == 0.0 and resources.peak_memory_mb == 0.0
-
-
-class TestTensorRt:
-    def test_quantised_network_agrees_with_original(self):
-        network = load_pretrained_detector_net()
-        engine = TensorRtEngine(network)
-        patches = np.random.default_rng(0).random((8, PATCH_SIZE, PATCH_SIZE))
-        original = network.predict_probability(patches)
-        optimized = engine.predict_probability(patches)
-        assert np.max(np.abs(original - optimized)) < 0.05
-
-    def test_optimization_report_shows_speedup(self):
-        engine = TensorRtEngine(load_pretrained_detector_net())
-        report = engine.optimization_report()
-        assert report.speedup > 2.0
-        assert report.parameter_count > 0
-        assert report.max_weight_error < 0.01
 
 
 class TestHardwareProfiles:

@@ -1,13 +1,15 @@
 """The mission loop's depth tick against the always-render loop it replaced.
 
 ``reference_mission`` keeps the runner as it was when both depth cameras
-captured at every depth tick.  Now a depth tick renders only when something
-reads the cloud: a system that maps clouds, or an armed depth fault.  For
-each generation, over the smoke-7 suite, with no harness, a disarmed
-harness (every target at probability 0), an armed depth fault and an armed
-EKF-reset fault, every record must equal the reference runner's, and
-``DepthCamera.capture`` must run exactly when the system maps clouds or a
-depth fault is armed.
+captured at every depth tick and an unfaulted run had no harness.  Now a
+depth tick renders only when something reads the cloud: a system that maps
+clouds, or an armed depth fault; and every run flies through a harness,
+an empty one when none is given.  For each generation, over the smoke-7
+suite, with no harness (the runner's empty one against the reference's
+hook-free loop), a disarmed harness (every target at probability 0), an
+armed depth fault and an armed EKF-reset fault, every record must equal
+the reference runner's, and ``DepthCamera.capture`` must run exactly when
+the system maps clouds or a depth fault is armed.
 """
 
 import json

@@ -247,12 +247,7 @@ class TestTracingSideChannel:
         assert (tmp_path / "plain" / "MLS-V1.jsonl").read_bytes() == (
             tmp_path / "traced" / "MLS-V1.jsonl"
         ).read_bytes()
-        short_campaign().trace(tmp_path / "nominal").run()
         [summary] = iter_trace_summaries(tmp_path / "trace" / "MLS-V1.trace.jsonl")
-        [nominal] = iter_trace_summaries(tmp_path / "nominal" / "MLS-V1.trace.jsonl")
-        for phase in ("physics", "sense", "detect", "plan", "control"):
-            assert nominal["spans"][phase]["count"] > 0, phase
-        assert "harness" not in nominal["spans"]
         # Every hook call is timed.  A depth tick runs the estimate and
         # mapping hooks, plus the cloud hook when it renders (MLS-V1 renders
         # only under an armed depth fault, which the smoke preset lacks); a
@@ -262,6 +257,26 @@ class TestTracingSideChannel:
         assert calls["filter_frame"] == calls["adjust_timings"] == counters["frames-rendered"]
         assert calls["corrupt_mapping"] > 0
         assert summary["spans"]["harness"]["count"] == sum(calls.values()) - calls["adjust_timings"]
+
+    def test_unfaulted_run_times_every_hook_of_its_empty_harness(self, tmp_path, monkeypatch):
+        # A run without faults still flies through a harness, an empty one,
+        # so its trace has a harness span for every hook call.
+        calls = count_harness_hooks(monkeypatch)
+        short_campaign().trace(tmp_path / "nominal").run()
+        [nominal] = iter_trace_summaries(tmp_path / "nominal" / "MLS-V1.trace.jsonl")
+        for phase in ("physics", "sense", "detect", "plan", "control"):
+            assert nominal["spans"][phase]["count"] > 0, phase
+        # Each decision tick runs the estimate, frame, command and timing
+        # hooks; each depth tick the estimate and mapping hooks (and no cloud
+        # hook: MLS-V1 renders no depth without an armed depth fault).
+        counters = nominal["counters"]
+        frames = counters["frames-rendered"]
+        assert calls["filter_frame"] == calls["filter_command"] == calls["adjust_timings"] == frames > 0
+        assert calls["filter_estimate"] == frames + calls["corrupt_mapping"]
+        assert calls["corrupt_mapping"] > 0
+        assert calls["filter_cloud"] == counters["depth-captures"] == 0
+        hooks = sum(calls.values()) - calls["adjust_timings"]
+        assert nominal["spans"]["harness"]["count"] == hooks
 
     def test_trace_dir_env_var_reaches_execution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "envtrace"))

@@ -21,7 +21,7 @@ from repro import (
     run_scenario,
 )
 from repro.bench.campaign import CampaignJob
-from repro.core.config import DetectorKind, MapperKind, PlannerKind, SystemGeneration, preset
+from repro.core.config import SystemGeneration, preset
 from repro.core.registry import DETECTOR, MAPPER, PLANNER
 from repro.geometry import Vec3
 from repro.perception.classical import ClassicalMarkerDetector
@@ -36,15 +36,15 @@ class TestComponentRegistry:
         assert set(REGISTRY.keys(MAPPER)) == {"none", "dense-grid", "octomap"}
         assert set(REGISTRY.keys(PLANNER)) == {"straight-line", "ego-local-astar", "rrt-star"}
 
-    def test_aliases_and_enums_resolve(self):
+    def test_aliases_resolve(self):
         assert REGISTRY.canonical_key(DETECTOR, "learned") == "tph-yolo"
-        assert REGISTRY.canonical_key(DETECTOR, DetectorKind.CLASSICAL) == "opencv"
+        assert REGISTRY.canonical_key(DETECTOR, "classical") == "opencv"
         assert REGISTRY.canonical_key(PLANNER, "ego") == "ego-local-astar"
-        assert REGISTRY.canonical_key(MAPPER, MapperKind.OCTOMAP) == "octomap"
+        assert REGISTRY.canonical_key(MAPPER, "octree") == "octomap"
 
     def test_nominal_latency_declared_per_component(self):
         assert REGISTRY.nominal_latency(PLANNER, "rrt-star") == pytest.approx(0.120)
-        assert REGISTRY.nominal_latency(DETECTOR, DetectorKind.CLASSICAL) == pytest.approx(0.012)
+        assert REGISTRY.nominal_latency(DETECTOR, "opencv") == pytest.approx(0.012)
         assert REGISTRY.nominal_latency(MAPPER, "none") == 0.0
 
     def test_unknown_key_raises_with_choices(self):
@@ -123,15 +123,13 @@ class TestCustomComponent:
 class TestConfigComposition:
     def test_custom_accepts_strings_and_aliases(self):
         config = LandingSystemConfig.custom("learned", "octree", "rrt")
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.OCTOMAP
-        assert config.planner is PlannerKind.RRT_STAR
+        assert (config.detector, config.mapper, config.planner) == ("tph-yolo", "octomap", "rrt-star")
         assert config.generation is None
         assert config.name == "custom(tph-yolo+octomap+rrt-star)"
 
     def test_presets_unchanged(self):
-        assert mls_v1().detector is DetectorKind.CLASSICAL
-        assert mls_v2().planner is PlannerKind.EGO_LOCAL_ASTAR
+        assert mls_v1().detector == "opencv"
+        assert mls_v2().planner == "ego-local-astar"
         assert mls_v3().name == "MLS-V3"
         assert preset("MLS-V2") == mls_v2()
 
@@ -143,8 +141,8 @@ class TestConfigComposition:
 
     def test_with_components_swaps_and_clears_generation(self):
         hybrid = mls_v3().with_components(planner="straight-line", name="V3-straight")
-        assert hybrid.detector is DetectorKind.LEARNED
-        assert hybrid.planner is PlannerKind.STRAIGHT_LINE
+        assert hybrid.detector == "tph-yolo"
+        assert hybrid.planner == "straight-line"
         assert hybrid.generation is None
         assert hybrid.name == "V3-straight"
 
@@ -167,8 +165,8 @@ class TestConfigSerialization:
 
     def test_partial_dict_uses_defaults(self):
         config = LandingSystemConfig.from_dict({"detector": "tph-yolo"})
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.NONE
+        assert config.detector == "tph-yolo"
+        assert config.mapper == "none"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown LandingSystemConfig keys"):

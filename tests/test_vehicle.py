@@ -1,5 +1,6 @@
 """Tests for dynamics, wind, EKF, controller and the autopilot."""
 
+import math
 
 import pytest
 
@@ -26,7 +27,7 @@ def empty_world(weather=None):
 class TestDynamics:
     def test_tracks_commanded_velocity(self):
         dynamics = QuadrotorDynamics()
-        dynamics.command_velocity(Vec3(2, 0, 0))
+        dynamics.command_velocity_xyz(2, 0, 0)
         for _ in range(100):
             dynamics.step(0.02)
         assert dynamics.state.velocity.x == pytest.approx(2.0, abs=0.3)
@@ -34,26 +35,27 @@ class TestDynamics:
     def test_velocity_commands_are_clamped(self):
         limits = QuadrotorLimits(max_horizontal_speed=3.0)
         dynamics = QuadrotorDynamics(limits)
-        dynamics.command_velocity(Vec3(50, 0, 0))
-        assert dynamics.commanded_velocity.horizontal_norm() <= 3.0 + 1e-9
+        dynamics.command_velocity_xyz(50, 0, 0)
+        vx, vy, _ = dynamics._commanded_velocity
+        assert math.hypot(vx, vy) <= 3.0 + 1e-9
 
     def test_does_not_sink_below_ground(self):
         dynamics = QuadrotorDynamics()
-        dynamics.command_velocity(Vec3(0, 0, -5))
+        dynamics.command_velocity_xyz(0, 0, -5)
         for _ in range(200):
             dynamics.step(0.02)
         assert dynamics.state.position.z >= 0.0
 
     def test_wind_pushes_vehicle(self):
         dynamics = QuadrotorDynamics()
-        dynamics.command_velocity(Vec3.zero())
+        dynamics.command_velocity_xyz(0, 0, 0)
         for _ in range(250):
             dynamics.step(0.02, wind=Vec3(5, 0, 0))
         assert dynamics.state.position.x > 0.5
 
     def test_teleport_resets_state(self):
         dynamics = QuadrotorDynamics()
-        dynamics.command_velocity(Vec3(2, 2, 1))
+        dynamics.command_velocity_xyz(2, 2, 1)
         for _ in range(50):
             dynamics.step(0.02)
         dynamics.teleport(Vec3(5, 5, 0), yaw=1.0)
@@ -124,26 +126,23 @@ class TestEkf:
 class TestController:
     def test_command_points_towards_target(self):
         controller = PositionController()
-        estimate = EstimatedState(position=Vec3.zero())
-        command = controller.velocity_command(estimate, Vec3(10, 0, 0))
+        command = Vec3(*controller.velocity_command_xyz(0, 0, 0, Vec3(10, 0, 0)))
         assert command.x > 0 and abs(command.y) < 1e-6
 
     def test_speed_limit_respected(self):
         controller = PositionController()
-        estimate = EstimatedState(position=Vec3.zero())
-        command = controller.velocity_command(estimate, Vec3(100, 0, 0), speed_limit=1.0)
+        command = Vec3(*controller.velocity_command_xyz(0, 0, 0, Vec3(100, 0, 0), speed_limit=1.0))
         assert command.horizontal_norm() <= 1.0 + 1e-9
 
     def test_descent_rate_limited(self):
         controller = PositionController()
-        estimate = EstimatedState(position=Vec3(0, 0, 50))
-        command = controller.velocity_command(estimate, Vec3(0, 0, 0))
+        command = Vec3(*controller.velocity_command_xyz(0, 0, 50, Vec3(0, 0, 0)))
         assert command.z >= -controller.gains.max_descent_speed - 1e-9
 
     def test_slows_down_near_target(self):
         controller = PositionController()
-        far = controller.velocity_command(EstimatedState(position=Vec3.zero()), Vec3(20, 0, 0))
-        near = controller.velocity_command(EstimatedState(position=Vec3(19.5, 0, 0)), Vec3(20, 0, 0))
+        far = Vec3(*controller.velocity_command_xyz(0, 0, 0, Vec3(20, 0, 0)))
+        near = Vec3(*controller.velocity_command_xyz(19.5, 0, 0, Vec3(20, 0, 0)))
         assert near.norm() < far.norm()
 
     def test_is_at_tolerance(self):
