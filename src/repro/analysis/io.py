@@ -26,16 +26,16 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.core.metrics import (
-    RESULT_SCHEMA_VERSION,
+    RESULT_KIND,
     CampaignResult,
     RunRecord,
-    parse_record_line,
+    iter_result_records,
+    read_result_header,
 )
-from repro.jsonl import iter_frame_records, read_frame_header, validate_frame_header
+from repro.jsonl import read_frame_header
 from repro.world.scenario import Scenario
 
-#: ``kind`` values of the repo's two JSONL formats.
-RESULT_KIND = "campaign-result"
+#: ``kind`` of the scenario-suite files a results directory may also hold.
 SUITE_KIND = "scenario-suite"
 
 #: Sources accepted by :func:`iter_contexts`.
@@ -56,38 +56,6 @@ class RecordContext:
     scenario: Scenario | None = None
 
 
-def read_result_header(path: str | Path) -> dict[str, Any]:
-    """The header object of a campaign-result JSONL file (first line only)."""
-    return read_frame_header(path)
-
-
-def _validate_header(path: Path, header: dict[str, Any]) -> None:
-    validate_frame_header(path, header, RESULT_KIND, RESULT_SCHEMA_VERSION)
-
-
-def iter_result_records(
-    path: str | Path, *, validated: bool = False
-) -> Iterator[RunRecord]:
-    """Yield a persisted file's records one at a time (constant memory).
-
-    A thin wrapper over the shared torn-tail-tolerant line-stream reader
-    (:func:`repro.jsonl.iter_frame_records`), so its policy — drop a
-    malformed *final* line with a warning, raise on a malformed line
-    anywhere earlier — is exactly :func:`read_campaign_jsonl`'s.
-
-    ``validated=True`` skips re-parsing the header line for callers that
-    already read it (the header is still consumed, never yielded).
-    """
-    yield from iter_frame_records(
-        path,
-        RESULT_KIND,
-        RESULT_SCHEMA_VERSION,
-        parse_record_line,
-        description="run record",
-        skip_header_validation=validated,
-    )
-
-
 def discover_result_files(directory: str | Path) -> tuple[list[Path], list[Path]]:
     """Split a directory's ``*.jsonl`` files into (result files, suite files).
 
@@ -100,7 +68,7 @@ def discover_result_files(directory: str | Path) -> tuple[list[Path], list[Path]
     suites: list[Path] = []
     for path in sorted(directory.glob("*.jsonl")):
         try:
-            kind = read_result_header(path).get("kind")
+            kind = read_frame_header(path).get("kind")
         except (ValueError, OSError) as error:
             warnings.warn(
                 f"skipping unreadable JSONL file {path}: {error}",
@@ -149,7 +117,6 @@ def _iter_path_contexts(path: Path) -> Iterator[RecordContext]:
             yield from _iter_path_contexts(file)
         return
     header = read_result_header(path)
-    _validate_header(path, header)
     platform = str(header.get("platform", "") or "")
     for record in iter_result_records(path, validated=True):
         yield RecordContext(record=record, platform=platform, source=str(path))

@@ -21,18 +21,17 @@ the key) and behind ``python -m repro.analysis summarize --cache``.
 
 from __future__ import annotations
 
-import os
 import re
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.engine import CampaignAnalysis
-from repro.analysis.io import read_result_header, resolve_result_files
+from repro.analysis.io import resolve_result_files
 from repro.analysis.slicing import FACTOR_NAMES
 from repro.analysis.stats import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
-from repro.jsonl import sha16_of_json
+from repro.core.metrics import read_result_header
+from repro.jsonl import atomic_text, sha16_of_json
 
 #: Bumped when report rendering changes shape, so stale caches from older
 #: versions can never be served as current output.
@@ -197,10 +196,8 @@ def cached_report(
         pass
 
     text = _render(analysis_source, kind, factor, suites, seed, confidence, resamples)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex[:8]}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with atomic_text(path) as handle:
+        handle.write(text)
     # One live entry per report kind: superseded keys (earlier record
     # counts, older parameters) are pruned so a long-running service's
     # cache stays bounded by the number of report kinds, not fetches.

@@ -32,7 +32,6 @@ serial ones.
 from __future__ import annotations
 
 import os
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict as dataclasses_asdict
 from dataclasses import dataclass, replace
@@ -56,7 +55,7 @@ from repro.core.platform import DesktopPlatform, ExecutionPlatform
 from repro.core.registry import DETECTOR, REGISTRY
 from repro.faults.spec import FaultSpec, ensure_unique_names, resolve_faults
 from repro.hil.jetson import JetsonNanoPlatform
-from repro.jsonl import sha16_of_json
+from repro.jsonl import file_stem, sha16_of_json
 from repro.perception.neural.training import load_pretrained_detector_net
 from repro.realworld.field_test import FieldPlatform
 from repro.world.scenario import Scenario
@@ -214,7 +213,7 @@ def campaign_result_filename(system_name: str) -> str:
     Shared with :mod:`repro.dispatch.merge` so merged shard outputs land on
     exactly the filenames a single-process campaign would have written.
     """
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", system_name) + ".jsonl"
+    return file_stem(system_name) + ".jsonl"
 
 
 def campaign_context_fingerprint(
@@ -736,7 +735,8 @@ class Campaign:
                 # older-schema header before current-schema records are
                 # appended under it (readers gate on the header, so a
                 # schema-1 header over schema-2 records would defeat the
-                # "upgrade to read it" error for older readers).
+                # "upgrade to read it" error for older readers).  The file
+                # is replaced whole: an interrupted heal leaves it as it was.
                 if stale_schema:
                     header = {**header, "schema": RESULT_SCHEMA_VERSION}
                 write_campaign_jsonl(path, header, records)

@@ -130,10 +130,6 @@ class LandingSystemConfig:
             return self.generation.value
         return f"custom({self.detector}+{self.mapper}+{self.planner})"
 
-    @property
-    def has_avoidance(self) -> bool:
-        return self.mapper != "none"
-
     # ------------------------------------------------------------------ #
     # builders
     # ------------------------------------------------------------------ #

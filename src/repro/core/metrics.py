@@ -17,9 +17,18 @@ import math
 import statistics
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.jsonl import iter_frame_records, read_frame_header, validate_frame_header
+from repro.jsonl import (
+    append_framed,
+    atomic_text,
+    iter_frame_records,
+    read_frame_header,
+    validate_frame_header,
+)
+
+#: ``kind`` of campaign-result JSONL files.
+RESULT_KIND = "campaign-result"
 
 #: Schema version stamped into campaign-result JSONL headers.  Version 2
 #: added the failsafe fields (``failsafe_action`` / ``failsafe_reason``), the
@@ -315,7 +324,7 @@ class CampaignResult:
         one at a time with :func:`append_record_jsonl`, which is what makes
         interrupted campaigns resumable.
         """
-        write_campaign_jsonl(path, self._header(), self.records)
+        write_campaign_jsonl(path, result_header(self.system_name), self.records)
         return Path(path)
 
     @classmethod
@@ -331,34 +340,73 @@ class CampaignResult:
             result.add(record)
         return result
 
-    def _header(self) -> dict[str, Any]:
-        return {
-            "kind": "campaign-result",
-            "schema": RESULT_SCHEMA_VERSION,
-            "system": self.system_name,
-        }
+
+def result_header(system: str, **context: Any) -> dict[str, Any]:
+    """The header object of a campaign-result file holding ``system``'s runs.
+
+    ``context`` adds the run conditions a record cannot carry: a campaign
+    writes ``campaign`` (its context fingerprint) and ``platform``, so
+    resuming and merging can refuse results flown under other ones.
+    """
+    return {"kind": RESULT_KIND, "schema": RESULT_SCHEMA_VERSION, "system": system, **context}
 
 
 def write_campaign_jsonl(
-    path: str | Path, header: dict[str, Any], records: list[RunRecord]
+    path: str | Path, header: dict[str, Any], records: Iterable[RunRecord]
 ) -> Path:
-    """(Re)write a campaign-result JSONL file with an explicit header.
+    """Replace a campaign-result JSONL file with ``header`` and ``records``.
 
-    The campaign runner uses this both for full dumps and to heal a file
-    whose trailing record was torn by a mid-append kill.
+    Used for full dumps, for the shard merger's output and to heal a file
+    whose trailing record was torn by a mid-append kill.  The file is
+    replaced whole (:func:`repro.jsonl.atomic_text`): a writer interrupted
+    part-way, or an exception raised by ``records``, leaves the old file.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    with atomic_text(path) as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for record in records:
             handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-    return path
+    return Path(path)
 
 
 def parse_record_line(line: str) -> RunRecord:
     """Parse one campaign-result JSONL payload line into a :class:`RunRecord`."""
     return RunRecord.from_dict(json.loads(line))
+
+
+def iter_result_records(
+    path: str | Path,
+    *,
+    validated: bool = False,
+    on_torn_tail: Callable[[Exception], None] | None = None,
+) -> Iterator[RunRecord]:
+    """Yield a campaign-result file's records one at a time (constant memory).
+
+    The record stream every reader of these files shares: a malformed
+    *final* line is dropped with a warning (and reported to
+    ``on_torn_tail``), a malformed line anywhere earlier raises (see
+    :func:`repro.jsonl.iter_frame_records`).  ``validated=True`` skips
+    re-checking the header for callers that already read it.
+    """
+    return iter_frame_records(
+        path,
+        RESULT_KIND,
+        RESULT_SCHEMA_VERSION,
+        parse_record_line,
+        description="run record",
+        skip_header_validation=validated,
+        on_torn_tail=on_torn_tail,
+    )
+
+
+def read_result_header(path: str | Path) -> dict[str, Any]:
+    """The header object of a campaign-result file.
+
+    Raises ``ValueError`` when the file is empty, of another kind, or of a
+    newer schema than this version reads.
+    """
+    header = read_frame_header(path)
+    validate_frame_header(path, header, RESULT_KIND, RESULT_SCHEMA_VERSION)
+    return header
 
 
 def read_campaign_jsonl(path: str | Path) -> tuple[dict[str, Any], list[RunRecord], bool]:
@@ -369,20 +417,10 @@ def read_campaign_jsonl(path: str | Path) -> tuple[dict[str, Any], list[RunRecor
     line is dropped with a warning so the campaign can still resume.  A
     malformed header or a malformed line anywhere *before* the tail raises.
     """
-    path = Path(path)
-    header = read_frame_header(path)
-    validate_frame_header(path, header, "campaign-result", RESULT_SCHEMA_VERSION)
+    header = read_result_header(path)
     torn_errors: list[Exception] = []
     records = list(
-        iter_frame_records(
-            path,
-            "campaign-result",
-            RESULT_SCHEMA_VERSION,
-            parse_record_line,
-            description="run record",
-            skip_header_validation=True,
-            on_torn_tail=torn_errors.append,
-        )
+        iter_result_records(path, validated=True, on_torn_tail=torn_errors.append)
     )
     return header, records, bool(torn_errors)
 
@@ -399,12 +437,4 @@ def append_record_jsonl(
     first use; the campaign runner calls this after every completed run so a
     killed campaign loses at most the in-flight missions.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not path.exists() or path.stat().st_size == 0:
-        header = CampaignResult(system_name=result_system)._header()
-        if extra_header:
-            header.update(extra_header)
-        path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+    append_framed(path, result_header(result_system, **(extra_header or {})), record.to_dict())

@@ -20,15 +20,17 @@ platform), and each record's scenario fingerprint against the planned suite.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+from typing import Iterator
 
 from repro.bench.campaign import campaign_result_filename
 from repro.core.metrics import (
-    RESULT_SCHEMA_VERSION,
     CampaignResult,
     RunRecord,
-    parse_record_line,
+    iter_result_records,
+    read_result_header,
+    result_header,
+    write_campaign_jsonl,
 )
 from repro.dispatch.planner import (
     DispatchPlan,
@@ -39,7 +41,6 @@ from repro.dispatch.planner import (
     shard_results_dir,
 )
 from repro.dispatch.queue import ShardQueue
-from repro.jsonl import iter_frame_records, read_frame_header, validate_frame_header
 
 
 class ShardResultError(ValueError):
@@ -59,8 +60,7 @@ def _shard_records(
         raise ShardResultError(
             f"{shard.name} is marked done but {path} is missing"
         )
-    header = read_frame_header(path)
-    validate_frame_header(path, header, "campaign-result", RESULT_SCHEMA_VERSION)
+    header = read_result_header(path)
     if str(header.get("system")) != system_name:
         raise ShardResultError(
             f"{path} holds results for {header.get('system')!r}, not {system_name!r}"
@@ -78,14 +78,7 @@ def _shard_records(
         )
     cells: dict[tuple[str, int], RunRecord] = {}
     expected_ids = set(shard.scenario_ids)
-    for record in iter_frame_records(
-        path,
-        "campaign-result",
-        RESULT_SCHEMA_VERSION,
-        parse_record_line,
-        description="run record",
-        skip_header_validation=True,
-    ):
+    for record in iter_result_records(path, validated=True):
         if record.scenario_id not in expected_ids:
             raise ShardResultError(
                 f"{path} holds a record for {record.scenario_id!r}, which is "
@@ -136,59 +129,52 @@ def merge_dispatch(
     }
 
     out = Path(out_dir) if out_dir is not None else merged_dir(directory)
-    out.mkdir(parents=True, exist_ok=True)
     merged: dict[str, Path] = {}
     for system in plan.systems:
-        # Exactly the header a single-process Campaign.out() writes for this
-        # campaign context — merged files must be byte-identical to it.
-        header = {
-            "kind": "campaign-result",
-            "schema": RESULT_SCHEMA_VERSION,
-            "system": system.name,
-            "campaign": plan.context,
-            "platform": plan.platform,
-        }
-        path = out / campaign_result_filename(system.name)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for shard in plan.shards:
-                cells = _shard_records(
-                    directory, plan, shard, system.name, expected_fingerprints
-                )
-                # Re-emit from the grid (scenario-major, repetition-minor) —
-                # the serial submission order — not from file append order.
-                for scenario_id in shard.scenario_ids:
-                    for repetition in range(plan.repetitions):
-                        record = cells.pop((scenario_id, repetition), None)
-                        if record is None:
-                            raise ShardResultError(
-                                f"{shard.name} is marked done but holds no "
-                                f"record for {system.name} / {scenario_id!r} "
-                                f"rep {repetition}"
-                            )
-                        handle.write(
-                            json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                        )
-                if cells:
-                    extras = sorted(f"{sid} rep{rep}" for sid, rep in cells)
-                    raise ShardResultError(
-                        f"{shard.name} holds {len(extras)} record(s) outside "
-                        f"the planned grid for {system.name}: {extras[:5]}"
-                    )
-        tmp.replace(path)
-        merged[system.name] = path
+        # Exactly the header and record order a single-process Campaign.out()
+        # writes for this campaign context; each merged file is replaced
+        # whole, so concurrent merges of one directory cannot tear it.
+        merged[system.name] = write_campaign_jsonl(
+            out / campaign_result_filename(system.name),
+            result_header(system.name, campaign=plan.context, platform=plan.platform),
+            _grid_records(directory, plan, system.name, expected_fingerprints),
+        )
     return merged
+
+
+def _grid_records(
+    directory: Path,
+    plan: DispatchPlan,
+    system_name: str,
+    expected_fingerprints: dict[str, str],
+) -> Iterator[RunRecord]:
+    """``system_name``'s records shard by shard, each shard in grid order
+    (scenario-major, repetition-minor) — the serial submission order — not
+    in file append order."""
+    for shard in plan.shards:
+        cells = _shard_records(directory, plan, shard, system_name, expected_fingerprints)
+        for scenario_id in shard.scenario_ids:
+            for repetition in range(plan.repetitions):
+                record = cells.pop((scenario_id, repetition), None)
+                if record is None:
+                    raise ShardResultError(
+                        f"{shard.name} is marked done but holds no record for "
+                        f"{system_name} / {scenario_id!r} rep {repetition}"
+                    )
+                yield record
+        if cells:
+            extras = sorted(f"{sid} rep{rep}" for sid, rep in cells)
+            raise ShardResultError(
+                f"{shard.name} holds {len(extras)} record(s) outside "
+                f"the planned grid for {system_name}: {extras[:5]}"
+            )
 
 
 def ensure_merged(directory: str | Path) -> Path:
     """Merge ``directory`` unless every per-system merged file already
     exists; returns the merged directory.
 
-    Raises :class:`ShardResultError` while shards are outstanding.  Not
-    safe against a concurrent merge of the same directory: the merger
-    writes through fixed ``.tmp`` names, so callers sharing a directory
-    across threads serialise their calls.
+    Raises :class:`ShardResultError` while shards are outstanding.
     """
     out = merged_dir(directory)
     plan = load_plan(directory)

@@ -27,8 +27,6 @@ campaign always produces byte-identical plan files.
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from dataclasses import asdict as dataclasses_asdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +39,7 @@ from repro.bench.campaign import (
 from repro.core.config import LandingSystemConfig
 from repro.core.mission import MissionConfig
 from repro.faults.spec import FaultSpec
-from repro.jsonl import sha16_of_json as _sha16
+from repro.jsonl import sha16_of_json as _sha16, write_json_atomic
 from repro.world.scenario_suite import ScenarioSuite
 
 #: Schema version stamped into plan.json / manifest.json.  Version 2 added
@@ -269,25 +267,6 @@ def _build_plan(
         )
     plan.fingerprint = plan.compute_fingerprint()
     return plan
-
-
-def write_json_atomic(
-    path: str | Path, payload: dict[str, Any], *, indent: int | None = None
-) -> None:
-    """Atomic (write-temp-then-replace) deterministic JSON dump.
-
-    The one JSON writer for the whole dispatch directory (plans, manifests,
-    leases, completion markers).  The temp name is unique per write, so
-    concurrent writers racing on the same path can never tear each other's
-    temp file — the final ``os.replace`` settles who wins.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex[:8]}")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, indent=indent) + "\n", encoding="utf-8"
-    )
-    os.replace(tmp, path)
 
 
 def build_plan(

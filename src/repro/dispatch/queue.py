@@ -47,8 +47,8 @@ from repro.dispatch.planner import (
     load_plan,
     shard_dir,
     shard_results_dir,
-    write_json_atomic,
 )
+from repro.jsonl import write_json_atomic
 from repro.obs.metrics import METRICS
 
 #: Default worker lease: a heartbeat older than this marks the worker dead.

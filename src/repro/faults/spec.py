@@ -28,7 +28,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.jsonl import sha16_of_json as _sha
+from repro.jsonl import sha16_of_json as _sha, write_json_atomic
 
 #: Injection points: every target component and the fault modes it supports.
 #: The implementation of each mode lives in :mod:`repro.faults.harness`.
@@ -291,8 +291,5 @@ def load_fault_plan(path: str | Path) -> tuple[FaultSpec, ...]:
 
 def dump_fault_plan(specs: Iterable[FaultSpec], path: str | Path) -> Path:
     """Write specs as a fault-plan JSON file (the ``--faults`` file format)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"faults": [spec.to_dict() for spec in specs]}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return path
+    write_json_atomic(path, {"faults": [spec.to_dict() for spec in specs]}, indent=2)
+    return Path(path)

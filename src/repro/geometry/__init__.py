@@ -8,16 +8,14 @@ provides the small vocabulary of types they share:
 * :class:`Quaternion` — unit quaternion for attitude, plus Euler helpers.
 * :class:`Pose` — position + orientation.
 * :class:`AABB` — axis-aligned bounding box with intersection and ray tests.
-* :class:`Ray` — origin + direction, used by the depth sensor and the octree.
-* :class:`GridIndex` — conversion between continuous coordinates and integer
-  voxel indices.
+
+:func:`repro.geometry.ray.voxel_traversal` walks a batch of segments through
+integer voxels; the octree integrates depth rays with it.
 """
 
 from repro.geometry.vec import Vec3
 from repro.geometry.quaternion import Quaternion
 from repro.geometry.pose import Pose
 from repro.geometry.aabb import AABB
-from repro.geometry.ray import Ray
-from repro.geometry.grid import GridIndex
 
-__all__ = ["Vec3", "Quaternion", "Pose", "AABB", "Ray", "GridIndex"]
+__all__ = ["Vec3", "Quaternion", "Pose", "AABB"]

@@ -1,35 +1,8 @@
-"""Rays and ray bundles for the depth sensor and the octree updater."""
+"""Batched voxel traversal of ray segments, for the octree's ray integration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.geometry.vec import Vec3
-
-
-@dataclass(frozen=True)
-class Ray:
-    """A half-line with a unit direction."""
-
-    origin: Vec3
-    direction: Vec3
-
-    def __post_init__(self) -> None:
-        n = self.direction.norm()
-        if abs(n - 1.0) > 1e-6:
-            if n < 1e-12:
-                raise ValueError("ray direction must be non-zero")
-            object.__setattr__(self, "direction", self.direction / n)
-
-    def point_at(self, distance: float) -> Vec3:
-        return self.origin + self.direction * distance
-
-    @staticmethod
-    def between(start: Vec3, end: Vec3) -> "Ray":
-        """Ray from ``start`` pointing towards ``end``."""
-        return Ray(start, (end - start))
 
 
 def voxel_traversal(

@@ -1,11 +1,24 @@
-"""Shared framing for the repo's JSON-Lines file formats.
+"""Shared framing for the repo's JSON-Lines file formats, and the two ways
+a persisted file changes on disk.
 
-Every persisted format — scenario suites, campaign results, search curves
-and bisections — is one header object followed by one payload object per
-line.  This module owns the framing rules (blank-line filtering, empty-file
-and wrong-kind errors, schema-version gating) so the readers cannot drift,
-and the canonical writer (:func:`write_jsonl_frame`); payload parsing stays
-with the owning module.
+Every persisted format — scenario suites, campaign results, flight traces,
+search curves and bisections — is one header object followed by one payload
+object per line.  This module owns the framing rules (blank-line filtering,
+empty-file and wrong-kind errors, schema-version gating) so the readers
+cannot drift; payload parsing stays with the owning module.
+
+It also owns how every file another process reads, resumes from or merges
+reaches the disk:
+
+* **replace** — :func:`atomic_text` writes a unique sibling temp file and
+  ``os.replace``-s it over the target, so a reader sees the old bytes or the
+  new ones, never a torn mix, and concurrent writers never share a temp
+  file.  :func:`write_json_atomic`, :func:`write_jsonl_frame` and the
+  campaign-result writer sit on top of it.
+* **append** — :func:`append_framed` creates a framed file's header
+  atomically (temp file + ``link``) and appends one line on an ``O_APPEND``
+  descriptor, so any number of processes can grow one file and a killed one
+  leaves at worst a torn final line, which the readers drop.
 
 Deliberately import-free of the rest of the package: it is imported from
 both :mod:`repro.core.metrics` and :mod:`repro.world.scenario_suite`.
@@ -13,12 +26,16 @@ both :mod:`repro.core.metrics` and :mod:`repro.world.scenario_suite`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
+import re
+import uuid
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -35,18 +52,99 @@ def sha16_of_json(payload: Any) -> str:
     return hashlib.sha256(encoded).hexdigest()[:16]
 
 
-def write_jsonl_frame(path: str | Path, header: dict[str, Any], rows: Iterable[Any]) -> Path:
-    """Write ``header`` then one line per row, and return the path.
+def file_stem(name: str) -> str:
+    """``name`` made safe as a filename stem (runs of other characters -> ``_``).
 
-    Sorted keys and compact separators make the bytes a pure function of
-    the contents, which is what lets CI ``cmp`` these files.  Campaign-result
-    files keep their own writer (default separators, append-through).
+    The one slug behind every per-system file: campaign results
+    (``<stem>.jsonl``) and flight traces (``<stem>.trace.jsonl``).
+    """
+    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+
+
+def _temp_sibling(path: Path) -> Path:
+    """A unique temp name next to ``path``: ``<name>.tmp-<hex>``.
+
+    It matches none of the readers' globs (``*.json``, ``*.jsonl``).
+    """
+    return path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex[:8]}")
+
+
+@contextlib.contextmanager
+def atomic_text(path: str | Path) -> Iterator[IO[str]]:
+    """Replace ``path`` with the text written inside the block.
+
+    The block writes to a unique sibling temp file, which is ``os.replace``-d
+    over ``path`` when the block exits cleanly.  On any exception —
+    ``KeyboardInterrupt`` included — the temp file is removed and ``path``
+    keeps its old bytes, so an interrupted writer never loses what was there.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    tmp = _temp_sibling(path)
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # never mask the original error
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json_atomic(
+    path: str | Path, payload: dict[str, Any], *, indent: int | None = None
+) -> None:
+    """Replace ``path`` with ``payload`` as deterministic (sorted-key) JSON.
+
+    The one JSON-object writer: dispatch plans, manifests, leases and
+    completion markers, service jobs, metric snapshots and fault plans.
+    """
+    with atomic_text(path) as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+
+
+def write_jsonl_frame(path: str | Path, header: dict[str, Any], rows: Iterable[Any]) -> Path:
+    """Replace ``path`` with ``header`` then one line per row; return the path.
+
+    Sorted keys and compact separators make the bytes a pure function of
+    the contents, which is what lets CI ``cmp`` these files.  Campaign-result
+    files use default separators (:func:`repro.core.metrics.write_campaign_jsonl`).
+    """
+    with atomic_text(path) as handle:
         for payload in itertools.chain([header], rows):
             handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    return Path(path)
+
+
+def append_framed(path: str | Path, header: dict[str, Any], payload: dict[str, Any]) -> Path:
+    """Append ``payload`` as one sorted-key JSON line, creating the file with
+    ``header`` first; return the path.
+
+    The header is written to a unique temp file and ``link``-ed into place:
+    concurrent appenders either find the complete header on disk or race to
+    create it, and the loser discards its temp file, so no appender ever
+    sees (or appends to) a headerless file.  The line goes out on an
+    ``O_APPEND`` descriptor, so appends from many processes interleave at
+    line granularity only.
+    """
+    path = Path(path)
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = _temp_sibling(path)
+        tmp.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            pass  # another appender won the race; its header is identical
+        finally:
+            tmp.unlink()
+    line = memoryview((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        while line:
+            line = line[os.write(fd, line):]
+    finally:
+        os.close(fd)
     return path
 
 
@@ -55,8 +153,9 @@ def validate_frame_header(
 ) -> None:
     """Enforce the kind/schema gate on an already-parsed header object.
 
-    Shared by the materialising reader below and the streaming reader in
-    :mod:`repro.analysis.io`, so the gating rules cannot drift between them.
+    Shared by the materialising reader below, the streaming reader and the
+    callers that read a header before streaming its records, so the gating
+    rules cannot drift between them.
     Raises ``ValueError`` when the header is of a different kind or declares
     a schema version newer than ``max_schema`` (old readers fail loudly
     instead of misparsing future records).
@@ -113,10 +212,9 @@ def iter_frame_records(
 ) -> Iterator[T]:
     """Yield ``parse(line)`` for each payload line, one at a time.
 
-    This is the one torn-tail-tolerant line-stream reader shared by
-    :func:`repro.core.metrics.read_campaign_jsonl`,
-    :func:`repro.analysis.io.iter_result_records` and the shard merger
-    (:mod:`repro.dispatch.merge`): a malformed *final* line — the leftover of
+    This is the one torn-tail-tolerant line-stream reader, behind
+    :func:`repro.core.metrics.iter_result_records` and the trace reader:
+    a malformed *final* line — the leftover of
     a process killed mid-append — is dropped with a warning (and reported to
     ``on_torn_tail`` when given), while a malformed line anywhere earlier
     raises.  The look-ahead works by holding each parse failure until the

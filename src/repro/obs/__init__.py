@@ -42,6 +42,7 @@ from repro.obs.trace import (
     append_trace_summary,
     iter_trace_summaries,
     trace_filename,
+    trace_header,
 )
 
 __all__ = [
@@ -63,4 +64,5 @@ __all__ = [
     "append_trace_summary",
     "iter_trace_summaries",
     "trace_filename",
+    "trace_header",
 ]

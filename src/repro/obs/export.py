@@ -13,10 +13,11 @@ under the dispatch directory it is working::
 Three properties make the snapshots safe to merge (see
 :mod:`repro.obs.aggregate`):
 
-* **atomic** — each flush writes a temp file (suffix ``.tmp``, invisible to
-  the aggregator's ``*.json`` glob) and ``os.replace``-s it over the
-  snapshot, so a reader never observes a torn snapshot and a worker killed
-  mid-flush leaves at worst a stale complete one plus an orphan temp file.
+* **atomic** — each flush replaces the snapshot through
+  :func:`repro.jsonl.write_json_atomic` (a ``<name>.tmp-<hex>`` temp file,
+  invisible to the aggregator's ``*.json`` glob, then ``os.replace``), so a
+  reader never observes a torn snapshot and a worker killed mid-flush leaves
+  at worst a stale complete one plus an orphan temp file.
 * **stable identity** — a process always writes the *same* filename (its
   pid plus a per-process random nonce) and stamps every snapshot with a
   monotonically increasing ``seq``, so the aggregator can deduplicate one
@@ -34,7 +35,6 @@ campaign (``flush_metrics`` returns ``None`` instead of raising).
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
@@ -42,6 +42,7 @@ import uuid
 from pathlib import Path
 from typing import Any
 
+from repro.jsonl import write_json_atomic
 from repro.obs.metrics import METRICS, MetricsRegistry
 
 SNAPSHOT_KIND = "metrics-snapshot"
@@ -96,25 +97,15 @@ class MetricsExporter:
         ``obs/metrics/`` subtree.  Returns the snapshot path, or ``None``
         when the filesystem refused (flushing never breaks a run loop).
         """
-        target_dir = Path(directory) / METRICS_DIRNAME
-        path = target_dir / self.filename()
-        tmp = path.with_name(f".{path.stem}-{uuid.uuid4().hex[:6]}.tmp")
+        path = Path(directory) / METRICS_DIRNAME / self.filename()
         # Pool threads share one exporter.  Taking the sequence, writing and
         # replacing under one lock keeps the snapshot on disk monotone: a
         # flush holding seq N can never replace one holding seq N + 1.
         with self._lock:
             payload = self.payload(registry if registry is not None else METRICS)
             try:
-                target_dir.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(
-                    json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-                )
-                os.replace(tmp, path)
+                write_json_atomic(path, payload)
             except OSError:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
                 return None
         return path
 

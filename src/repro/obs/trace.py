@@ -17,9 +17,9 @@ Tracing is strictly a side channel:
   off (the contract the ``obs-smoke`` CI job enforces with ``cmp``);
 * trace files reuse the repo's framed-JSONL rules (:mod:`repro.jsonl`): one
   header line (``kind: "flight-trace"``), then one summary object per run;
-* appends are single ``os.write`` calls on ``O_APPEND`` descriptors and the
-  header is created atomically (temp file + ``link``), so any number of
-  campaign workers — processes or machines sharing the directory — can
+* summaries are appended through :func:`repro.jsonl.append_framed` (the
+  header created atomically, each line one ``O_APPEND`` write), so any number
+  of campaign workers — processes or machines sharing the directory — can
   append to the same trace dir without coordination, and a reader never sees
   a headerless or interleaved file.
 
@@ -32,13 +32,11 @@ byte-stable baseline (see :mod:`repro.obs.report`).
 from __future__ import annotations
 
 import json
-import os
-import re
 import time
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.jsonl import iter_frame_records
+from repro.jsonl import append_framed, file_stem, iter_frame_records
 
 #: Trace-file framing (the same gate discipline as campaign results).
 TRACE_KIND = "flight-trace"
@@ -123,38 +121,17 @@ class FlightRecorder:
 # ---------------------------------------------------------------------- #
 def trace_filename(system_name: str) -> str:
     """Trace file for one system's runs (mirrors the campaign-result naming)."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", system_name) + ".trace.jsonl"
+    return file_stem(system_name) + ".trace.jsonl"
 
 
-def _trace_header(system_name: str) -> dict[str, Any]:
+def trace_header(system_name: str) -> dict[str, Any]:
+    """The header object of ``system_name``'s trace file."""
     return {
         "kind": TRACE_KIND,
         "schema": TRACE_SCHEMA_VERSION,
         "system": system_name,
         "phases": list(PHASES),
     }
-
-
-def _ensure_header(path: Path, system_name: str) -> None:
-    """Create the trace file with its header line, atomically.
-
-    The header is written to a unique temp file first and ``link``-ed into
-    place: concurrent appenders either see the complete header already on
-    disk or race to create it, and the loser just discards its temp file —
-    no appender can ever observe (or append to) a headerless file.
-    """
-    if path.exists():
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(_trace_header(system_name), sort_keys=True) + "\n"
-    tmp = path.with_name(f"{path.name}.hdr-{os.getpid()}-{time.monotonic_ns()}")
-    tmp.write_text(line, encoding="utf-8")
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        pass  # another appender won the race; its header is identical
-    finally:
-        tmp.unlink()
 
 
 def append_trace_summary(
@@ -168,29 +145,22 @@ def append_trace_summary(
 ) -> Path:
     """Append one run's summary to ``<directory>/<system>.trace.jsonl``.
 
-    The payload is one line, written with a single ``write`` on an
-    ``O_APPEND`` descriptor, so concurrent appends from parallel campaign
-    workers interleave at line granularity only (the same guarantee as
-    campaign-result appends).  ``correlation`` (job/shard/probe ids, see
+    The payload is one line appended through :func:`repro.jsonl.append_framed`
+    (the primitive campaign-result appends use too), so concurrent appends
+    from parallel campaign workers interleave at line granularity only.
+    ``correlation`` (job/shard/probe ids, see
     :meth:`repro.bench.campaign.Campaign.correlate`) is stamped into the
     summary as a ``corr`` object when given; summaries without one render
     byte-identically to pre-correlation trace files.
     """
-    directory = Path(directory)
-    path = directory / trace_filename(system)
-    _ensure_header(path, system)
     payload = recorder.summary(
         system=system, scenario_id=scenario_id, repetition=repetition
     )
     if correlation:
         payload["corr"] = {str(key): str(value) for key, value in correlation.items()}
-    line = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-    try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)
-    return path
+    return append_framed(
+        Path(directory) / trace_filename(system), trace_header(system), payload
+    )
 
 
 def iter_trace_summaries(path: str | Path) -> Iterator[dict[str, Any]]:

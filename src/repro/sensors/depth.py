@@ -151,7 +151,6 @@ class DepthCamera:
         true_pose: Pose,
         estimated_pose: Pose | None = None,
         timestamp: float = 0.0,
-        position_error: Vec3 | None = None,
     ) -> PointCloud:
         """Cast the ray grid from the drone's true pose.
 
@@ -163,13 +162,9 @@ class DepthCamera:
                 shifts the whole cloud (this is how GPS drift corrupts the
                 map, Fig. 5c/5d).
             timestamp: simulation time.
-            position_error: explicit extra offset applied to the points
-                (used by the real-world fault models).
         """
         estimated_pose = estimated_pose or true_pose
         estimation_offset = estimated_pose.position - true_pose.position
-        if position_error is not None:
-            estimation_offset = estimation_offset + position_error
 
         points: list[Vec3] = []
         weather = world.weather

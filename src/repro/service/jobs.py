@@ -34,9 +34,10 @@ from typing import Any
 from repro.bench.campaign import PLATFORM_FACTORIES
 from repro.core.config import PRESETS, LandingSystemConfig, preset
 from repro.dispatch.merge import ensure_merged
-from repro.dispatch.planner import build_plan, plan_dispatch, write_json_atomic
+from repro.dispatch.planner import build_plan, plan_dispatch
 from repro.dispatch.queue import ShardQueue
 from repro.faults.spec import FaultSpec
+from repro.jsonl import write_json_atomic
 from repro.world.scenario_gen import PRESET_NAMES, SuiteSpec, generate_suite
 from repro.world.scenario_suite import ScenarioSuite
 from repro.world.spec_validation import (
@@ -388,8 +389,8 @@ class JobStore:
         """Merge the job's shard outputs (once); returns the merged dir.
 
         Raises ``ShardResultError`` while shards are still outstanding.
-        Serialised: the merger writes through fixed ``.tmp`` names, so
-        concurrent merges of the same directory must not interleave.
+        Serialised, so that pool threads do not merge one job twice (a
+        concurrent merge would still be safe, only wasted work).
         """
         with self._merge_lock:
             return ensure_merged(job.dispatch_dir)

@@ -33,7 +33,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.analysis.memo import cached_report
 from repro.analysis.slicing import FACTOR_NAMES
-from repro.core.metrics import RESULT_SCHEMA_VERSION
+from repro.core.metrics import RESULT_KIND, RESULT_SCHEMA_VERSION
 from repro.dispatch.merge import ShardResultError
 from repro.jsonl import read_frame_header, read_frame_page
 from repro.obs.aggregate import fleet_render
@@ -356,7 +356,7 @@ class _Handler(BaseHTTPRequestHandler):
             remaining = None if limit is None else limit - len(records)
             _, page, file_total = read_frame_page(
                 path,
-                "campaign-result",
+                RESULT_KIND,
                 RESULT_SCHEMA_VERSION,
                 json.loads,
                 offset=max(0, offset - total),

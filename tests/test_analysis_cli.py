@@ -9,12 +9,7 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.engine import CampaignAnalysis
-from repro.analysis.io import (
-    discover_result_files,
-    iter_records,
-    iter_result_records,
-    read_result_header,
-)
+from repro.analysis.io import discover_result_files, iter_records
 from repro.bench.campaign import Campaign
 from repro.core.metrics import (
     CampaignResult,
@@ -22,6 +17,8 @@ from repro.core.metrics import (
     RunOutcome,
     RunRecord,
     append_record_jsonl,
+    iter_result_records,
+    read_result_header,
 )
 from repro.world.scenario_gen import generate_suite
 from repro.world.scenario_suite import build_evaluation_suite

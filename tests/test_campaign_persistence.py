@@ -243,6 +243,31 @@ class TestCampaignResume:
             restored = CampaignResult.from_jsonl(path)
         assert len(restored) == 6
 
+    def test_interrupted_heal_keeps_every_record(self, tmp_path, stub_execute, monkeypatch):
+        # A resume stopped part-way through healing a torn file (Ctrl-C
+        # after one record is re-encoded) must leave every record on disk.
+        self._campaign(tmp_path).run()
+        path = tmp_path / "MLS-V1.jsonl"
+        with path.open("a") as handle:
+            handle.write('{"half": "written')
+        to_dict, calls = RunRecord.to_dict, []
+
+        def interrupted_to_dict(record):
+            calls.append(record)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return to_dict(record)
+
+        monkeypatch.setattr(RunRecord, "to_dict", interrupted_to_dict)
+        with pytest.warns(RuntimeWarning, match="torn trailing record"):
+            with pytest.raises(KeyboardInterrupt):
+                self._campaign(tmp_path).run()
+        monkeypatch.setattr(RunRecord, "to_dict", to_dict)
+        assert len(calls) == 2
+        with pytest.warns(RuntimeWarning, match="torn trailing record"):
+            assert len(CampaignResult.from_jsonl(path)) == 6
+        assert list(tmp_path.iterdir()) == [path]  # no temp sibling left
+
     def test_no_out_means_no_files(self, tmp_path, stub_execute):
         campaign = (
             Campaign(mls_v1()).suite(generate_suite("smoke", count=2, seed=1)).repetitions(1)

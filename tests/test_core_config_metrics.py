@@ -26,7 +26,6 @@ class TestConfigPresets:
         assert (config.detector, config.mapper, config.planner) == (
             "opencv", "none", "straight-line"
         )
-        assert not config.has_avoidance
         assert config.name == "MLS-V1"
 
     def test_v2_composition(self):
@@ -34,7 +33,6 @@ class TestConfigPresets:
         assert config.detector == "tph-yolo" and type(config.detector) is str
         assert config.mapper == "dense-grid"
         assert config.planner == "ego-local-astar"
-        assert config.has_avoidance
 
     def test_v3_composition(self):
         config = mls_v3()

@@ -6,6 +6,7 @@ the CI ``dispatch-smoke`` job covers the real multi-process path.
 """
 
 import json
+import threading
 import time
 
 import pytest
@@ -312,6 +313,36 @@ class TestWorkerAndMerge:
         merged = merge_dispatch(directory)
         for name, path in merged.items():
             assert path.read_bytes() == (serial / path.name).read_bytes(), name
+
+    def test_concurrent_merges_agree(self, tmp_path, suite, stub_execute):
+        # Two machines running `scenarios run --dispatch DIR`, or the service
+        # pool beside an external `dispatch merge`, merge one directory at
+        # once: neither may fail, and the merged bytes must not change.
+        plan_smoke(tmp_path, suite, shards=2)
+        directory = tmp_path / "dispatch"
+        run_worker(directory, worker_id="w1")
+        expected = merge_dispatch(directory)["MLS-V1"].read_bytes()
+        errors = []
+
+        def merge(barrier):
+            barrier.wait()
+            try:
+                merge_dispatch(directory)
+            except Exception as error:
+                errors.append(error)
+
+        for _ in range(50):
+            barrier = threading.Barrier(2)
+            threads = [threading.Thread(target=merge, args=(barrier,)) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            merged = directory / "merged"
+            assert [path.name for path in merged.iterdir()] == ["MLS-V1.jsonl"]
+            assert (merged / "MLS-V1.jsonl").read_bytes() == expected
 
     def test_load_merged_matches_run_results(self, tmp_path, suite, stub_execute):
         plan_smoke(tmp_path, suite, shards=2)

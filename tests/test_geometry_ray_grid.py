@@ -1,4 +1,4 @@
-"""Tests for ray traversal, grid indexing and angle helpers."""
+"""Tests for the batched voxel traversal."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_octree import bresenham_voxels
 
-from repro.geometry import GridIndex, Ray, Vec3
-from repro.geometry.grid import angle_difference, wrap_angle
+from repro.geometry import Vec3
 from repro.geometry.ray import voxel_traversal
 
 coord = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -23,24 +22,6 @@ def traverse(start, *ends, resolution=1.0):
         np.array(start.to_tuple()), np.array([end.to_tuple() for end in ends]), resolution
     )
     return [[tuple(voxel) for voxel in row[: count + 1].tolist()] for row, count in zip(voxels, steps)]
-
-
-class TestRay:
-    def test_direction_is_normalised(self):
-        ray = Ray(Vec3.zero(), Vec3(0, 0, 10))
-        assert ray.direction.norm() == pytest.approx(1.0)
-
-    def test_zero_direction_raises(self):
-        with pytest.raises(ValueError):
-            Ray(Vec3.zero(), Vec3.zero())
-
-    def test_point_at_distance(self):
-        ray = Ray(Vec3(1, 0, 0), Vec3(1, 0, 0))
-        assert ray.point_at(3.0) == Vec3(4, 0, 0)
-
-    def test_between_points(self):
-        ray = Ray.between(Vec3(0, 0, 0), Vec3(0, 5, 0))
-        assert ray.direction.is_close(Vec3(0, 1, 0))
 
 
 class TestBresenhamVoxels:
@@ -66,11 +47,14 @@ class TestBresenhamVoxels:
     def test_traversal_starts_and_ends_at_correct_voxels(self, x0, y0, z0, x1, y1, z1):
         start, end = Vec3(x0, y0, z0), Vec3(x1, y1, z1)
         [voxels] = traverse(start, end, resolution=0.5)
-        index = GridIndex(Vec3.zero(), 0.5)
-        assert voxels[0] == index.to_index(start)
+
+        def voxel_of(p):
+            return tuple(math.floor(v / 0.5) for v in p.to_tuple())
+
+        assert voxels[0] == voxel_of(start)
         # Endpoints exactly on a voxel boundary may legitimately resolve to a
         # face-adjacent voxel; require the final voxel to be within one cell.
-        final, expected = voxels[-1], index.to_index(end)
+        final, expected = voxels[-1], voxel_of(end)
         assert max(abs(final[i] - expected[i]) for i in range(3)) <= 1
 
     @given(coord, coord, coord, coord, coord, coord)
@@ -96,47 +80,3 @@ class TestBresenhamVoxels:
         ends = [start.lerp(corner, end) if isinstance(end, float) else end for end in ends]
         expected = [list(bresenham_voxels(start, end, resolution)) for end in ends]
         assert traverse(start, *ends, resolution=resolution) == expected
-
-
-class TestGridIndex:
-    def test_round_trip_center(self):
-        grid = GridIndex(Vec3.zero(), 0.5)
-        index = grid.to_index(Vec3(1.2, -0.7, 3.3))
-        center = grid.to_center(index)
-        assert grid.to_index(center) == index
-
-    def test_negative_coordinates_floor(self):
-        grid = GridIndex(Vec3.zero(), 1.0)
-        assert grid.to_index(Vec3(-0.5, -1.5, 0.5)) == (-1, -2, 0)
-
-    def test_voxel_bounds_contain_center(self):
-        grid = GridIndex(Vec3(1, 1, 1), 2.0)
-        lo, hi = grid.voxel_bounds((0, 0, 0))
-        center = grid.to_center((0, 0, 0))
-        assert lo.x <= center.x <= hi.x
-
-    def test_snap_is_idempotent(self):
-        grid = GridIndex(Vec3.zero(), 0.25)
-        p = Vec3(0.6, 0.6, 0.6)
-        assert grid.snap(grid.snap(p)) == grid.snap(p)
-
-    def test_zero_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            GridIndex(Vec3.zero(), 0.0)
-
-
-class TestAngles:
-    def test_wrap_within_range(self):
-        assert wrap_angle(0.0) == pytest.approx(0.0)
-        assert wrap_angle(math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(-3 * math.pi) == pytest.approx(math.pi)
-
-    def test_angle_difference_shortest_path(self):
-        assert angle_difference(0.1, -0.1) == pytest.approx(0.2)
-        assert abs(angle_difference(math.pi - 0.05, -math.pi + 0.05)) == pytest.approx(0.1, abs=1e-9)
-
-    @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
-    def test_wrap_angle_always_in_range(self, angle):
-        wrapped = wrap_angle(angle)
-        assert -math.pi < wrapped <= math.pi + 1e-12

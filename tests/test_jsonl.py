@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.jsonl import (
+    atomic_text,
     iter_frame_records,
     read_frame_page,
     read_frame_header,
@@ -238,3 +239,26 @@ class TestReadFramePage:
         path = self.file(tmp_path)
         with pytest.raises(ValueError, match="not a scenario-suite"):
             read_frame_page(path, "scenario-suite", 1, parse_payload)
+
+
+class TestAtomicText:
+    def test_clean_exit_replaces_the_file(self, tmp_path):
+        path = tmp_path / "sub" / "f.json"
+        with atomic_text(path) as handle:
+            handle.write("old\n")
+        with atomic_text(path) as handle:
+            handle.write("new\n")
+        assert path.read_text() == "new\n"
+        assert list(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_exception_keeps_the_old_bytes_and_no_temp_file(self, tmp_path, error):
+        path = tmp_path / "f.json"
+        path.write_text("old\n")
+        with pytest.raises(error):
+            with atomic_text(path) as handle:
+                handle.write("half of the new")
+                handle.flush()
+                raise error()
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]

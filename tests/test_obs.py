@@ -30,6 +30,7 @@ from repro.obs.trace import (
     append_trace_summary,
     iter_trace_summaries,
     trace_filename,
+    trace_header,
 )
 
 
@@ -182,24 +183,39 @@ class TestFlightRecorder:
         assert [s["scenario_id"] for s in summaries] == ["a", "b"]
 
     def test_concurrent_appends_keep_one_header(self, tmp_path):
-        def append(index):
-            recorder = FlightRecorder()
-            append_trace_summary(
-                tmp_path, recorder,
-                system="MLS-V1", scenario_id=f"s{index}", repetition=0,
-            )
+        interval = sys.getswitchinterval()
+        # Start the appenders together and switch threads as often as
+        # possible, so that a header written in two steps (create, then
+        # write) is caught: another appender then finds the file empty.
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(50):
+                directory = tmp_path / f"attempt-{attempt}"
+                barrier = threading.Barrier(8)
 
-        threads = [threading.Thread(target=append, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        path = tmp_path / trace_filename("MLS-V1")
-        lines = path.read_text().splitlines()
-        headers = [l for l in lines if json.loads(l).get("kind") == "flight-trace"]
-        assert len(headers) == 1
-        assert len(list(iter_trace_summaries(path))) == 8
-        assert list(tmp_path.iterdir()) == [path]  # no leftover temp files
+                def append(index, directory=directory, barrier=barrier):
+                    barrier.wait()
+                    append_trace_summary(
+                        directory, FlightRecorder(),
+                        system="MLS-V1", scenario_id=f"s{index}", repetition=0,
+                    )
+
+                threads = [threading.Thread(target=append, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                path = directory / trace_filename("MLS-V1")
+                lines = path.read_text().splitlines()
+                assert json.loads(lines[0]) == trace_header("MLS-V1")
+                assert len(lines) == 9  # one header, then every summary
+                assert sorted(s["scenario_id"] for s in iter_trace_summaries(path)) == [
+                    f"s{i}" for i in range(8)
+                ]
+                assert list(directory.iterdir()) == [path]  # no leftover temp files
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------- #
@@ -489,7 +505,7 @@ class TestMetricsExport:
         metrics_dir = tmp_path / "obs" / "metrics"
         (metrics_dir / "999-torn.json").write_text('{"kind": "metrics-sna')
         (metrics_dir / "998-alien.json").write_text('{"kind": "other", "schema": 1}')
-        (metrics_dir / ".77-ff-aaaaaa.tmp").write_text("{}")  # mid-flush leftover
+        (metrics_dir / "77-ff.json.tmp-aaaaaa").write_text("{}")  # mid-flush leftover
         assert len(snapshot_paths([tmp_path])) == 3  # temp file invisible
         snapshots = load_snapshots([tmp_path])
         assert [snapshot.process for snapshot in snapshots] == ["ok"]
@@ -811,9 +827,9 @@ class TestCompare:
 
 class TestReportCLI:
     def test_header_only_traces_exit_1(self, tmp_path, capsys):
-        from repro.obs.trace import _ensure_header
-
-        _ensure_header(tmp_path / "MLS-V1.trace.jsonl", "MLS-V1")
+        (tmp_path / trace_filename("MLS-V1")).write_text(
+            json.dumps(trace_header("MLS-V1")) + "\n"
+        )
         assert obs_main(["report", str(tmp_path)]) == 1
         assert "no trace summaries" in capsys.readouterr().err
 
