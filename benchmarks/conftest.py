@@ -2,10 +2,11 @@
 
 The campaigns are executed once per pytest session (module-scoped fixtures
 would re-run them per file) and then rendered by the individual benches.
-Campaign size is controlled by REPRO_BENCH_SCENARIOS / REPRO_BENCH_REPETITIONS;
-the defaults keep the whole benchmark suite at roughly ten minutes of wall
-clock, while 100 / 3 reproduces the paper-scale campaign.  REPRO_BENCH_WORKERS
-sets the SIL and HIL campaigns' worker processes.
+Campaign size is controlled by REPRO_BENCH_SCENARIOS / REPRO_BENCH_REPETITIONS
+(read here, and nowhere in the library); the defaults, a campaign's own
+6 x 1, keep the whole benchmark suite at roughly ten minutes of wall clock,
+while 100 / 3 reproduces the paper-scale campaign.  REPRO_BENCH_WORKERS sets
+the SIL, HIL and field campaigns' worker processes.
 
 This conftest also owns ``BENCH_results.json`` (path overridable via
 ``$REPRO_BENCH_RESULTS``): pytest-benchmark timings are harvested
@@ -37,10 +38,35 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro import Campaign, build_evaluation_suite, field_suite, mls_v3  # noqa: E402
-from repro.bench.campaign import bench_scenario_count, bench_workers  # noqa: E402
+from repro.bench.campaign import DEFAULT_REPETITIONS, DEFAULT_SCENARIOS  # noqa: E402
 
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def bench_scenario_count() -> int:
+    """Paper-campaign scenarios, via ``REPRO_BENCH_SCENARIOS``."""
+    return int(os.environ.get("REPRO_BENCH_SCENARIOS", DEFAULT_SCENARIOS))
+
+
+def bench_repetitions() -> int:
+    """Repetitions per scenario, via ``REPRO_BENCH_REPETITIONS``."""
+    return int(os.environ.get("REPRO_BENCH_REPETITIONS", DEFAULT_REPETITIONS))
+
+
+def bench_workers() -> int:
+    """Worker processes for the campaign fixtures, via ``REPRO_BENCH_WORKERS``."""
+    return int(os.environ.get("REPRO_BENCH_WORKERS", 1))
+
+
+def bench_campaign(*systems) -> Campaign:
+    """A paper campaign over ``systems`` at the environment's size."""
+    return (
+        Campaign(*systems)
+        .scenarios(bench_scenario_count())
+        .repetitions(bench_repetitions())
+        .parallel(bench_workers())
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -292,13 +318,13 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(scope="session")
 def sil_campaign_results():
     """RQ1: the SIL campaign over MLS-V1/V2/V3."""
-    return Campaign().parallel(bench_workers()).run()
+    return bench_campaign().run()
 
 
 @pytest.fixture(scope="session")
 def hil_campaign_result():
     """RQ2: the HIL campaign (MLS-V3 on the Jetson Nano model)."""
-    return Campaign(mls_v3()).platform("jetson-nano").parallel(bench_workers()).run()["MLS-V3"]
+    return bench_campaign(mls_v3()).platform("jetson-nano").run()["MLS-V3"]
 
 
 @pytest.fixture(scope="session")

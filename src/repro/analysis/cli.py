@@ -33,7 +33,7 @@ from typing import Sequence
 
 from repro.analysis.compare import DEFAULT_ALPHA
 from repro.analysis.engine import CampaignAnalysis
-from repro.analysis.report import render_comparison_report, render_slice_report
+from repro.analysis.report import render_comparison_report
 from repro.analysis.slicing import FACTOR_NAMES
 from repro.analysis.stats import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
 
@@ -111,13 +111,10 @@ def _cmd_slice(args: argparse.Namespace) -> int:
     if args.cache and Path(args.results).is_dir():
         return _emit_cached(args, "slice", args.by)
     analysis = _analysis(args, args.results)
-    slices = analysis.slice(args.by)
-    if not slices:
+    if not analysis.summaries():
         print(f"no run records found under {args.results}", file=sys.stderr)
         return 2
-    _emit(
-        render_slice_report(args.by, slices, confidence=args.confidence), args.out
-    )
+    _emit(analysis.slice_report(args.by), args.out)
     return 0
 
 

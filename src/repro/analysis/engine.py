@@ -187,13 +187,3 @@ class CampaignAnalysis:
             baseline_label=label,
             current_label=current_label,
         )
-
-    def gate(
-        self, baseline: "CampaignAnalysis | Any", *, alpha: float = DEFAULT_ALPHA
-    ) -> CampaignComparison:
-        """Alias of :meth:`compare_to`, named for the CI use case.
-
-        The caller turns ``result.has_regression`` into an exit code; the
-        CLI's ``gate`` subcommand does exactly that.
-        """
-        return self.compare_to(baseline, alpha=alpha)

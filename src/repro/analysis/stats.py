@@ -64,6 +64,11 @@ def _z_value(confidence: float) -> float:
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
+def _check_resamples(resamples: int) -> None:
+    if resamples < 1:
+        raise ValueError(f"resamples must be at least 1, got {resamples}")
+
+
 def wilson_interval(
     successes: int, total: int, confidence: float = DEFAULT_CONFIDENCE
 ) -> tuple[float, float]:
@@ -112,6 +117,7 @@ def bootstrap_mean_ci(
     on the sample count, so the draw sequence (and therefore the interval) is
     reproducible for a given ``(samples, seed)``.
     """
+    _check_resamples(resamples)
     values = np.asarray(list(samples), dtype=float)
     if values.size == 0:
         return (float("nan"), float("nan"))
@@ -146,6 +152,7 @@ def bootstrap_diff_ci(
     a CI excluding zero means the difference is significant at the chosen
     confidence.  NaN bounds when either side is empty.
     """
+    _check_resamples(resamples)
     a = np.asarray(list(baseline), dtype=float)
     b = np.asarray(list(current), dtype=float)
     if a.size == 0 or b.size == 0:

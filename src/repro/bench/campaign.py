@@ -1,12 +1,11 @@
 """Campaign runner: scenario suites x system compositions x platforms.
 
 The full paper campaign is 100 scenarios x 3 repetitions per system; in this
-pure-Python reproduction each run takes seconds of wall clock, so the default
-campaign size is reduced and controlled by the ``REPRO_BENCH_SCENARIOS`` /
-``REPRO_BENCH_REPETITIONS`` environment variables (set them to 100 / 3 to run
-the paper-scale campaign).  ``REPRO_BENCH_WORKERS`` is read only by the
-benchmark fixtures, which pass :func:`bench_workers` to ``.parallel()``; a
-:class:`Campaign` runs serially unless ``.parallel()`` is called.
+pure-Python reproduction each run takes seconds of wall clock, so a campaign
+given no suite and no size flies :data:`DEFAULT_SCENARIOS` x
+:data:`DEFAULT_REPETITIONS` of the evaluation suite (``.scenarios(100)
+.repetitions(3)`` is the paper-scale campaign).  A :class:`Campaign` runs
+serially unless ``.parallel()`` is called.
 
 The primary API is the fluent :class:`Campaign` builder::
 
@@ -62,25 +61,11 @@ from repro.world.scenario import Scenario
 from repro.world.scenario_gen import PRESET_NAMES, SuiteSpec, generate_suite
 from repro.world.scenario_suite import ScenarioSuite
 
-#: Default number of scenarios when the environment does not say otherwise.
-DEFAULT_BENCH_SCENARIOS = 6
-DEFAULT_BENCH_REPETITIONS = 1
-DEFAULT_BENCH_WORKERS = 1
-
-
-def bench_scenario_count() -> int:
-    """Campaign size, overridable via ``REPRO_BENCH_SCENARIOS``."""
-    return int(os.environ.get("REPRO_BENCH_SCENARIOS", DEFAULT_BENCH_SCENARIOS))
-
-
-def bench_repetitions() -> int:
-    """Repetitions per scenario, overridable via ``REPRO_BENCH_REPETITIONS``."""
-    return int(os.environ.get("REPRO_BENCH_REPETITIONS", DEFAULT_BENCH_REPETITIONS))
-
-
-def bench_workers() -> int:
-    """Worker processes for the benchmark fixtures, via ``REPRO_BENCH_WORKERS``."""
-    return int(os.environ.get("REPRO_BENCH_WORKERS", DEFAULT_BENCH_WORKERS))
+#: The size of a campaign given neither a suite nor ``.scenarios()`` /
+#: ``.repetitions()``: this many evaluation-suite scenarios, each flown
+#: this many times.
+DEFAULT_SCENARIOS = 6
+DEFAULT_REPETITIONS = 1
 
 
 #: The platforms ``Campaign.platform(...)`` accepts, by key, each built from
@@ -114,11 +99,9 @@ class CampaignJob:
     #: Fault specs to inject into this run (see :mod:`repro.faults`); plain
     #: frozen dataclasses, so jobs stay picklable for ``.parallel()``.
     faults: tuple[FaultSpec, ...] = ()
-    #: Directory receiving flight-trace summaries (``Campaign.trace(...)``),
-    #: or ``None``.  Strictly a side channel: it is excluded from every
-    #: content fingerprint, and when it is ``None`` the ``REPRO_TRACE_DIR``
-    #: environment variable fills it in (how ``python -m repro.dispatch
-    #: work`` processes are traced).
+    #: Directory receiving flight-trace summaries (``Campaign.trace(...)``,
+    #: ``python -m repro.dispatch work --trace``), or ``None``.  Strictly a
+    #: side channel: it is excluded from every content fingerprint.
     trace_dir: str | None = None
     #: Correlation context (sorted ``(key, value)`` pairs) identifying where
     #: this run came from: the ids given to ``Campaign.correlate`` (a fault
@@ -192,12 +175,11 @@ def _execute_job(job: CampaignJob) -> RunRecord:
     METRICS.histogram(
         "repro_mission_seconds", "Simulated mission duration per run."
     ).observe(record.mission_time, system=job.system.name)
-    trace_dir = job.trace_dir or os.environ.get("REPRO_TRACE_DIR")
-    if trace_dir:
+    if job.trace_dir:
         from repro.obs.trace import append_trace_summary
 
         append_trace_summary(
-            trace_dir,
+            job.trace_dir,
             runner.recorder,
             system=job.system.name,
             scenario_id=job.scenario.scenario_id,
@@ -437,11 +419,6 @@ class Campaign:
         if workers <= 0:
             raise ValueError("workers must be positive")
         self._workers = workers
-        return self
-
-    def serial(self) -> "Campaign":
-        """Run everything in-process (the default)."""
-        self._workers = 1
         return self
 
     def progress(self, callback: Callable[[str], None] | None) -> "Campaign":
@@ -774,7 +751,7 @@ class Campaign:
             return generate_suite(self._suite, seed=self._seed)
         return generate_suite(
             "paper",
-            count=self._scenario_count if self._scenario_count is not None else bench_scenario_count(),
+            count=self._scenario_count if self._scenario_count is not None else DEFAULT_SCENARIOS,
             seed=self._seed,
-            repetitions=self._repetitions if self._repetitions is not None else bench_repetitions(),
+            repetitions=self._repetitions if self._repetitions is not None else DEFAULT_REPETITIONS,
         )

@@ -63,13 +63,6 @@ class DetectionStats:
         misses = self.frames_with_visible_marker - self.frames_detected
         return misses / self.frames_with_visible_marker
 
-    @property
-    def mean_detection_deviation(self) -> float:
-        """Mean error between detected and true marker position, metres."""
-        if not self.deviation_samples:
-            return float("nan")
-        return statistics.fmean(self.deviation_samples)
-
     def merge(self, other: "DetectionStats") -> None:
         self.frames_with_visible_marker += other.frames_with_visible_marker
         self.frames_detected += other.frames_detected
@@ -287,32 +280,6 @@ class CampaignResult:
         for record in self.records:
             merged.merge(record.resources)
         return merged
-
-    def filter(self, predicate: Callable[[RunRecord], bool]) -> "CampaignResult":
-        """A new result holding only the records ``predicate`` accepts.
-
-        This is the one slicing path shared by user code and the analytics
-        engine (:mod:`repro.analysis.slicing`); :meth:`subset` is a thin
-        wrapper over it.
-        """
-        result = CampaignResult(system_name=self.system_name)
-        for record in self.records:
-            if predicate(record):
-                result.add(record)
-        return result
-
-    def subset(self, adverse: bool) -> "CampaignResult":
-        """Only the adverse-weather (or only the normal-weather) records."""
-        return self.filter(lambda record: record.adverse_weather == adverse)
-
-    def summary_row(self) -> dict[str, float | str]:
-        """One row of Table I / III."""
-        return {
-            "Landing System": self.system_name,
-            "Successful Landing Rate": round(100.0 * self.success_rate, 2),
-            "Failure rate due to Collision": round(100.0 * self.collision_failure_rate, 2),
-            "Failure rate due to poor landing": round(100.0 * self.poor_landing_failure_rate, 2),
-        }
 
     # ------------------------------------------------------------------ #
     # persistence (JSON Lines: one header line, then one record per line)

@@ -6,7 +6,8 @@ Subcommands:
   content-fingerprinted shard manifests under a dispatch directory.
 * ``work`` — run one worker against a dispatch directory: claim shards,
   fly them, heartbeat, publish completion.  Start as many as you like, on
-  as many machines as share the directory.
+  as many machines as share the directory; ``--trace DIR`` writes every
+  run's flight-trace summary there.
 * ``status`` — per-shard queue state (pending / running / stale / done).
 * ``merge`` — combine the per-shard outputs into ``<dir>/merged/``,
   byte-identical to a single-process run of the same campaign.
@@ -79,6 +80,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
         max_shards=args.max_shards,
         wait=not args.no_wait,
         progress=print if args.verbose else None,
+        trace_dir=args.trace,
     )
     print(
         f"worker {report.worker_id}: completed {len(report.shards_completed)} "
@@ -184,6 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit when nothing is claimable instead of polling until the plan finishes",
     )
     work.add_argument("--verbose", action="store_true", help="print per-run progress")
+    work.add_argument(
+        "--trace", default=None, metavar="DIR",
+        help="write every run's flight-trace summary (with job and shard ids) under DIR",
+    )
 
     status = sub.add_parser("status", help="per-shard queue state")
     status.add_argument("dir", help="a planned dispatch directory")

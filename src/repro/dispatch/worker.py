@@ -156,7 +156,7 @@ def run_worker(
         correlation: ids stamped on every run's metric labels and trace
             summary, next to the ``job`` and ``shard`` ids the worker adds.
         trace_dir: directory receiving every run's flight-trace summary
-            (``None``: the ``REPRO_TRACE_DIR`` environment variable, if set).
+            (``None``: untraced); ``dispatch work --trace DIR`` sets it.
     """
     directory = Path(directory)
     plan = load_plan(directory)

@@ -35,12 +35,6 @@ class AABB:
     # constructors
     # ------------------------------------------------------------------ #
     @staticmethod
-    def from_center(center: Vec3, size: Vec3) -> "AABB":
-        """Box centred at ``center`` with full extents ``size``."""
-        half = size * 0.5
-        return AABB(center - half, center + half)
-
-    @staticmethod
     def from_ground_footprint(
         center_x: float, center_y: float, width: float, depth: float, height: float
     ) -> "AABB":
@@ -61,11 +55,6 @@ class AABB:
     def size(self) -> Vec3:
         return self.maximum - self.minimum
 
-    @property
-    def volume(self) -> float:
-        s = self.size
-        return s.x * s.y * s.z
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -74,16 +63,6 @@ class AABB:
             self.minimum.x - tol <= point.x <= self.maximum.x + tol
             and self.minimum.y - tol <= point.y <= self.maximum.y + tol
             and self.minimum.z - tol <= point.z <= self.maximum.z + tol
-        )
-
-    def intersects(self, other: "AABB") -> bool:
-        return (
-            self.minimum.x <= other.maximum.x
-            and self.maximum.x >= other.minimum.x
-            and self.minimum.y <= other.maximum.y
-            and self.maximum.y >= other.minimum.y
-            and self.minimum.z <= other.maximum.z
-            and self.maximum.z >= other.minimum.z
         )
 
     def closest_point(self, point: Vec3) -> Vec3:
@@ -107,22 +86,8 @@ class AABB:
         grow = Vec3(margin, margin, margin)
         return AABB(self.minimum - grow, self.maximum + grow)
 
-    def union(self, other: "AABB") -> "AABB":
-        return AABB(
-            Vec3(
-                min(self.minimum.x, other.minimum.x),
-                min(self.minimum.y, other.minimum.y),
-                min(self.minimum.z, other.minimum.z),
-            ),
-            Vec3(
-                max(self.maximum.x, other.maximum.x),
-                max(self.maximum.y, other.maximum.y),
-                max(self.maximum.z, other.maximum.z),
-            ),
-        )
-
     # ------------------------------------------------------------------ #
-    # ray and segment intersection (slab method)
+    # ray intersection (slab method)
     # ------------------------------------------------------------------ #
     def ray_intersection(
         self, origin: Vec3, direction: Vec3, max_range: float = math.inf
@@ -153,12 +118,3 @@ class AABB:
             if t_min > t_max:
                 return None
         return t_min
-
-    def segment_intersects(self, start: Vec3, end: Vec3) -> bool:
-        """True if the line segment from ``start`` to ``end`` touches the box."""
-        delta = end - start
-        length = delta.norm()
-        if length < 1e-12:
-            return self.contains(start)
-        hit = self.ray_intersection(start, delta / length, max_range=length)
-        return hit is not None

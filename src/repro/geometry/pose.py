@@ -24,20 +24,9 @@ class Pose:
         """A pose at ``position`` with a pure heading rotation."""
         return Pose(position, Quaternion.from_yaw(yaw))
 
-    def transform_point(self, body_point: Vec3) -> Vec3:
-        """Map a point expressed in the body frame into the world frame."""
-        return self.position + self.orientation.rotate(body_point)
-
     def inverse_transform_point(self, world_point: Vec3) -> Vec3:
         """Map a world-frame point into the body frame."""
         return self.orientation.rotate_inverse(world_point - self.position)
-
-    def compose(self, child: "Pose") -> "Pose":
-        """The pose of ``child`` (expressed relative to self) in the world frame."""
-        return Pose(
-            self.transform_point(child.position),
-            self.orientation * child.orientation,
-        )
 
     @property
     def yaw(self) -> float:
@@ -45,9 +34,3 @@ class Pose:
 
     def distance_to(self, other: "Pose") -> float:
         return self.position.distance_to(other.position)
-
-    def with_position(self, position: Vec3) -> "Pose":
-        return Pose(position, self.orientation)
-
-    def with_yaw(self, yaw: float) -> "Pose":
-        return Pose(self.position, Quaternion.from_yaw(yaw))

@@ -32,14 +32,6 @@ class Quaternion:
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_axis_angle(axis: Vec3, angle: float) -> "Quaternion":
-        """Rotation of ``angle`` radians about ``axis`` (need not be unit)."""
-        unit = axis.normalized()
-        half = angle / 2.0
-        s = math.sin(half)
-        return Quaternion(math.cos(half), unit.x * s, unit.y * s, unit.z * s)
-
-    @staticmethod
     def from_euler(roll: float, pitch: float, yaw: float) -> "Quaternion":
         """Build from intrinsic Z-Y-X Euler angles (radians)."""
         cr, sr = math.cos(roll / 2), math.sin(roll / 2)
@@ -72,22 +64,9 @@ class Quaternion:
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    inverse = conjugate  # unit quaternions only
-
     # ------------------------------------------------------------------ #
-    # composition and rotation
+    # rotation
     # ------------------------------------------------------------------ #
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        """Hamilton product: ``self * other`` applies ``other`` first."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
     def rotate(self, v: Vec3) -> Vec3:
         """Rotate a vector from the body frame into the world frame."""
         q = self
@@ -134,40 +113,3 @@ class Quaternion:
             ],
             dtype=float,
         )
-
-    # ------------------------------------------------------------------ #
-    # interpolation
-    # ------------------------------------------------------------------ #
-    def slerp(self, other: "Quaternion", t: float) -> "Quaternion":
-        """Spherical linear interpolation between two unit quaternions."""
-        a = self.normalized()
-        b = other.normalized()
-        dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
-        if dot < 0.0:
-            b = Quaternion(-b.w, -b.x, -b.y, -b.z)
-            dot = -dot
-        if dot > 0.9995:
-            # nearly parallel: fall back to normalized lerp
-            return Quaternion(
-                a.w + t * (b.w - a.w),
-                a.x + t * (b.x - a.x),
-                a.y + t * (b.y - a.y),
-                a.z + t * (b.z - a.z),
-            ).normalized()
-        theta0 = math.acos(dot)
-        theta = theta0 * t
-        sin_theta0 = math.sin(theta0)
-        s0 = math.cos(theta) - dot * math.sin(theta) / sin_theta0
-        s1 = math.sin(theta) / sin_theta0
-        return Quaternion(
-            s0 * a.w + s1 * b.w,
-            s0 * a.x + s1 * b.x,
-            s0 * a.y + s1 * b.y,
-            s0 * a.z + s1 * b.z,
-        )
-
-    def angle_to(self, other: "Quaternion") -> float:
-        """Smallest rotation angle (radians) taking ``self`` to ``other``."""
-        rel = self.conjugate() * other
-        w = min(1.0, max(-1.0, abs(rel.w)))
-        return 2.0 * math.acos(w)

@@ -32,18 +32,6 @@ class Vec3:
         return Vec3(0.0, 0.0, 0.0)
 
     @staticmethod
-    def unit_x() -> "Vec3":
-        return Vec3(1.0, 0.0, 0.0)
-
-    @staticmethod
-    def unit_y() -> "Vec3":
-        return Vec3(0.0, 1.0, 0.0)
-
-    @staticmethod
-    def unit_z() -> "Vec3":
-        return Vec3(0.0, 0.0, 1.0)
-
-    @staticmethod
     def from_array(arr: Sequence[float]) -> "Vec3":
         """Build from any length-3 sequence (list, tuple, ndarray)."""
         if len(arr) != 3:
@@ -104,10 +92,6 @@ class Vec3:
         """Euclidean length."""
         return math.sqrt(self.dot(self))
 
-    def norm_sq(self) -> float:
-        """Squared Euclidean length (avoids the sqrt in hot comparisons)."""
-        return self.dot(self)
-
     def horizontal_norm(self) -> float:
         """Length of the projection onto the ground (x-y) plane."""
         return math.hypot(self.x, self.y)
@@ -152,9 +136,6 @@ class Vec3:
     def with_z(self, z: float) -> "Vec3":
         """Copy with the vertical component replaced."""
         return Vec3(self.x, self.y, z)
-
-    def is_close(self, other: "Vec3", tol: float = 1e-9) -> bool:
-        return (self - other).norm() <= tol
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Vec3({self.x:.3f}, {self.y:.3f}, {self.z:.3f})"

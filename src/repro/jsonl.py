@@ -14,7 +14,8 @@ reaches the disk:
   ``os.replace``-s it over the target, so a reader sees the old bytes or the
   new ones, never a torn mix, and concurrent writers never share a temp
   file.  :func:`write_json_atomic`, :func:`write_jsonl_frame` and the
-  campaign-result writer sit on top of it.
+  campaign-result writer sit on top of it; :func:`atomic_bytes` is the same
+  replace for the one binary file, the detector network's weight cache.
 * **append** — :func:`append_framed` creates a framed file's header
   atomically (temp file + ``link``) and appends one line on an ``O_APPEND``
   descriptor, so any number of processes can grow one file and a killed one
@@ -35,7 +36,7 @@ import re
 import uuid
 import warnings
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Any, Callable, ContextManager, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -70,7 +71,21 @@ def _temp_sibling(path: Path) -> Path:
 
 
 @contextlib.contextmanager
-def atomic_text(path: str | Path) -> Iterator[IO[str]]:
+def _replace(path: str | Path, mode: str, encoding: str | None) -> Iterator[IO[Any]]:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = _temp_sibling(path)
+    try:
+        with tmp.open(mode, encoding=encoding) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # never mask the original error
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_text(path: str | Path) -> ContextManager[IO[str]]:
     """Replace ``path`` with the text written inside the block.
 
     The block writes to a unique sibling temp file, which is ``os.replace``-d
@@ -78,17 +93,12 @@ def atomic_text(path: str | Path) -> Iterator[IO[str]]:
     ``KeyboardInterrupt`` included — the temp file is removed and ``path``
     keeps its old bytes, so an interrupted writer never loses what was there.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = _temp_sibling(path)
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):  # never mask the original error
-            tmp.unlink(missing_ok=True)
-        raise
+    return _replace(path, "w", "utf-8")
+
+
+def atomic_bytes(path: str | Path) -> ContextManager[IO[bytes]]:
+    """:func:`atomic_text` for bytes: replace ``path`` whole, or not at all."""
+    return _replace(path, "wb", None)
 
 
 def write_json_atomic(

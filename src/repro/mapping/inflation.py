@@ -85,18 +85,3 @@ class InflatedMap:
             if self.segment_colliding(a, b):
                 return True
         return False
-
-    def clearance_at(self, point: Vec3, max_radius: float = 3.0) -> float:
-        """Approximate distance to the nearest occupied voxel, capped at ``max_radius``."""
-        step = max(self.base_map.resolution, 0.25)
-        radius = step
-        while radius <= max_radius:
-            samples = max(6, int(2 * np.pi * radius / step))
-            for i in range(samples):
-                angle = 2 * np.pi * i / samples
-                for dz in (-radius / 2, 0.0, radius / 2):
-                    probe = point + Vec3(radius * np.cos(angle), radius * np.sin(angle), dz)
-                    if self.base_map.is_occupied(probe):
-                        return radius
-            radius += step
-        return max_radius

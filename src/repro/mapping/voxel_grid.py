@@ -97,15 +97,6 @@ class VoxelGrid:
         inside = ((scaled > -1.0) & (scaled < self._occupied.shape)).all(axis=1)
         return scaled[inside].astype(np.intp)
 
-    def voxel_center(self, index: tuple[int, int, int]) -> Vec3:
-        cfg = self.config
-        half = cfg.window_size / 2.0
-        return Vec3(
-            self._center.x - half + (index[0] + 0.5) * cfg.resolution,
-            self._center.y - half + (index[1] + 0.5) * cfg.resolution,
-            (index[2] + 0.5) * cfg.resolution,
-        )
-
     # ------------------------------------------------------------------ #
     # OccupancyMap interface
     # ------------------------------------------------------------------ #
@@ -114,13 +105,6 @@ class VoxelGrid:
         index = tuple(self._indices(cloud.to_array()).T)
         self._occupied[index] = True
         self._known[index] = True
-
-    def mark_free(self, point: Vec3) -> None:
-        """Explicitly mark a voxel free (used by tests and the planners)."""
-        index = self._to_index(point)
-        if index is not None:
-            self._occupied[index] = False
-            self._known[index] = True
 
     def is_occupied(self, point: Vec3) -> bool:
         index = self._to_index(point)
@@ -145,11 +129,3 @@ class VoxelGrid:
     def memory_bytes(self) -> int:
         """Dense storage cost: one byte per voxel per array."""
         return int(self._occupied.nbytes + self._known.nbytes)
-
-    # ------------------------------------------------------------------ #
-    # diagnostics
-    # ------------------------------------------------------------------ #
-    def occupied_points(self) -> list[Vec3]:
-        """World positions of all occupied voxels (used by plotting/benchmarks)."""
-        indices = np.argwhere(self._occupied)
-        return [self.voxel_center(tuple(index)) for index in indices]

@@ -137,9 +137,8 @@ def _label_key(raw: Any) -> _LabelKey | None:
 def merge_snapshots(snapshots: Sequence[Snapshot]) -> dict[str, dict[str, Any]]:
     """Merge deduplicated snapshots into one registry-dump structure.
 
-    The result has the shape of :meth:`MetricsRegistry.dump` and renders
-    through the same line builders, so a merge over a single process is
-    byte-identical to that process's own ``render_prometheus`` output.
+    The result has the shape of :meth:`MetricsRegistry.dump`, so
+    :func:`render_merged` renders one process and a fleet alike.
     """
     ordered = sorted(snapshots, key=lambda snapshot: (snapshot.process, snapshot.seq))
     merged: dict[str, dict[str, Any]] = {}
@@ -224,8 +223,8 @@ def fleet_render(
     ``directories`` are dispatch directories whose ``obs/metrics/``
     snapshots should join the view; ``registry`` (default: the process
     registry) contributes this process's live state, superseding any
-    snapshots it flushed earlier.  With no snapshot directories this
-    degenerates to exactly ``registry.render_prometheus()``.
+    snapshots it flushed earlier.  With no snapshot directories this is
+    the single-process exposition: ``fleet_render([], registry=registry)``.
     """
     live_process = process_exporter().process if registry is not None else None
     snapshots = dedupe_snapshots(

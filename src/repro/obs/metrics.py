@@ -8,17 +8,19 @@ campaign service.  Three deliberate constraints keep it fit for this repo:
   imported from ``repro.core`` and ``repro.dispatch`` alike, so it must sit
   below every other layer (the same rule as :mod:`repro.jsonl`).
 * **deterministic export** — :meth:`MetricsRegistry.snapshot` and
-  :meth:`MetricsRegistry.render_prometheus` sort metric names and label sets,
-  so two snapshots of the same state are byte-identical regardless of the
-  order in which series were first touched.
+  :meth:`MetricsRegistry.dump` sort metric names and label sets, so two
+  snapshots of the same state are byte-identical regardless of the order in
+  which series were first touched.
 * **never on the determinism path** — metrics read wall-clock quantities and
   run counts but are write-only from the instrumented code's point of view:
   nothing in a mission, campaign or merge ever reads a metric back.
 
-The Prometheus text rendering follows the exposition format version 0.0.4
-(``# HELP`` / ``# TYPE`` comments, ``name{label="value"} value`` samples,
-``_bucket``/``_sum``/``_count`` series for histograms) so the ``/metrics``
-endpoint is scrapeable by a stock Prometheus server.
+The line builders below render the Prometheus exposition format version
+0.0.4 (``# HELP`` / ``# TYPE`` comments, ``name{label="value"} value``
+samples, ``_bucket``/``_sum``/``_count`` series for histograms);
+:func:`repro.obs.aggregate.fleet_render` is the one renderer that calls
+them, so the ``/metrics`` endpoint is scrapeable by a stock Prometheus
+server.
 """
 
 from __future__ import annotations
@@ -68,10 +70,8 @@ def render_series_lines(
     name: str, type_name: str, help_text: str,
     series: Iterable[tuple[_LabelKey, float]],
 ) -> list[str]:
-    """Exposition lines for one counter/gauge; shared with the aggregator
-    (:mod:`repro.obs.aggregate`) so merged fleet output and a live
-    registry's :meth:`MetricsRegistry.render_prometheus` are byte-identical
-    for identical state."""
+    """Exposition lines for one counter/gauge (see
+    :func:`repro.obs.aggregate.render_merged`)."""
     lines = [
         f"# HELP {name} {help_text}" if help_text else f"# HELP {name}",
         f"# TYPE {name} {type_name}",
@@ -152,9 +152,6 @@ class _Metric:
             "series": [[list(map(list, key)), value] for key, value in self.samples()],
         }
 
-    def render(self) -> list[str]:
-        return render_series_lines(self.name, self.type_name, self.help, self.samples())
-
 
 class Counter(_Metric):
     """Monotonically increasing count (runs completed, cache hits, ...)."""
@@ -177,9 +174,6 @@ class Gauge(_Metric):
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         self._add(amount, labels)
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self._add(-amount, labels)
 
 
 class Histogram(_Metric):
@@ -240,11 +234,6 @@ class Histogram(_Metric):
             "buckets": list(self.buckets),
             "series": [[list(map(list, key)), state] for key, state in items],
         }
-
-    def render(self) -> list[str]:
-        with self._lock:
-            items = sorted(self._hist.items())
-        return render_histogram_lines(self.name, self.help, self.buckets, items)
 
 
 class MetricsRegistry:
@@ -312,15 +301,6 @@ class MetricsRegistry:
         with self._lock:
             metrics = sorted(self._metrics.items())
         return {name: metric.dump() for name, metric in metrics}
-
-    def render_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format (0.0.4)."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-        lines: list[str] = []
-        for _, metric in metrics:
-            lines.extend(metric.render())
-        return "\n".join(lines) + "\n" if lines else ""
 
     def reset(self) -> None:
         """Drop every metric (test isolation only)."""

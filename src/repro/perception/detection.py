@@ -44,7 +44,3 @@ class DetectionFrame:
         if not candidates:
             return None
         return max(candidates, key=lambda d: d.confidence)
-
-    @property
-    def has_any(self) -> bool:
-        return bool(self.detections)

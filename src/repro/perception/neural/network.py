@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.jsonl import atomic_bytes
 from repro.perception.neural.layers import (
     Conv2d,
     Dense,
@@ -115,7 +116,8 @@ class MarkerPatchNet:
             param[...] = saved
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as handle:
+        """Replace ``path`` with the weights whole: a failed save keeps the old file."""
+        with atomic_bytes(path) as handle:
             pickle.dump(self.state_dict(), handle)
 
     @classmethod

@@ -9,6 +9,7 @@ trained TPH-YOLO checkpoint.
 from __future__ import annotations
 
 import os
+import pickle
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,8 +101,8 @@ def load_pretrained_detector_net(seed: int = 7, use_disk_cache: bool = True) -> 
     if use_disk_cache and os.path.exists(path):
         try:
             return MarkerPatchNet.load(path, seed=seed)
-        except (OSError, ValueError):
-            # Corrupt or stale cache: retrain below.
+        except (OSError, ValueError, EOFError, pickle.UnpicklingError):
+            # Corrupt (torn, empty) or stale cache: retrain below.
             pass
     network, _report = train_marker_net(TrainingConfig(seed=seed))
     if use_disk_cache:

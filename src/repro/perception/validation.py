@@ -121,9 +121,3 @@ class ValidationGate:
     @property
     def hits(self) -> int:
         return self._hits
-
-    @property
-    def hit_ratio(self) -> float:
-        if self._frames_seen == 0:
-            return 0.0
-        return self._hits / self._frames_seen

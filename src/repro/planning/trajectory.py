@@ -36,25 +36,6 @@ class Trajectory:
     def goal(self) -> Vec3 | None:
         return self.waypoints[-1] if self.waypoints else None
 
-    def sample_every(self, spacing: float) -> list[Vec3]:
-        """Resample the polyline at approximately uniform spacing."""
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if len(self.waypoints) < 2:
-            return list(self.waypoints)
-        samples = [self.waypoints[0]]
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            segment = b - a
-            length = segment.norm()
-            if length < 1e-9:
-                continue
-            steps = max(1, int(length // spacing))
-            for step in range(1, steps + 1):
-                samples.append(a.lerp(b, min(1.0, step * spacing / length)))
-        if samples[-1].distance_to(self.waypoints[-1]) > 1e-6:
-            samples.append(self.waypoints[-1])
-        return samples
-
     def max_corner_angle(self) -> float:
         """The sharpest turn (radians) along the trajectory; 0 for straight paths."""
         import math

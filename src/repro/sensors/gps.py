@@ -33,11 +33,6 @@ class GpsFix:
     timestamp: float
     num_satellites: int = 12
 
-    @property
-    def is_healthy(self) -> bool:
-        """Self-reported health: within the 2-8 DOP band the paper quotes."""
-        return self.hdop <= 8.0 and self.vdop <= 8.0 and self.num_satellites >= 6
-
 
 class GpsSensor:
     """Simulated GNSS receiver with noise and weather-driven drift.
@@ -68,9 +63,6 @@ class GpsSensor:
     def current_drift(self) -> Vec3:
         """The current slowly-varying bias (exposed for the fault models)."""
         return Vec3.from_array(self._drift)
-
-    def reset_drift(self) -> None:
-        self._drift = np.zeros(3)
 
     def measure(self, true_position: Vec3, weather: Weather, timestamp: float) -> GpsFix:
         """Produce one fix given the true position and current weather."""

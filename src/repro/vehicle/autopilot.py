@@ -138,11 +138,6 @@ class Autopilot:
     def is_landed(self) -> bool:
         return self.mode is FlightMode.LANDED
 
-    @property
-    def estimation_error(self) -> float:
-        """Current EKF position error (ground truth minus estimate), metres."""
-        return self.estimated_state.error_to(self.true_state)
-
     # ------------------------------------------------------------------ #
     # simulation step
     # ------------------------------------------------------------------ #

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.geometry import Vec3
 from repro.geometry.vec import clamp_norm_xyz
-from repro.vehicle.state import EstimatedState
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,3 @@ class PositionController:
             vertical = -gains.max_descent_speed
 
         return hx, hy, vertical
-
-    def is_at(self, estimate: EstimatedState, target: Vec3, tolerance: float = 0.6) -> bool:
-        """Whether the vehicle has reached the setpoint within ``tolerance``."""
-        return estimate.position.distance_to(target) <= tolerance

@@ -45,7 +45,3 @@ class EstimatedState:
     @property
     def altitude(self) -> float:
         return self.position.z
-
-    def error_to(self, truth: VehicleState) -> float:
-        """Euclidean estimation error against the ground truth (metres)."""
-        return self.position.distance_to(truth.position)

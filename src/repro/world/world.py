@@ -62,35 +62,15 @@ class World:
                 return marker
         return None
 
-    def markers_within(self, center: Vec3, radius: float) -> list[Marker]:
-        """All markers whose centres are within ``radius`` horizontally."""
-        return [m for m in self.markers if m.horizontal_distance_to(center) <= radius]
-
     # ------------------------------------------------------------------ #
     # collision queries (used by the ground-truth collision monitor)
     # ------------------------------------------------------------------ #
     def collision_obstacles(self) -> list[Obstacle]:
         return [o for o in self.obstacles if o.is_collision_hazard]
 
-    def point_in_collision(self, point: Vec3, margin: float = 0.0) -> bool:
-        """True if ``point`` (plus margin) is inside any solid obstacle."""
-        if point.z <= self.ground_altitude - 1e-6:
-            return True
-        return self.geometry().colliding_obstacle(point, margin) is not None
-
     def colliding_obstacle(self, point: Vec3, margin: float = 0.0) -> Optional[Obstacle]:
         """The first obstacle in collision with ``point``, or ``None``."""
         return self.geometry().colliding_obstacle(point, margin)
-
-    def segment_in_collision(self, start: Vec3, end: Vec3, margin: float = 0.0) -> bool:
-        """True if the straight segment intersects any solid obstacle."""
-        for obstacle in self.obstacles:
-            if not obstacle.is_collision_hazard:
-                continue
-            box = obstacle.bounds.inflated(margin) if margin > 0 else obstacle.bounds
-            if box.segment_intersects(start, end):
-                return True
-        return False
 
     def clearance(self, point: Vec3) -> float:
         """Distance from ``point`` to the nearest solid obstacle surface (or ground)."""

@@ -303,10 +303,6 @@ class ReferenceController:
 
         return Vec3(horizontal.x, horizontal.y, vertical)
 
-    def is_at(self, estimate: EstimatedState, target: Vec3, tolerance: float = 0.6) -> bool:
-        """Whether the vehicle has reached the setpoint within ``tolerance``."""
-        return estimate.position.distance_to(target) <= tolerance
-
 
 @dataclass(frozen=True)
 class ImuSample:
@@ -471,11 +467,6 @@ class ReferenceAutopilot:
     @property
     def is_landed(self) -> bool:
         return self.mode is FlightMode.LANDED
-
-    @property
-    def estimation_error(self) -> float:
-        """Current EKF position error (ground truth minus estimate), metres."""
-        return self.estimated_state.error_to(self.true_state)
 
     # ------------------------------------------------------------------ #
     # simulation step

@@ -140,6 +140,15 @@ class TestSummarizeCli:
         assert main(["summarize", str(empty)]) == 2
         assert "no campaign-result" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resamples", ["0", "-5"])
+    def test_resample_count_below_one_exits_2(self, tmp_path, capsys, resamples):
+        # Exit 1 means "regression found" to `gate`; a bad flag is exit 2.
+        results = tmp_path / "results"
+        results.mkdir()
+        write_campaign(results)
+        assert main(["summarize", str(results), "--resamples", resamples]) == 2
+        assert "resamples must be at least 1" in capsys.readouterr().err
+
 
 class TestSliceCli:
     def test_slice_with_suite_join(self, tmp_path, capsys):
@@ -332,9 +341,9 @@ class TestAnalyzeTerminal:
                     outcome=RunOutcome.COLLISION,
                 )
             )
-        comparison = CampaignAnalysis({"MLS-V1": bad}).gate({"MLS-V1": good})
+        comparison = CampaignAnalysis({"MLS-V1": bad}).compare_to({"MLS-V1": good})
         assert comparison.has_regression
-        comparison = CampaignAnalysis({"MLS-V1": good}).gate({"MLS-V1": good})
+        comparison = CampaignAnalysis({"MLS-V1": good}).compare_to({"MLS-V1": good})
         assert not comparison.has_regression
 
 

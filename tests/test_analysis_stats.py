@@ -99,6 +99,16 @@ class TestBootstrap:
         low, high = bootstrap_mean_ci(samples, seed=0)
         assert low < 49.5 < high
 
+    @pytest.mark.parametrize("resamples", [0, -5])
+    def test_resample_count_below_one_raises(self, resamples):
+        # Even where no draw would be needed (one sample, an empty side).
+        with pytest.raises(ValueError, match="resamples must be at least 1"):
+            bootstrap_mean_ci([0.1, 0.5], resamples=resamples)
+        with pytest.raises(ValueError, match="resamples must be at least 1"):
+            bootstrap_mean_ci([0.1], resamples=resamples)
+        with pytest.raises(ValueError, match="resamples must be at least 1"):
+            bootstrap_diff_ci([0.1, 0.5], [], resamples=resamples)
+
     def test_degenerate_sizes(self):
         assert all(math.isnan(v) for v in bootstrap_mean_ci([], seed=0))
         assert bootstrap_mean_ci([2.5], seed=0) == (2.5, 2.5)
@@ -188,19 +198,28 @@ class TestMetricSamples:
 
 class TestFilterAndFactors:
     def test_filter_predicate(self):
-        campaign = CampaignResult(system_name="MLS-V1")
-        campaign.add(make_record("s0", outcome=RunOutcome.SUCCESS))
-        campaign.add(make_record("s1", outcome=RunOutcome.COLLISION))
-        succeeded = campaign.filter(lambda record: record.succeeded)
-        assert len(succeeded) == 1
-        assert succeeded.system_name == "MLS-V1"
+        # A factor with no label for a record filters it out of every slice.
+        contexts = [
+            RecordContext(record=make_record("s0", outcome=RunOutcome.SUCCESS)),
+            RecordContext(record=make_record("s1", outcome=RunOutcome.COLLISION)),
+        ]
+        slices = slice_contexts(
+            contexts, lambda context: ("kept",) if context.record.succeeded else ()
+        )
+        assert list(slices) == ["kept"]
+        assert slices["kept"]["MLS-V1"].runs == 1
 
     def test_subset_is_filter_wrapper(self):
-        campaign = CampaignResult(system_name="MLS-V1")
-        campaign.add(make_record("s0", adverse=True))
-        campaign.add(make_record("s1", adverse=False))
-        assert len(campaign.subset(adverse=True)) == 1
-        assert len(campaign.filter(lambda r: r.adverse_weather)) == 1
+        contexts = [
+            RecordContext(record=make_record("s0", adverse=True)),
+            RecordContext(record=make_record("s1", adverse=False)),
+        ]
+        named = slice_contexts(contexts, "weather")
+        predicate = slice_contexts(
+            contexts,
+            lambda context: ("adverse",) if context.record.adverse_weather else (),
+        )
+        assert named["adverse"]["MLS-V1"].runs == predicate["adverse"]["MLS-V1"].runs == 1
 
     def test_record_factors(self):
         record = make_record(adverse=True)

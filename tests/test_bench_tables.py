@@ -1,9 +1,12 @@
 """Tests for the bench table rendering and campaign plumbing."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.bench import paper_values
-from repro.bench.campaign import bench_repetitions, bench_scenario_count
+from repro.bench.campaign import DEFAULT_REPETITIONS, DEFAULT_SCENARIOS, Campaign
 from repro.bench.tables import (
     format_markdown_table,
     format_table,
@@ -128,15 +131,39 @@ class TestTableEdgeCases:
         assert text.splitlines()[0] == "| a | b |"
 
 
+def bench_conftest():
+    """``benchmarks/conftest.py``, the one reader of the ``REPRO_BENCH_*`` knobs."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("bench_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCampaignConfig:
     def test_environment_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCENARIOS", "42")
         monkeypatch.setenv("REPRO_BENCH_REPETITIONS", "2")
-        assert bench_scenario_count() == 42
-        assert bench_repetitions() == 2
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
+        knobs = bench_conftest()
+        assert knobs.bench_scenario_count() == 42
+        assert knobs.bench_repetitions() == 2
+        assert knobs.bench_workers() == 3
 
     def test_defaults_are_reasonable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCENARIOS", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_REPETITIONS", raising=False)
-        assert bench_scenario_count() >= 4
-        assert bench_repetitions() >= 1
+        for name in ("REPRO_BENCH_SCENARIOS", "REPRO_BENCH_REPETITIONS", "REPRO_BENCH_WORKERS"):
+            monkeypatch.delenv(name, raising=False)
+        knobs = bench_conftest()
+        assert (knobs.bench_scenario_count(), knobs.bench_repetitions()) == (
+            DEFAULT_SCENARIOS, DEFAULT_REPETITIONS
+        ) == (6, 1)
+        assert knobs.bench_workers() == 1
+
+    def test_environment_does_not_size_a_campaign(self, monkeypatch):
+        # The benchmark fixtures size their campaigns explicitly; a
+        # Campaign itself never reads the environment.
+        monkeypatch.setenv("REPRO_BENCH_SCENARIOS", "2")
+        monkeypatch.setenv("REPRO_BENCH_REPETITIONS", "3")
+        jobs = Campaign("mls-v1").jobs()
+        assert len({job.scenario.scenario_id for job in jobs}) == DEFAULT_SCENARIOS
+        assert {job.repetition for job in jobs} == {0}

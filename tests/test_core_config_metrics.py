@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis import CampaignAnalysis
+from repro.bench.tables import render_landing_table
 from repro.core.commands import Command, CommandKind
 from repro.core.config import (
     LandingSystemConfig,
@@ -111,7 +113,7 @@ class TestMetrics:
         b = DetectionStats(frames_with_visible_marker=5, frames_detected=5, deviation_samples=[0.4])
         a.merge(b)
         assert a.frames_with_visible_marker == 10
-        assert a.mean_detection_deviation == pytest.approx(0.3)
+        assert a.deviation_samples == [0.2, 0.4]
 
     def test_resource_stats_summary(self):
         stats = ResourceStats(cpu_utilisation_samples=[0.5, 0.7], memory_mb_samples=[1000, 2000])
@@ -147,16 +149,17 @@ class TestMetrics:
         campaign = CampaignResult(system_name="MLS-V3")
         campaign.add(record(RunOutcome.SUCCESS, adverse=False))
         campaign.add(record(RunOutcome.COLLISION, adverse=True))
-        adverse = campaign.subset(adverse=True)
-        assert len(adverse) == 1
-        assert adverse.collision_failure_rate == pytest.approx(1.0)
+        adverse = CampaignAnalysis({"MLS-V3": campaign}).slice("weather")["adverse"]["MLS-V3"]
+        assert adverse.runs == 1
+        assert adverse.rate_counts("collision") == (1, 1)
 
     def test_summary_row_format(self):
         campaign = CampaignResult(system_name="MLS-V3")
         campaign.add(record(RunOutcome.SUCCESS))
-        row = campaign.summary_row()
-        assert row["Landing System"] == "MLS-V3"
-        assert row["Successful Landing Rate"] == 100.0
+        header, _, row = render_landing_table({"MLS-V3": campaign}).splitlines()[-3:]
+        cells = lambda line: [cell.strip() for cell in line.split("|")[:2]]
+        assert cells(header) == ["Landing System", "Successful Landing Rate"]
+        assert cells(row) == ["MLS-V3", "100.00%"]
 
 
 class TestVersion:

@@ -183,7 +183,7 @@ class TestFieldTestPreparation:
         # The GPS error offset is preserved.
         original_offset = scenario.gps_target - scenario.marker_position
         new_offset = simplified.gps_target - simplified.marker_position
-        assert new_offset.is_close(original_offset, tol=1e-6)
+        assert (new_offset - original_offset).norm() <= 1e-6
 
     def test_field_weather_always_has_wind_and_gps_degradation(self):
         (simplified,) = field_suite(ScenarioSuite(scenarios=[field_scenario()]))

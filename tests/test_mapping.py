@@ -52,13 +52,6 @@ class TestVoxelGrid:
         grid.recenter(Vec3(1.0, 0, 5))
         assert grid.is_occupied(Vec3(2, 0, 2))
 
-    def test_mark_free_clears_voxel(self):
-        grid = VoxelGrid()
-        grid.integrate_cloud(cloud_at([Vec3(2, 0, 2)]))
-        grid.mark_free(Vec3(2, 0, 2))
-        assert not grid.is_occupied(Vec3(2, 0, 2))
-        assert grid.is_known(Vec3(2, 0, 2))
-
     def test_memory_is_dense(self):
         small = VoxelGrid(VoxelGridConfig(window_size=10.0, height=10.0, resolution=1.0))
         large = VoxelGrid(VoxelGridConfig(window_size=40.0, height=10.0, resolution=1.0))
@@ -82,13 +75,6 @@ class TestVoxelGrid:
         assert expected.any() and not expected.all()
         assert np.array_equal(grid._occupied, expected)
         assert np.array_equal(grid._known, expected)
-
-    def test_occupied_points_lists_voxel_centers(self):
-        grid = VoxelGrid()
-        grid.integrate_cloud(cloud_at([Vec3(2, 3, 4)]))
-        points = grid.occupied_points()
-        assert len(points) == 1
-        assert points[0].distance_to(Vec3(2, 3, 4)) < 1.0
 
 
 class TestOcTree:
@@ -207,12 +193,6 @@ class TestInflation:
         bad_path = [Vec3(0, 5, 5), Vec3(5, 0, 5)]
         assert not inflated.path_colliding(safe_path)
         assert inflated.path_colliding(bad_path)
-
-    def test_clearance_reflects_distance(self):
-        inflated = self.make_map_with_obstacle()
-        near = inflated.clearance_at(Vec3(6, 0, 5))
-        far = inflated.clearance_at(Vec3(20, 0, 5))
-        assert near < far
 
     def test_inflation_radius_property(self):
         inflated = self.make_map_with_obstacle()

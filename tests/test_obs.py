@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.bench.campaign import Campaign
+from repro.obs.aggregate import fleet_render
 from repro.obs.metrics import (
     METRICS,
     DEFAULT_BUCKETS,
@@ -58,7 +59,7 @@ class TestMetricsRegistry:
         depth = registry.gauge("queue_depth", "")
         depth.set(5)
         depth.inc()
-        depth.dec(2)
+        depth.inc(-2)
         assert depth.value() == 4
 
     def test_histogram_buckets_sum_count(self):
@@ -69,7 +70,7 @@ class TestMetricsRegistry:
         latency.observe(30.0, route="/jobs")
         assert latency.count(route="/jobs") == 3
         assert latency.sum(route="/jobs") == pytest.approx(30.55)
-        text = "\n".join(latency.render())
+        text = fleet_render([], registry=registry)
         assert 'latency_seconds_bucket{route="/jobs",le="0.1"} 1' in text
         assert 'latency_seconds_bucket{route="/jobs",le="1"} 2' in text
         assert 'latency_seconds_bucket{route="/jobs",le="+Inf"} 3' in text
@@ -93,14 +94,14 @@ class TestMetricsRegistry:
             for system in order:
                 registry.counter("runs_total", "Runs.").inc(system=system)
             registry.gauge("alive", "Liveness.").set(1)
-            return registry.render_prometheus()
+            return fleet_render([], registry=registry)
 
         assert build(["b", "a", "c"]) == build(["c", "a", "b"])
 
     def test_prometheus_text_shape(self):
         registry = MetricsRegistry()
         registry.counter("runs_total", "Completed runs.").inc(system='we"ird\n')
-        text = registry.render_prometheus()
+        text = fleet_render([], registry=registry)
         assert "# HELP runs_total Completed runs." in text
         assert "# TYPE runs_total counter" in text
         assert 'runs_total{system="we\\"ird\\n"} 1' in text
@@ -294,10 +295,11 @@ class TestTracingSideChannel:
         hooks = sum(calls.values()) - calls["adjust_timings"]
         assert nominal["spans"]["harness"]["count"] == hooks
 
-    def test_trace_dir_env_var_reaches_execution(self, tmp_path, monkeypatch):
+    def test_trace_dir_env_var_is_not_read(self, tmp_path, monkeypatch):
+        # Only .trace() and `dispatch work --trace` decide where traces go.
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "envtrace"))
         short_campaign().run()
-        assert (tmp_path / "envtrace" / "MLS-V1.trace.jsonl").exists()
+        assert not (tmp_path / "envtrace").exists()
 
     def test_run_metrics_exported(self, tmp_path):
         METRICS.reset()
@@ -479,7 +481,7 @@ class TestMetricsExport:
         assert 'repro_runs_total{outcome="success",system="MLS-V1"} 10' in text
         assert 'repro_mission_seconds_count 3' in text  # element-wise histogram
 
-    def test_single_process_merge_matches_render_prometheus(self, tmp_path):
+    def test_single_process_snapshot_renders_like_the_live_registry(self, tmp_path):
         from repro.obs.export import MetricsExporter
         from repro.obs.aggregate import (
             dedupe_snapshots,
@@ -493,7 +495,7 @@ class TestMetricsExport:
         merged = render_merged(
             merge_snapshots(dedupe_snapshots(load_snapshots([tmp_path])))
         )
-        assert merged == registry.render_prometheus()
+        assert merged == fleet_render([], registry=registry)
 
     def test_torn_and_foreign_snapshots_are_skipped(self, tmp_path):
         from repro.obs.export import MetricsExporter
@@ -666,7 +668,7 @@ class TestCorrelation:
         finally:
             METRICS.reset()
 
-    def test_dispatched_traces_carry_job_and_shard_ids(self, tmp_path, monkeypatch):
+    def test_dispatched_traces_carry_job_and_shard_ids(self, tmp_path):
         from repro.core.config import mls_v1
         from repro.core.mission import MissionConfig
         from repro.dispatch.planner import plan_dispatch
@@ -678,8 +680,7 @@ class TestCorrelation:
             directory, generate_suite("smoke", count=1, seed=3), [mls_v1()],
             shards=1, mission=MissionConfig(max_mission_time=8.0),
         )
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "trace"))
-        run_worker(directory, worker_id="w0", wait=False)
+        run_worker(directory, worker_id="w0", wait=False, trace_dir=tmp_path / "trace")
         summaries = collect_summaries(tmp_path / "trace")
         assert summaries, "dispatched runs should be traced"
         for summary in summaries:
@@ -692,6 +693,28 @@ class TestCorrelation:
 
         snapshots = load_snapshots([directory])
         assert snapshots, "worker run loop should flush metric snapshots"
+
+    def test_dispatch_work_trace_flag_writes_correlated_summaries(self, tmp_path):
+        from repro.core.config import mls_v1
+        from repro.core.mission import MissionConfig
+        from repro.dispatch.cli import main as dispatch_main
+        from repro.dispatch.planner import plan_dispatch
+        from repro.world.scenario_gen import generate_suite
+
+        directory = tmp_path / "dispatch"
+        plan = plan_dispatch(
+            directory, generate_suite("smoke", count=2, seed=3), [mls_v1()],
+            shards=2, mission=MissionConfig(max_mission_time=8.0),
+        )
+        assert dispatch_main(
+            ["work", str(directory), "--no-wait", "--trace", str(tmp_path / "trace")]
+        ) == 0
+        summaries = collect_summaries(tmp_path / "trace")
+        assert len(summaries) == 2
+        assert {summary["corr"]["shard"] for summary in summaries} == {
+            "shard-0000", "shard-0001"
+        }
+        assert {summary["corr"]["job"] for summary in summaries} == {plan.fingerprint[:10]}
 
 
 # ---------------------------------------------------------------------- #
@@ -771,6 +794,15 @@ class TestCompare:
             ["compare", str(tmp_path / "a"), str(tmp_path / "missing")]
         ) == 2
         assert "no such trace directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("resamples", ["0", "-5"])
+    def test_compare_resample_count_below_one_exits_2(self, tmp_path, capsys, resamples):
+        # Exit 1 means "regression found"; a bad flag is exit 2.
+        timed_trace(tmp_path / "a", [{"detect": 0.01}] * 3)
+        assert obs_main(
+            ["compare", str(tmp_path / "a"), str(tmp_path / "a"), "--resamples", resamples]
+        ) == 2
+        assert "resamples must be at least 1" in capsys.readouterr().err
 
     def test_compare_writes_out_file(self, tmp_path, capsys):
         timed_trace(tmp_path / "a", [{"detect": 0.01}] * 3)

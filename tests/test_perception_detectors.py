@@ -115,7 +115,6 @@ class TestDetectionFrame:
         )
         assert frame.best_for(7).confidence == 0.9
         assert frame.best_for(99) is None
-        assert frame.has_any
 
 
 def make_frame(detections):
@@ -201,4 +200,3 @@ class TestValidationGate:
         gate.observe(make_frame([identified(7, x=3.0)]))
         assert gate.position_estimate().x == pytest.approx(2.0)
         assert gate.hits == 2
-        assert gate.hit_ratio == pytest.approx(1.0)

@@ -1,8 +1,11 @@
 """Tests for the NumPy neural network stack and its training."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.perception.neural import training
 from repro.perception.neural.dataset import PatchDatasetConfig, generate_patch_dataset
 from repro.perception.neural.layers import (
     Conv2d,
@@ -165,3 +168,54 @@ class TestNetworkAndTraining:
         state[0] = np.zeros((2, 2))
         with pytest.raises(ValueError):
             network.load_state_dict(state)
+
+
+class TestPretrainedCache:
+    """The detector's on-disk weight cache (``repro_marker_net_<seed>.pkl``)."""
+
+    @pytest.fixture
+    def retrains(self, tmp_path, monkeypatch):
+        """Seeds retrained, with the cache under ``tmp_path`` and an
+        untrained network standing in for the training run."""
+        monkeypatch.setattr(training.tempfile, "tempdir", str(tmp_path))
+        seeds = []
+
+        def train(config):
+            seeds.append(config.seed)
+            return MarkerPatchNet(seed=config.seed), None
+
+        monkeypatch.setattr(training, "train_marker_net", train)
+        return seeds
+
+    @pytest.mark.parametrize(
+        "tear", [lambda data: data[: len(data) // 2], lambda data: b""], ids=["half", "empty"]
+    )
+    def test_torn_cache_retrains(self, retrains, tear):
+        path = training._cache_path(7)
+        MarkerPatchNet(seed=1).save(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(tear(data))
+        # Past the in-process lru_cache: this is the on-disk path.
+        network = training.load_pretrained_detector_net.__wrapped__(7)
+        assert retrains == [7]
+        # The retrained weights replaced the torn file.
+        restored = MarkerPatchNet.load(path)
+        for saved, live in zip(restored.state_dict(), network.state_dict()):
+            np.testing.assert_array_equal(saved, live)
+
+    def test_failed_save_keeps_the_previous_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.pkl"
+        MarkerPatchNet(seed=1).save(str(path))
+        before = path.read_bytes()
+
+        def torn_dump(state, handle):
+            handle.write(before[:10])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pickle, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            MarkerPatchNet(seed=2).save(str(path))
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["net.pkl"]

@@ -206,7 +206,7 @@ class TestRrtTree:
         while True:
             first = Vec3(rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0), 0.0)
             second = Vec3(math.nextafter(first.x, 0.0), first.y, 0.0)
-            if second.norm_sq() < first.norm_sq() and second.norm() == first.norm():
+            if second.dot(second) < first.dot(first) and second.norm() == first.norm():
                 break
         tree = RrtTree(first, capacity=2)
         tree.add(second, parent=0, cost=0.0)
@@ -219,12 +219,6 @@ class TestTrajectory:
         trajectory = Trajectory([Vec3(0, 0, 0), Vec3(3, 0, 0), Vec3(3, 4, 0)])
         assert trajectory.length == pytest.approx(7.0)
         assert trajectory.goal == Vec3(3, 4, 0)
-
-    def test_sample_every_spacing(self):
-        trajectory = Trajectory([Vec3(0, 0, 0), Vec3(10, 0, 0)])
-        samples = trajectory.sample_every(2.0)
-        assert len(samples) >= 6
-        assert samples[0] == Vec3(0, 0, 0) and samples[-1] == Vec3(10, 0, 0)
 
     def test_max_corner_angle(self):
         straight = Trajectory([Vec3(0, 0, 0), Vec3(5, 0, 0), Vec3(10, 0, 0)])

@@ -296,7 +296,7 @@ class TestCampaignExecution:
         ]
         mission = MissionConfig(max_mission_time=30.0)
 
-        serial = Campaign(*systems).suite(suite).mission(mission).serial().run()
+        serial = Campaign(*systems).suite(suite).mission(mission).run()
         parallel = Campaign(*systems).suite(suite).mission(mission).parallel(2).run()
 
         assert self._signature(serial) == self._signature(parallel)

@@ -10,7 +10,6 @@ from repro.vehicle.autopilot import Autopilot, AutopilotConfig, FlightMode
 from repro.vehicle.controller import PositionController
 from repro.vehicle.dynamics import QuadrotorDynamics, QuadrotorLimits
 from repro.vehicle.ekf import PositionEkf
-from repro.vehicle.state import EstimatedState, VehicleState
 from repro.vehicle.wind import WindModel
 from repro.world.weather import Weather, WeatherCondition
 from repro.world.world import World
@@ -117,11 +116,6 @@ class TestEkf:
         with pytest.raises(ValueError):
             PositionEkf().predict(Vec3.zero(), 0.0)
 
-    def test_estimated_state_error(self):
-        estimate = EstimatedState(position=Vec3(1, 0, 0))
-        truth = VehicleState(position=Vec3(0, 0, 0))
-        assert estimate.error_to(truth) == pytest.approx(1.0)
-
 
 class TestController:
     def test_command_points_towards_target(self):
@@ -144,11 +138,6 @@ class TestController:
         far = Vec3(*controller.velocity_command_xyz(0, 0, 0, Vec3(20, 0, 0)))
         near = Vec3(*controller.velocity_command_xyz(19.5, 0, 0, Vec3(20, 0, 0)))
         assert near.norm() < far.norm()
-
-    def test_is_at_tolerance(self):
-        controller = PositionController()
-        assert controller.is_at(EstimatedState(position=Vec3(0.1, 0, 0)), Vec3.zero())
-        assert not controller.is_at(EstimatedState(position=Vec3(5, 0, 0)), Vec3.zero())
 
 
 class TestAutopilot:
@@ -188,7 +177,8 @@ class TestAutopilot:
         autopilot.arm_and_takeoff()
         for _ in range(1000):
             autopilot.step(0.02)
-        assert autopilot.estimation_error < 2.5
+        error = autopilot.estimated_state.position.distance_to(autopilot.true_state.position)
+        assert error < 2.5
 
     def test_return_mode_heads_home(self):
         autopilot = Autopilot(empty_world(), AutopilotConfig(takeoff_altitude=8.0), seed=5)

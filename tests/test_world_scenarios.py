@@ -34,7 +34,7 @@ class TestMapGenerator:
 
     def test_spawn_area_kept_clear(self):
         world = generate_map(MapStyle.URBAN, seed=5)
-        assert not world.point_in_collision(Vec3(0, 0, 5))
+        assert world.colliding_obstacle(Vec3(0, 0, 5)) is None
 
     def test_keep_clear_respected(self):
         target = Vec3(30, 30, 0)

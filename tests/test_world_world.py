@@ -18,29 +18,27 @@ def simple_world():
 
 class TestCollisionQueries:
     def test_point_inside_building_collides(self, simple_world):
-        assert simple_world.point_in_collision(Vec3(10, 0, 5))
+        assert simple_world.colliding_obstacle(Vec3(10, 0, 5)) is not None
 
     def test_point_in_free_space_does_not_collide(self, simple_world):
-        assert not simple_world.point_in_collision(Vec3(0, 0, 5))
-
-    def test_below_ground_collides(self, simple_world):
-        assert simple_world.point_in_collision(Vec3(0, 0, -0.5))
+        assert simple_world.colliding_obstacle(Vec3(0, 0, 5)) is None
 
     def test_water_is_not_flight_collision(self, simple_world):
-        assert not simple_world.point_in_collision(Vec3(-10, -10, 0.02))
+        assert simple_world.colliding_obstacle(Vec3(-10, -10, 0.02)) is None
 
     def test_margin_expands_collision(self, simple_world):
         just_outside = Vec3(12.2, 0, 5)
-        assert not simple_world.point_in_collision(just_outside)
-        assert simple_world.point_in_collision(just_outside, margin=0.5)
+        assert simple_world.colliding_obstacle(just_outside) is None
+        assert simple_world.colliding_obstacle(just_outside, margin=0.5).name == "block"
 
     def test_colliding_obstacle_returns_name(self, simple_world):
         obstacle = simple_world.colliding_obstacle(Vec3(10, 0, 5))
         assert obstacle is not None and obstacle.name == "block"
 
     def test_segment_through_building(self, simple_world):
-        assert simple_world.segment_in_collision(Vec3(0, 0, 5), Vec3(20, 0, 5))
-        assert not simple_world.segment_in_collision(Vec3(0, 0, 20), Vec3(20, 0, 20))
+        # A segment is a ray cut at its length.
+        assert simple_world.raycast(Vec3(0, 0, 5), Vec3(1, 0, 0), max_range=20) is not None
+        assert simple_world.raycast(Vec3(0, 0, 20), Vec3(1, 0, 0), max_range=20) is None
 
     def test_clearance_decreases_near_obstacles(self, simple_world):
         far = simple_world.clearance(Vec3(-30, 30, 5))
@@ -101,5 +99,3 @@ class TestLandingValidity:
             Marker(marker_id=7, position=Vec3(2, 2, 0), is_target=True),
         ]
         assert simple_world.target_marker.marker_id == 7
-        assert len(simple_world.markers_within(Vec3(0, 0, 0), 5.0)) == 2
-        assert len(simple_world.markers_within(Vec3(100, 0, 0), 5.0)) == 0
