@@ -109,7 +109,7 @@ from repro.world.scenario_gen import (
 )
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     # configuration & presets

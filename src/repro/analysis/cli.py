@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.compare import DEFAULT_ALPHA
@@ -36,85 +35,51 @@ from repro.analysis.engine import CampaignAnalysis
 from repro.analysis.report import render_comparison_report
 from repro.analysis.slicing import FACTOR_NAMES
 from repro.analysis.stats import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        print(text)
+from repro.jsonl import write_or_print
 
 
 def _analysis(args: argparse.Namespace, source: str) -> CampaignAnalysis:
     return CampaignAnalysis(
-        source,
-        suites=list(getattr(args, "suite", None) or ()),
-        seed=args.seed,
-        confidence=args.confidence,
-        resamples=args.resamples,
+        source, seed=args.seed, confidence=args.confidence, resamples=args.resamples
     )
 
 
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="bootstrap base seed (same data + seed -> byte-identical output)",
-    )
+def _add_common_args(parser: argparse.ArgumentParser, *, bootstrap: bool = True) -> None:
+    """``--confidence`` and ``--out``, plus the bootstrap's ``--seed`` and
+    ``--resamples`` where the report draws one (a slice report does not)."""
     parser.add_argument(
         "--confidence", type=float, default=DEFAULT_CONFIDENCE,
         help="confidence level for all intervals (default: %(default)s)",
     )
-    parser.add_argument(
-        "--resamples", type=int, default=DEFAULT_RESAMPLES,
-        help="bootstrap resample count (default: %(default)s)",
-    )
+    if bootstrap:
+        parser.add_argument(
+            "--seed", type=int, default=0,
+            help="bootstrap base seed (same data + seed -> byte-identical output)",
+        )
+        parser.add_argument(
+            "--resamples", type=int, default=DEFAULT_RESAMPLES,
+            help="bootstrap resample count (default: %(default)s)",
+        )
     parser.add_argument("--out", default=None, help="write the markdown report here")
 
 
-def _emit_cached(args: argparse.Namespace, kind: str, factor: str | None = None) -> int:
-    """The ``--cache`` path: memoized rendering keyed by campaign content."""
-    from repro.analysis.memo import cached_report
-
-    result = cached_report(
-        args.results,
-        kind=kind,
-        factor=factor,
-        suites=list(getattr(args, "suite", None) or ()),
-        seed=args.seed,
-        confidence=args.confidence,
-        resamples=args.resamples,
-    )
-    _emit(result.text, args.out)
-    print(
-        f"report cache {'hit' if result.hit else 'miss'} "
-        f"(key {result.key}, {result.records} records)",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    if args.cache and Path(args.results).is_dir():
-        return _emit_cached(args, "summary")
     analysis = _analysis(args, args.results)
     if not analysis.summaries():
         print(f"no run records found under {args.results}", file=sys.stderr)
         return 2
-    _emit(analysis.report(), args.out)
+    write_or_print(analysis.report(), args.out)
     return 0
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
-    if args.cache and Path(args.results).is_dir():
-        return _emit_cached(args, "slice", args.by)
-    analysis = _analysis(args, args.results)
+    analysis = CampaignAnalysis(
+        args.results, suites=args.suite or (), confidence=args.confidence
+    )
     if not analysis.summaries():
         print(f"no run records found under {args.results}", file=sys.stderr)
         return 2
-    _emit(analysis.slice_report(args.by), args.out)
+    write_or_print(analysis.slice_report(args.by), args.out)
     return 0
 
 
@@ -131,7 +96,7 @@ def _cmd_compare(args: argparse.Namespace, gate: bool = False) -> int:
     if not comparison.rates and not (comparison.baseline_only or comparison.current_only):
         print("no overlapping systems to compare", file=sys.stderr)
         return 2
-    _emit(render_comparison_report(comparison), args.out)
+    write_or_print(render_comparison_report(comparison), args.out)
     if gate and comparison.has_regression:
         problems = [f"{d.system}/{d.metric}" for d in comparison.regressions]
         problems.extend(
@@ -156,20 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize", help="per-system rates and metrics with confidence intervals"
     )
     summarize.add_argument("results", help="campaign JSONL file or results directory")
-    summarize.add_argument(
-        "--cache", action="store_true",
-        help="memoize the rendered report under <results>/.report-cache, "
-        "keyed by campaign context fingerprint + record count: an "
-        "unchanged campaign directory is a cache hit",
-    )
     _add_common_args(summarize)
 
     slice_cmd = sub.add_parser("slice", help="group results by a scenario factor")
     slice_cmd.add_argument("results", help="campaign JSONL file or results directory")
-    slice_cmd.add_argument(
-        "--cache", action="store_true",
-        help="memoize the rendered report (see summarize --cache)",
-    )
     slice_cmd.add_argument(
         "--by", required=True, choices=list(FACTOR_NAMES),
         help="the factor to slice by",
@@ -178,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", action="append", default=None,
         help="suite JSONL file or preset name for the scenario join (repeatable)",
     )
-    _add_common_args(slice_cmd)
+    _add_common_args(slice_cmd, bootstrap=False)
 
     compare = sub.add_parser("compare", help="statistically diff two campaigns")
     compare.add_argument("baseline", help="baseline campaign JSONL file or directory")

@@ -2,21 +2,20 @@
 
 Rendering a summary/slice/coverage report over an unchanged campaign is
 pure recomputation: the reports are deterministic functions of the record
-files and the analysis parameters.  This module caches the rendered
-markdown on disk under a key derived from
+files.  This module caches the rendered markdown on disk under a key
+derived from
 
 * each result file's identity — its campaign **context fingerprint** and
   platform (from the persisted header), plus its **record count** and byte
   size — and
-* the analysis parameters (report kind, slice factor, seed, confidence,
-  bootstrap resamples),
+* the report kind and slice factor,
 
 so a repeated request is a file read, while *any* change — a new shard's
-records appended, a different fault plan, other bootstrap parameters —
-changes the key and recomputes.  This is the memo behind the campaign
-service's ``/report`` / ``/slice`` / ``/coverage`` endpoints (reports are
-recomputed incrementally as shards complete, because the record count moves
-the key) and behind ``python -m repro.analysis summarize --cache``.
+records appended, a different fault plan — changes the key and recomputes.
+This is the memo behind the campaign service's ``/report`` / ``/slice`` /
+``/coverage`` endpoints: reports are recomputed incrementally as shards
+complete, because the record count moves the key.  Reports render with the
+analysis defaults (seed 0, the default confidence and resample count).
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.engine import CampaignAnalysis
 from repro.analysis.io import resolve_result_files
 from repro.analysis.slicing import FACTOR_NAMES
-from repro.analysis.stats import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
 from repro.core.metrics import read_result_header
-from repro.jsonl import atomic_text, sha16_of_json
+from repro.jsonl import sha16_of_json, write_text_atomic
 
 #: Bumped when report rendering changes shape, so stale caches from older
 #: versions can never be served as current output.
@@ -79,13 +77,7 @@ def _file_identity(path: Path) -> dict[str, Any]:
 
 
 def report_cache_key(
-    files: Sequence[Path],
-    *,
-    kind: str,
-    factor: str | None = None,
-    seed: int = 0,
-    confidence: float = DEFAULT_CONFIDENCE,
-    resamples: int = DEFAULT_RESAMPLES,
+    files: Sequence[Path], *, kind: str, factor: str | None = None
 ) -> tuple[str, int]:
     """``(cache key, total record count)`` for a set of result files."""
     identities = [_file_identity(path) for path in sorted(files)]
@@ -94,27 +86,14 @@ def report_cache_key(
             "memo": MEMO_SCHEMA_VERSION,
             "kind": kind,
             "factor": factor,
-            "seed": seed,
-            "confidence": confidence,
-            "resamples": resamples,
             "files": identities,
         }
     )
     return key, sum(identity["records"] for identity in identities)
 
 
-def _render(
-    source: Any,
-    kind: str,
-    factor: str | None,
-    suites: Iterable[Any],
-    seed: int,
-    confidence: float,
-    resamples: int,
-) -> str:
-    analysis = CampaignAnalysis(
-        source, suites=suites, seed=seed, confidence=confidence, resamples=resamples
-    )
+def _render(directory: Path, kind: str, factor: str | None) -> str:
+    analysis = CampaignAnalysis(directory)
     if kind == "summary":
         return analysis.report()
     if kind == "coverage":
@@ -126,34 +105,20 @@ def _render(
 
 
 def cached_report(
-    source: str | Path | Sequence[Path],
-    *,
-    kind: str = "summary",
-    factor: str | None = None,
-    cache_dir: str | Path | None = None,
-    suites: Iterable[Any] = (),
-    seed: int = 0,
-    confidence: float = DEFAULT_CONFIDENCE,
-    resamples: int = DEFAULT_RESAMPLES,
+    directory: str | Path, *, kind: str = "summary", factor: str | None = None
 ) -> CachedReport:
-    """Render ``kind`` over ``source``, served from the on-disk memo when fresh.
+    """Render ``kind`` over ``directory``, served from the memo in
+    ``<directory>/.report-cache`` when fresh.
 
     Args:
-        source: a campaign results directory (dispatch directories resolve
-            to their ``merged/`` files) or an explicit sequence of result
-            file paths.
+        directory: a campaign results directory (dispatch directories
+            resolve to their ``merged/`` files; suite files inside it join
+            the slice).
         kind: ``"summary"``, ``"coverage"`` or ``"slice"``.
         factor: the slice factor (required when ``kind="slice"``).
-        cache_dir: where cache files live; defaults to
-            ``<source>/.report-cache`` for directory sources (required for
-            explicit file lists).
-        suites: extra scenario sources for the slice join (directory sources
-            auto-join suite files found inside them).
-        seed / confidence / resamples: the analysis parameters; part of the
-            cache key.
 
-    Raises ``ValueError`` for an unknown kind/factor, a record-less source,
-    or a file-list source without ``cache_dir``.
+    Raises ``ValueError`` for an unknown kind/factor or a record-less
+    directory.
     """
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}; expected one of {REPORT_KINDS}")
@@ -167,27 +132,14 @@ def cached_report(
     elif factor is not None:
         raise ValueError(f"factor={factor!r} only applies to kind='slice'")
 
-    if isinstance(source, (str, Path)):
-        directory = Path(source)
-        files = resolve_result_files(directory)
-        analysis_source: Any = directory
-        if cache_dir is None:
-            cache_dir = directory / CACHE_DIRNAME
-    else:
-        files = [Path(path) for path in source]
-        analysis_source = files
-        if cache_dir is None:
-            raise ValueError("cache_dir is required for explicit file-list sources")
-
-    key, records = report_cache_key(
-        files, kind=kind, factor=factor, seed=seed,
-        confidence=confidence, resamples=resamples,
-    )
+    directory = Path(directory)
+    files = resolve_result_files(directory)
+    key, records = report_cache_key(files, kind=kind, factor=factor)
     if records == 0:
         raise ValueError(f"no run records found in {[str(f) for f in files]}")
 
     prefix = kind if factor is None else f"{kind}-{factor}"
-    cache_dir = Path(cache_dir)
+    cache_dir = directory / CACHE_DIRNAME
     path = cache_dir / f"{prefix}-{key}.md"
     try:
         text = path.read_text(encoding="utf-8")
@@ -195,11 +147,10 @@ def cached_report(
     except FileNotFoundError:
         pass
 
-    text = _render(analysis_source, kind, factor, suites, seed, confidence, resamples)
-    with atomic_text(path) as handle:
-        handle.write(text)
+    text = _render(directory, kind, factor)
+    write_text_atomic(path, text)
     # One live entry per report kind: superseded keys (earlier record
-    # counts, older parameters) are pruned so a long-running service's
+    # counts) are pruned so a long-running service's
     # cache stays bounded by the number of report kinds, not fetches.
     # The remainder must be exactly a key, so a factor that prefixes
     # another ("map" / "map-style") can never prune its sibling's entries.

@@ -246,7 +246,7 @@ class Campaign:
         if system_configs:
             self.systems(*system_configs)
         self._suite: ScenarioSuite | SuiteSpec | str | None = None
-        self._faults: tuple[FaultSpec, ...] | None = None
+        self._faults: tuple[FaultSpec, ...] = ()
         self._scenario_count: int | None = None
         self._repetitions: int | None = None
         self._mission: MissionConfig = MissionConfig()
@@ -320,11 +320,10 @@ class Campaign:
                 .run()
             )
 
-        Calling ``.faults()`` with no arguments clears the fault axis —
-        including faults inherited from a :class:`SuiteSpec` passed to
-        :meth:`suite`.  Injection is deterministic per (scenario,
-        repetition, spec): serial, parallel and dispatched executions
-        produce byte-identical persisted records.
+        Calling ``.faults()`` with no arguments clears the fault axis.
+        Injection is deterministic per (scenario, repetition, spec): serial,
+        parallel and dispatched executions produce byte-identical persisted
+        records.
         """
         specs: list[FaultSpec] = []
         for source in sources:
@@ -435,7 +434,6 @@ class Campaign:
             systems = self._resolved_systems()
         suite = self._resolved_suite()
         repetitions = self._repetitions if self._repetitions is not None else suite.repetitions
-        faults = self._resolved_faults()
         jobs: list[CampaignJob] = []
         index = 0
         for system in systems:
@@ -453,7 +451,7 @@ class Campaign:
                             mission=replace(self._mission, camera_seed=repetition),
                             platform=self._platform,
                             needs_network=needs_network,
-                            faults=faults,
+                            faults=self._faults,
                             trace_dir=str(self._trace) if self._trace is not None else None,
                             correlation=self._correlation,
                         )
@@ -573,18 +571,13 @@ class Campaign:
         # Resolve (for specs/presets: generate) the suite once so run() and
         # the scenario join below share one object instead of generating the
         # suite twice; the original suite setting is restored afterwards so
-        # suite()'s "a later .seed() still applies" contract holds.  The
-        # fault axis is pinned first: replacing a SuiteSpec with its
-        # generated suite must not drop the spec's declared faults.
+        # suite()'s "a later .seed() still applies" contract holds.
         previous_suite = self._suite
-        previous_faults = self._faults
-        self._faults = self._resolved_faults()
         self._suite = suite = self._resolved_suite()
         try:
             results = self.run()
         finally:
             self._suite = previous_suite
-            self._faults = previous_faults
         return CampaignAnalysis(
             results,
             suites=[suite],
@@ -641,7 +634,7 @@ class Campaign:
             repetitions=repetitions,
             mission=self._mission,
             platform=self._platform,
-            faults=self._resolved_faults(),
+            faults=self._faults,
         )
         workers = workers if workers is not None else self._workers
         correlation = dict(self._correlation)
@@ -678,9 +671,7 @@ class Campaign:
         ``RunRecord.scenario_fingerprint``), so growing a suite or its
         repetition count still resumes.
         """
-        return campaign_context_fingerprint(
-            self._mission, self._platform, self._resolved_faults()
-        )
+        return campaign_context_fingerprint(self._mission, self._platform, self._faults)
 
     def _load_persisted(
         self, systems: Sequence[LandingSystemConfig], context: str
@@ -732,15 +723,6 @@ class Campaign:
     # ------------------------------------------------------------------ #
     def _resolved_systems(self) -> list[LandingSystemConfig]:
         return list(self._systems) if self._systems else [mls_v1(), mls_v2(), mls_v3()]
-
-    def _resolved_faults(self) -> tuple[FaultSpec, ...]:
-        """The campaign's fault axis: explicit ``.faults()`` wins, then the
-        fault axis declared on a :class:`SuiteSpec` passed to ``suite()``."""
-        if self._faults is not None:
-            return self._faults
-        if isinstance(self._suite, SuiteSpec):
-            return tuple(self._suite.faults)
-        return ()
 
     def _resolved_suite(self) -> ScenarioSuite:
         if isinstance(self._suite, ScenarioSuite):

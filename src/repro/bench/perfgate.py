@@ -44,6 +44,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.jsonl import write_text_atomic
+
 BASELINE_SCHEMA = 1
 #: Fraction below the committed floor a meter may fall before failing.
 DEFAULT_TOLERANCE = 0.2
@@ -181,8 +183,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             args.trace_baseline, args.trace_current
         )
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(report, encoding="utf-8")
+        write_text_atomic(args.report, report)
     sys.stdout.write(report)
     return 1 if failed else 0
 
@@ -207,8 +208,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             key: round(measured[key] * args.headroom, 6) for key in sorted(floors)
         },
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
     sys.stdout.write(f"wrote {len(floors)} floor(s) to {path}\n")
     return 0
 

@@ -141,12 +141,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     from repro.bench.tables import render_outcome_rates
 
-    merged = merge_dispatch(args.dir, out_dir=args.out)
+    merged = merge_dispatch(args.dir)
     for name, path in merged.items():
         print(f"merged {name}: {path}")
-    if args.out is None:
-        print(render_outcome_rates(load_merged(args.dir)))
-        print(f"analyze with: python -m repro.analysis summarize {args.dir}")
+    print(render_outcome_rates(load_merged(args.dir)))
+    print(f"analyze with: python -m repro.analysis summarize {args.dir}")
     return 0
 
 
@@ -201,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser("merge", help="combine shard outputs into merged/ JSONL")
     merge.add_argument("dir", help="a drained dispatch directory")
-    merge.add_argument(
-        "--out", default=None,
-        help="write merged files here instead of <dir>/merged/",
-    )
     return parser
 
 

@@ -103,10 +103,9 @@ def _shard_records(
     return cells
 
 
-def merge_dispatch(
-    directory: str | Path, out_dir: str | Path | None = None
-) -> dict[str, Path]:
-    """Merge a drained dispatch directory into per-system JSONL files.
+def merge_dispatch(directory: str | Path) -> dict[str, Path]:
+    """Merge a drained dispatch directory into ``<directory>/merged/``,
+    one JSONL file per system.
 
     Returns ``{system name: merged file path}``.  Raises
     :class:`ShardResultError` (a ``ValueError``) when a shard is incomplete
@@ -128,7 +127,7 @@ def merge_dispatch(
         scenario.scenario_id: scenario.fingerprint() for scenario in suite
     }
 
-    out = Path(out_dir) if out_dir is not None else merged_dir(directory)
+    out = merged_dir(directory)
     merged: dict[str, Path] = {}
     for system in plan.systems:
         # Exactly the header and record order a single-process Campaign.out()

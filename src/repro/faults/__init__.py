@@ -46,9 +46,9 @@ from repro.faults.spec import (
 
 #: Names served lazily (PEP 562): the harness and coverage modules import
 #: the perception/planning/bench stacks, which themselves import
-#: ``repro.world`` → :mod:`repro.faults.spec` — eager imports here would
-#: close that cycle.  Specs and the classifier stay eager (they only need
-#: numpy and ``repro.core.metrics``).
+#: :mod:`repro.faults.spec` — eager imports here would close that cycle.
+#: Specs and the classifier stay eager (they only need numpy and
+#: ``repro.core.metrics``).
 _LAZY_EXPORTS = {
     "FaultHarness": ("repro.faults.harness", "FaultHarness"),
     "FaultyDetector": ("repro.faults.harness", "FaultyDetector"),
@@ -62,7 +62,6 @@ _LAZY_EXPORTS = {
     # same reason as the harness: the backends pull in the dispatch/bench
     # stacks.
     "DispatchProbeBackend": ("repro.faults.search", "DispatchProbeBackend"),
-    "ServiceProbeBackend": ("repro.faults.search", "ServiceProbeBackend"),
     "Probe": ("repro.faults.search", "Probe"),
     "CurvePoint": ("repro.faults.search", "CurvePoint"),
     "BisectionResult": ("repro.faults.search", "BisectionResult"),
@@ -95,7 +94,6 @@ __all__ = [
     "CurvePoint",
     "DispatchProbeBackend",
     "Probe",
-    "ServiceProbeBackend",
     "FailureMode",
     "FaultCoverage",
     "FaultHarness",

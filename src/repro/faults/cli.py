@@ -50,6 +50,7 @@ from repro.faults.spec import (
     FaultSpec,
     resolve_faults,
 )
+from repro.jsonl import write_or_print
 
 
 def _window_label(spec: FaultSpec) -> str:
@@ -156,14 +157,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     from repro.analysis.io import iter_records
 
     report = accumulate_coverage(iter_records([Path(p) for p in args.results]))
-    rendered = render_coverage_report(report)
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered, encoding="utf-8")
-        print(f"coverage report written to {path}")
-    else:
-        print(rendered, end="")
+    write_or_print(render_coverage_report(report), args.out)
     if not args.gate:
         return 0
     return _coverage_gate(report, args)

@@ -5,8 +5,8 @@ injection pillar (:mod:`repro.faults`) opened, without flying the full
 grid: every probe point is an ordinary fault campaign ending in
 ``Campaign.dispatch``, so probes drain through the existing lease-based
 queue under any worker topology — and a killed search resumes from the
-directory tree to byte-identical curves.  Both probe backends share one
-probe memo, so revisited points are never flown twice.
+directory tree to byte-identical curves.  The probe backend memoizes every
+probe, so revisited points are never flown twice.
 
 Quickstart::
 
@@ -28,7 +28,6 @@ from repro.faults.search.backend import (
     DispatchProbeBackend,
     Probe,
     ProbeOutcome,
-    ServiceProbeBackend,
 )
 from repro.faults.search.bisect import (
     DEFAULT_RESOLUTION,
@@ -58,7 +57,6 @@ __all__ = [
     "DispatchProbeBackend",
     "Probe",
     "ProbeOutcome",
-    "ServiceProbeBackend",
     "SweepResult",
     "bisect_severity",
     "curve_point",

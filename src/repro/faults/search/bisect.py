@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.bench.tables import format_markdown_table
 from repro.faults.classifier import failure_mode_label
-from repro.faults.search.backend import Probe, ProbeOutcome
+from repro.faults.search.backend import DispatchProbeBackend, Probe, ProbeOutcome
 from repro.faults.search.curves import SEARCH_SCHEMA_VERSION, severity_label
 from repro.faults.spec import FaultSpec, ensure_unique_names
 from repro.jsonl import read_jsonl_frame, write_jsonl_frame
@@ -128,7 +128,7 @@ def _mode_lookup(outcomes: Iterable[ProbeOutcome]) -> dict[tuple, str]:
 
 
 def bisect_severity(
-    backend: Any,
+    backend: DispatchProbeBackend,
     specs: Sequence[FaultSpec],
     *,
     resolution: float = DEFAULT_RESOLUTION,

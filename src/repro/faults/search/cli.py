@@ -1,7 +1,7 @@
 """CLI wiring for ``python -m repro.faults sweep`` / ``bisect``.
 
 Kept out of :mod:`repro.faults.cli` so the top-level parser stays cheap to
-import; everything heavy (the campaign stack behind the backends) is
+import; everything heavy (the campaign stack behind the backend) is
 imported inside the command functions.
 """
 
@@ -11,6 +11,7 @@ import argparse
 from pathlib import Path
 from typing import Any
 
+from repro.faults.search.backend import DispatchProbeBackend
 from repro.faults.search.bisect import (
     BISECTION_FILENAME,
     BISECTION_REPORT_FILENAME,
@@ -22,6 +23,7 @@ from repro.faults.search.bisect import (
 from repro.faults.search.curves import parse_severities, severity_ladder, severity_label
 from repro.faults.search.sweep import PROBES_DIRNAME, run_sweep
 from repro.faults.spec import resolve_faults
+from repro.jsonl import write_text_atomic
 from repro.scenarios import add_suite_args, resolve_suite_args
 
 
@@ -47,11 +49,6 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=int, default=1,
         help="shards per probe dispatch (default: 1)",
-    )
-    parser.add_argument(
-        "--service", default=None, metavar="URL",
-        help="evaluate probes through a running campaign service instead "
-             "of local dispatch (e.g. http://127.0.0.1:8035)",
     )
     parser.add_argument("--verbose", action="store_true", help="print probe progress")
 
@@ -87,35 +84,20 @@ def add_search_commands(sub: Any) -> None:
     )
 
 
-def _build_backend(args: argparse.Namespace) -> Any:
-    # A --spec file's fault axis is ignored: the probed faults are --faults.
-    suite, _ = resolve_suite_args(args)
+def _build_backend(args: argparse.Namespace) -> DispatchProbeBackend:
+    from repro.core.config import preset
+
     names = [name.strip() for name in args.systems.split(",") if name.strip()]
     if not names:
         raise ValueError("at least one system preset is required")
-    progress = print if args.verbose else None
-    if args.service:
-        from repro.faults.search.backend import ServiceProbeBackend
-
-        return ServiceProbeBackend(
-            args.service,
-            suite,
-            names,
-            repetitions=args.repetitions,
-            shards=args.shards,
-            progress=progress,
-        )
-    from repro.core.config import preset
-    from repro.faults.search.backend import DispatchProbeBackend
-
     return DispatchProbeBackend(
         Path(args.out) / PROBES_DIRNAME,
-        suite,
+        resolve_suite_args(args),
         [preset(name) for name in names],
         repetitions=args.repetitions,
         shards=args.shards,
         workers=args.workers,
-        progress=progress,
+        progress=print if args.verbose else None,
     )
 
 
@@ -147,13 +129,12 @@ def cmd_bisect(args: argparse.Namespace) -> int:
     meta = {
         "resolution": severity_label(args.resolution),
         "specs": ", ".join(sorted(spec.name for spec in specs)),
-        **(backend.describe() if hasattr(backend, "describe") else {}),
+        **backend.describe(),
     }
     out_dir = Path(args.out)
     jsonl_path = write_bisection(out_dir / BISECTION_FILENAME, results, meta=meta)
     report = render_bisection_report(results, meta=meta)
-    report_path = out_dir / BISECTION_REPORT_FILENAME
-    report_path.write_text(report, encoding="utf-8")
+    report_path = write_text_atomic(out_dir / BISECTION_REPORT_FILENAME, report)
     print(report, end="")
     print(f"bisection results:  {jsonl_path}")
     print(f"bisection report:   {report_path}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.faults.search.backend import Probe, ProbeOutcome
+from repro.faults.search.backend import DispatchProbeBackend, Probe, ProbeOutcome
 from repro.faults.search.curves import (
     CurvePoint,
     curve_point,
@@ -34,6 +34,7 @@ from repro.faults.search.curves import (
     write_failure_mode_curve,
 )
 from repro.faults.spec import FaultSpec, ensure_unique_names
+from repro.jsonl import write_text_atomic
 
 #: Directory (under the sweep/bisect output root) holding probe dispatches.
 PROBES_DIRNAME = "probes"
@@ -73,7 +74,7 @@ def sweep_probes(
 
 
 def run_sweep(
-    backend: Any,
+    backend: DispatchProbeBackend,
     specs: Sequence[FaultSpec],
     severities: Sequence[float],
     *,
@@ -94,7 +95,7 @@ def run_sweep(
     header_meta: dict[str, Any] = {
         "severities": [severity_label(value) for value in ladder],
         "specs": sorted(spec.name for spec in specs),
-        **(backend.describe() if hasattr(backend, "describe") else {}),
+        **backend.describe(),
         **(meta or {}),
     }
     curves_dir = out_dir / CURVES_DIRNAME
@@ -110,9 +111,7 @@ def run_sweep(
         "specs": ", ".join(sorted(spec.name for spec in specs)),
     }
     report = render_sweep_report(points, meta=report_meta)
-    report_path = out_dir / SWEEP_REPORT_FILENAME
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(report, encoding="utf-8")
+    report_path = write_text_atomic(out_dir / SWEEP_REPORT_FILENAME, report)
     return SweepResult(
         points=tuple(points),
         coverage_path=coverage_path,

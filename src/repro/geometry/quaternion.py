@@ -55,12 +55,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n < 1e-12:
-            raise ValueError("cannot normalize a zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 

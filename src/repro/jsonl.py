@@ -13,8 +13,9 @@ reaches the disk:
 * **replace** — :func:`atomic_text` writes a unique sibling temp file and
   ``os.replace``-s it over the target, so a reader sees the old bytes or the
   new ones, never a torn mix, and concurrent writers never share a temp
-  file.  :func:`write_json_atomic`, :func:`write_jsonl_frame` and the
-  campaign-result writer sit on top of it; :func:`atomic_bytes` is the same
+  file.  :func:`write_text_atomic`, :func:`write_json_atomic`,
+  :func:`write_jsonl_frame` and the campaign-result writer sit on top of
+  it; :func:`atomic_bytes` is the same
   replace for the one binary file, the detector network's weight cache.
 * **append** — :func:`append_framed` creates a framed file's header
   atomically (temp file + ``link``) and appends one line on an ``O_APPEND``
@@ -101,6 +102,36 @@ def atomic_bytes(path: str | Path) -> ContextManager[IO[bytes]]:
     return _replace(path, "wb", None)
 
 
+def write_text_atomic(path: str | Path, text: str) -> Path:
+    """Replace ``path`` with ``text`` through :func:`atomic_text`; return the path.
+
+    The one writer of rendered reports: sweep and bisection reports, the
+    report memo, perfgate's report and floors, and every command's ``--out``.
+    """
+    with atomic_text(path) as handle:
+        handle.write(text)
+    return Path(path)
+
+
+def write_or_print(text: str, out: str | Path | None) -> None:
+    """A report command's output: replace ``out`` with ``text`` and say so,
+    or print ``text`` when no file was asked for.
+
+    A path that exists but is no regular file (``/dev/null``, a pipe) cannot
+    be replaced, so it is written through.
+    """
+    if not out:
+        print(text, end="" if text.endswith("\n") else "\n")
+        return
+    path = Path(out)
+    if path.exists() and not path.is_file():
+        with path.open("w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        write_text_atomic(path, text)
+    print(f"wrote {path}")
+
+
 def write_json_atomic(
     path: str | Path, payload: dict[str, Any], *, indent: int | None = None
 ) -> None:
@@ -109,8 +140,7 @@ def write_json_atomic(
     The one JSON-object writer: dispatch plans, manifests, leases and
     completion markers, service jobs, metric snapshots and fault plans.
     """
-    with atomic_text(path) as handle:
-        handle.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
 
 
 def write_jsonl_frame(path: str | Path, header: dict[str, Any], rows: Iterable[Any]) -> Path:

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.bench.tables import format_markdown_table, format_percent
+from repro.jsonl import write_or_print
 from repro.obs.trace import PHASES, iter_trace_summaries
 
 
@@ -253,16 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_or_print(rendered: str, out: str | None, label: str) -> None:
-    if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered, encoding="utf-8")
-        print(f"{label} written to {path}")
-    else:
-        print(rendered, end="")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         files = trace_files(args.dir)
@@ -281,7 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _write_or_print(rendered, args.out, "phase report")
+    write_or_print(rendered, args.out)
     return 0
 
 
@@ -310,7 +301,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _write_or_print(rendered, args.out, "phase comparison")
+    write_or_print(rendered, args.out)
     return 1 if any(c.regressed for c in comparisons) else 0
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.bench.campaign import PLATFORM_FACTORIES, Campaign
@@ -87,32 +86,24 @@ def add_suite_args(parser: argparse.ArgumentParser, preset: str = "stress") -> N
     )
 
 
-def resolve_suite_args(
-    args: argparse.Namespace,
-) -> tuple[ScenarioSuite, tuple[FaultSpec, ...]]:
-    """Build the suite the :func:`add_suite_args` flags ask for, plus its
-    fault axis.
+def resolve_suite_args(args: argparse.Namespace) -> ScenarioSuite:
+    """Build the suite the :func:`add_suite_args` flags ask for.
 
-    The fault axis is the one a ``--spec`` file declares (empty for suite
-    files and presets), exactly what ``Campaign.suite(spec)`` flies.  A
-    ``--spec`` SuiteSpec JSON file goes through the structured validator
+    A ``--spec`` SuiteSpec JSON file goes through the structured validator
     (:mod:`repro.world.spec_validation`), so every field problem is reported
     at once — the same checks the campaign service applies to submissions.
     """
     if args.suite:
-        return ScenarioSuite.from_jsonl(args.suite), ()
+        return ScenarioSuite.from_jsonl(args.suite)
     if args.spec:
         from repro.world.spec_validation import load_suite_spec
 
-        spec = load_suite_spec(args.spec)
-        suite = generate_suite(
-            spec, count=args.count, seed=args.seed, repetitions=args.repetitions
-        )
-        return suite, tuple(spec.faults)
-    suite = generate_suite(
-        args.preset, count=args.count, seed=args.seed, repetitions=args.repetitions
+        source = load_suite_spec(args.spec)
+    else:
+        source = args.preset
+    return generate_suite(
+        source, count=args.count, seed=args.seed, repetitions=args.repetitions
     )
-    return suite, ()
 
 
 def add_campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -129,7 +120,7 @@ def add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--faults", default=None,
         help="fault axis: a preset name or fault-plan JSON file "
-        "(see python -m repro.faults list); overrides any --spec fault axis",
+        "(see python -m repro.faults list)",
     )
 
 
@@ -137,13 +128,10 @@ def resolve_campaign_args(
     args: argparse.Namespace,
 ) -> tuple[ScenarioSuite, list[str], tuple[FaultSpec, ...]]:
     """The suite, system preset names and fault axis of a campaign command."""
-    suite, faults = resolve_suite_args(args)
-    if args.faults is not None:
-        from repro.faults.spec import resolve_faults
+    from repro.faults.spec import resolve_faults
 
-        faults = resolve_faults(args.faults)
     systems = [name.strip() for name in args.systems.split(",") if name.strip()]
-    return suite, systems, faults
+    return resolve_suite_args(args), systems, resolve_faults(args.faults)
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
@@ -160,7 +148,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    suite, _ = resolve_suite_args(args)
+    suite = resolve_suite_args(args)
     failures = 0
     if args.check_buildable:
         for scenario in suite:
@@ -198,8 +186,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         print(f"  decoys: {scenario.decoy_count}, gps error: "
               f"[{scenario.gps_error.low}, {scenario.gps_error.high}] m")
         print()
-    suite, _ = resolve_suite_args(args)
-    print(_suite_summary(suite))
+    print(_suite_summary(resolve_suite_args(args)))
     return 0
 
 
@@ -247,11 +234,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.report:
         from repro.analysis import CampaignAnalysis
+        from repro.jsonl import write_text_atomic
 
-        analysis = CampaignAnalysis(results, suites=[suite])
-        path = Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(analysis.report(), encoding="utf-8")
+        path = write_text_atomic(
+            args.report, CampaignAnalysis(results, suites=[suite]).report()
+        )
         print(f"analytics report written to {path}")
     return 0
 

@@ -31,6 +31,7 @@ import json
 import sys
 from typing import Any, Sequence
 
+from repro.jsonl import write_or_print
 from repro.service.client import ServiceClient, ServiceClientError
 
 
@@ -131,15 +132,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         text, headers = client.slice(args.job, args.by)
     else:
         text, headers = client.report(args.job)
-    if args.out:
-        from pathlib import Path
-
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    write_or_print(text, args.out)
     cache = headers.get("X-Report-Cache")
     if cache:
         print(f"report cache {cache} (key {headers.get('X-Report-Key')})",

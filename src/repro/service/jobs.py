@@ -39,12 +39,10 @@ from repro.dispatch.queue import ShardQueue
 from repro.faults.spec import FaultSpec
 from repro.jsonl import write_json_atomic
 from repro.world.scenario_gen import PRESET_NAMES, SuiteSpec, generate_suite
-from repro.world.scenario_suite import ScenarioSuite
 from repro.world.spec_validation import (
     SpecIssue,
     SpecValidationError,
     validate_fault_axis,
-    validate_inline_suite,
     validate_suite_spec,
 )
 
@@ -60,7 +58,7 @@ DEFAULT_SHARDS = 2
 #: Submission payload keys the intake accepts (anything else is an error, so
 #: a typo like ``"repetition"`` cannot silently fall back to a default).
 SUBMISSION_FIELDS = {
-    "spec", "preset", "suite", "count", "seed", "repetitions",
+    "spec", "preset", "count", "seed", "repetitions",
     "systems", "shards", "platform", "faults",
 }
 
@@ -89,36 +87,20 @@ class Job:
     def cancelled(self) -> bool:
         return (self.dir / CANCEL_FILENAME).exists()
 
-    def submission(self) -> dict[str, Any]:
-        """The persisted submission record (``job.json``)."""
-        return json.loads((self.dir / JOB_FILENAME).read_text(encoding="utf-8"))
-
     def queue(self) -> ShardQueue:
         return ShardQueue(self.dispatch_dir)
 
 
-def _intake_suite(payload: dict[str, Any], issues: list[SpecIssue]) -> Any:
-    """The suite axis of a submission: an inline SuiteSpec, an inline
-    concrete suite (``"suite"``: explicit scenario objects, the fault-space
-    search engine's probe surface) or a preset name."""
-    given = [key for key in ("spec", "preset", "suite") if key in payload]
-    if len(given) > 1:
-        issues.append(
-            SpecIssue(given[0], f"give exactly one of 'spec', 'preset' or "
-                                f"'suite', got {given}")
-        )
+def _intake_suite(
+    payload: dict[str, Any], issues: list[SpecIssue]
+) -> SuiteSpec | str | None:
+    """The suite axis of a submission: an inline SuiteSpec or a preset name."""
+    if "spec" in payload and "preset" in payload:
+        issues.append(SpecIssue("spec", "give exactly one of 'spec' or 'preset'"))
         return None
-    if "suite" in payload:
-        try:
-            return validate_inline_suite(payload["suite"])
-        except SpecValidationError as error:
-            issues.extend(error.issues)
-            return None
     if "spec" in payload:
         try:
-            # Submission surface: fault axes inside the spec must be inline
-            # objects or preset names, never server-side file paths.
-            return validate_suite_spec(payload["spec"], allow_fault_paths=False)
+            return validate_suite_spec(payload["spec"])
         except SpecValidationError as error:
             issues.extend(
                 SpecIssue(f"spec.{issue.field}" if issue.field else "spec", issue.reason)
@@ -204,13 +186,6 @@ def validate_submission(payload: Any) -> Submission:
     repetitions = _intake_int(payload, "repetitions", None, issues)
     count = _intake_int(payload, "count", None, issues)
     seed = _intake_int(payload, "seed", None, issues, minimum=0)
-    if "suite" in payload:
-        for key in ("count", "seed"):
-            if key in payload:
-                issues.append(
-                    SpecIssue(key, "not applicable with an inline 'suite' "
-                                   "(its scenarios are already concrete)")
-                )
 
     platform = payload.get("platform", "desktop")
     if platform not in PLATFORM_FACTORIES:
@@ -219,24 +194,16 @@ def validate_submission(payload: Any) -> Submission:
                                   f"{sorted(PLATFORM_FACTORIES)}")
         )
 
-    faults: tuple[FaultSpec, ...] | None = None
-    if payload.get("faults") is not None:
-        try:
-            faults = validate_fault_axis(payload["faults"], allow_paths=False)
-        except SpecValidationError as error:
-            issues.extend(error.issues)
+    faults: tuple[FaultSpec, ...] = ()
+    try:
+        faults = validate_fault_axis(payload.get("faults"))
+    except SpecValidationError as error:
+        issues.extend(error.issues)
 
     if issues or spec is None:
         raise SpecValidationError(issues, subject="submission")
-
-    if isinstance(spec, ScenarioSuite):
-        suite = spec
-    else:
-        suite = generate_suite(spec, count=count, seed=seed, repetitions=repetitions)
-    if faults is None:
-        faults = tuple(spec.faults) if isinstance(spec, SuiteSpec) else ()
     return Submission(
-        suite=suite,
+        suite=generate_suite(spec, count=count, seed=seed, repetitions=repetitions),
         systems=systems,
         shards=shards,
         repetitions=repetitions,

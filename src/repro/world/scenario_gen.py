@@ -45,7 +45,6 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.faults.spec import FaultSpec
 from repro.world.map_generator import MapStyle
 from repro.world.scenario import Scenario, sample_marker_placement
 from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
@@ -256,11 +255,9 @@ class SuiteSpec:
         repetitions: repetitions per scenario when run as a campaign.
         map_pool: number of distinct maps the scenarios cycle through.
         scenario: the per-scenario distributions.
-        faults: the suite's fault axis — :class:`~repro.faults.FaultSpec`
-            objects injected into every run when the suite spec is handed to
-            ``Campaign.suite(...)`` (an explicit ``Campaign.faults(...)``
-            call overrides them).  Scenario generation itself is unaffected,
-            so a spec with and without faults samples identical scenarios.
+
+    A spec describes scenarios only: a campaign's fault axis comes from
+    ``Campaign.faults(...)`` (``--faults`` on the CLI).
     """
 
     name: str = "custom"
@@ -269,7 +266,6 @@ class SuiteSpec:
     repetitions: int = 1
     map_pool: int = 10
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
-    faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
         if self.count <= 0:
@@ -321,12 +317,6 @@ class SuiteSpec:
     def to_dict(self) -> dict[str, Any]:
         data = asdict(self)
         data["scenario"] = self.scenario.to_dict()
-        # The fault axis is only written when declared, so fault-free spec
-        # files are byte-identical to those of earlier versions.
-        if self.faults:
-            data["faults"] = [spec.to_dict() for spec in self.faults]
-        else:
-            data.pop("faults", None)
         return data
 
     @classmethod
@@ -350,12 +340,6 @@ class SuiteSpec:
             scenario = ScenarioSpec.from_dict(scenario)
         if scenario is not None:
             kwargs["scenario"] = scenario
-        faults = kwargs.pop("faults", None)
-        if faults is not None:
-            kwargs["faults"] = tuple(
-                spec if isinstance(spec, FaultSpec) else FaultSpec.from_dict(spec)
-                for spec in faults
-            )
         return cls(**kwargs)
 
 

@@ -1,4 +1,4 @@
-"""Structured validation for suite-spec (and fault-axis) submissions.
+"""Structured validation for suite-spec and fault-axis submissions.
 
 ``SuiteSpec.from_dict`` / ``FaultSpec.from_dict`` raise on the *first*
 problem with a bare ``ValueError``, which is the right contract for trusted
@@ -11,11 +11,11 @@ This module walks a submitted payload field by field, collecting
 It is shared by:
 
 * the campaign service's ``POST /jobs`` endpoint (400 responses carry the
-  issue list as JSON),
-* ``python -m repro.dispatch plan/run --spec`` and
-* ``python -m repro.scenarios --spec``,
+  issue list as JSON), and
+* the ``--spec`` flag of ``python -m repro.scenarios``, ``repro.dispatch
+  plan``, ``repro.faults sweep/bisect`` and ``repro.service submit``,
 
-so the three submission surfaces agree on what a valid spec is — the final
+so the submission surfaces agree on what a valid spec is — the final
 authority is still ``SuiteSpec.from_dict`` itself, which is always invoked
 last so the validator can never *accept* something the constructor refuses.
 """
@@ -101,43 +101,38 @@ def _check_scenario_spec(data: Any, issues: list[SpecIssue], prefix: str) -> Non
         issues.append(SpecIssue(prefix, str(error)))
 
 
-def validate_fault_axis(
-    value: Any, *, allow_paths: bool = True, field: str = "faults"
-) -> tuple[FaultSpec, ...]:
-    """Validate a submitted fault axis; structured errors, optional no-path mode.
+def validate_fault_axis(value: Any) -> tuple[FaultSpec, ...]:
+    """Validate a submitted fault axis; raises :class:`SpecValidationError`.
 
-    ``allow_paths=False`` is the submission-surface mode: a string must be a
-    fault *preset* name — never a server-side file path — and spec objects
-    must be inline dicts.  Raises :class:`SpecValidationError`.
+    A string must be a fault *preset* name — never a server-side file path —
+    and spec objects must be inline dicts.
     """
     issues: list[SpecIssue] = []
     if value is None:
         return ()
-    if isinstance(value, str) and not allow_paths:
+    if isinstance(value, str):
         key = value.strip().lower()
         if key not in FAULT_PRESETS:
             raise SpecValidationError(
-                [SpecIssue(field, f"unknown fault preset {value!r}; expected one of "
-                                  f"{sorted(FAULT_PRESETS)} (file paths are not "
-                                  f"accepted on this surface)")],
+                [SpecIssue("faults", f"unknown fault preset {value!r}; expected one "
+                                     f"of {sorted(FAULT_PRESETS)} (file paths are "
+                                     f"not accepted on this surface)")],
                 subject="fault axis",
             )
         return FAULT_PRESETS[key]
     if isinstance(value, list):
         specs: list[FaultSpec] = []
         for index, item in enumerate(value):
-            if not isinstance(item, (dict, FaultSpec)):
+            if not isinstance(item, dict):
                 issues.append(
-                    SpecIssue(f"{field}[{index}]",
+                    SpecIssue(f"faults[{index}]",
                               f"expected a FaultSpec object, got {type(item).__name__}")
                 )
                 continue
             try:
-                specs.append(
-                    item if isinstance(item, FaultSpec) else FaultSpec.from_dict(item)
-                )
+                specs.append(FaultSpec.from_dict(item))
             except (ValueError, KeyError, TypeError) as error:
-                issues.append(SpecIssue(f"{field}[{index}]", str(error)))
+                issues.append(SpecIssue(f"faults[{index}]", str(error)))
         if issues:
             raise SpecValidationError(issues, subject="fault axis")
         return tuple(specs)
@@ -145,11 +140,19 @@ def validate_fault_axis(
         return resolve_faults(value)
     except (ValueError, TypeError, OSError) as error:
         raise SpecValidationError(
-            [SpecIssue(field, str(error))], subject="fault axis"
+            [SpecIssue("faults", str(error))], subject="fault axis"
         ) from error
 
 
-def validate_suite_spec(data: Any, *, allow_fault_paths: bool = True) -> SuiteSpec:
+#: Why a spec's ``faults`` key is refused: the fault axis is the campaign's,
+#: never the suite's.
+_FAULTS_IN_SPEC = (
+    "a suite spec carries no fault axis; give it as the campaign's faults "
+    "(--faults, or the submission's \"faults\")"
+)
+
+
+def validate_suite_spec(data: Any) -> SuiteSpec:
     """Validate a submitted SuiteSpec payload; returns the constructed spec.
 
     Raises :class:`SpecValidationError` carrying one :class:`SpecIssue` per
@@ -162,7 +165,9 @@ def validate_suite_spec(data: Any, *, allow_fault_paths: bool = True) -> SuiteSp
         )
     known = {f.name for f in fields(SuiteSpec)}
     for key in sorted(set(data) - known):
-        issues.append(SpecIssue(key, "unknown SuiteSpec field"))
+        issues.append(
+            SpecIssue(key, _FAULTS_IN_SPEC if key == "faults" else "unknown SuiteSpec field")
+        )
     for key in sorted(_INT_FIELDS & set(data)):
         value = data[key]
         if isinstance(value, bool) or not isinstance(value, int):
@@ -177,100 +182,14 @@ def validate_suite_spec(data: Any, *, allow_fault_paths: bool = True) -> SuiteSp
         )
     if "scenario" in data and not isinstance(data["scenario"], ScenarioSpec):
         _check_scenario_spec(data["scenario"], issues, "scenario")
-    faults: tuple[FaultSpec, ...] | None = None
-    if "faults" in data and data["faults"] is not None:
-        try:
-            faults = validate_fault_axis(
-                data["faults"], allow_paths=allow_fault_paths
-            )
-        except SpecValidationError as error:
-            issues.extend(error.issues)
     if issues:
         raise SpecValidationError(issues)
-    if faults is not None:
-        data = {**data, "faults": faults}
     try:
         return SuiteSpec.from_dict(data)
     except (ValueError, KeyError, TypeError) as error:
         # The validator's per-field checks missed something the constructor
         # enforces; surface it structurally all the same.
         raise SpecValidationError([SpecIssue("", str(error))]) from error
-
-
-#: Keys an inline ``"suite"`` submission object may carry (mirrors the
-#: scenario-suite JSONL header plus the scenario list itself).
-_INLINE_SUITE_FIELDS = {"name", "repetitions", "scenarios"}
-
-
-def validate_inline_suite(data: Any, *, field: str = "suite"):
-    """Validate an inline scenario-suite submission; returns a ScenarioSuite.
-
-    The submission-surface twin of ``ScenarioSuite.from_jsonl``: instead of
-    generating scenarios from a spec server-side, the client ships concrete
-    ``Scenario.to_dict()`` objects (the fault-space search engine submits
-    probe sub-suites this way).  Raises :class:`SpecValidationError` with
-    one issue per problem.
-    """
-    from repro.world.scenario import Scenario
-    from repro.world.scenario_suite import ScenarioSuite
-
-    issues: list[SpecIssue] = []
-    if not isinstance(data, dict):
-        raise SpecValidationError(
-            [SpecIssue(field, f"expected a suite object, got {type(data).__name__}")],
-            subject="inline suite",
-        )
-    for key in sorted(set(data) - _INLINE_SUITE_FIELDS):
-        issues.append(SpecIssue(f"{field}.{key}", "unknown suite field"))
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        issues.append(
-            SpecIssue(f"{field}.name", f"expected a string, got {type(name).__name__}")
-        )
-        name = ""
-    repetitions = data.get("repetitions", 1)
-    if isinstance(repetitions, bool) or not isinstance(repetitions, int):
-        issues.append(
-            SpecIssue(
-                f"{field}.repetitions",
-                f"expected an integer, got {type(repetitions).__name__}",
-            )
-        )
-        repetitions = 1
-    elif repetitions <= 0:
-        issues.append(
-            SpecIssue(f"{field}.repetitions", f"must be positive, got {repetitions}")
-        )
-        repetitions = 1
-    raw_scenarios = data.get("scenarios")
-    scenarios: list[Any] = []
-    if not isinstance(raw_scenarios, list) or not raw_scenarios:
-        issues.append(
-            SpecIssue(f"{field}.scenarios", "expected a non-empty list of scenarios")
-        )
-    else:
-        for index, item in enumerate(raw_scenarios):
-            if not isinstance(item, dict):
-                issues.append(
-                    SpecIssue(
-                        f"{field}.scenarios[{index}]",
-                        f"expected a Scenario object, got {type(item).__name__}",
-                    )
-                )
-                continue
-            try:
-                scenarios.append(Scenario.from_dict(item))
-            except (ValueError, KeyError, TypeError) as error:
-                issues.append(SpecIssue(f"{field}.scenarios[{index}]", str(error)))
-        ids = [scenario.scenario_id for scenario in scenarios]
-        duplicates = sorted({sid for sid in ids if ids.count(sid) > 1})
-        if duplicates:
-            issues.append(
-                SpecIssue(f"{field}.scenarios", f"duplicate scenario ids {duplicates}")
-            )
-    if issues:
-        raise SpecValidationError(issues, subject="inline suite")
-    return ScenarioSuite(scenarios=scenarios, repetitions=repetitions, name=name)
 
 
 def load_suite_spec(path: str | Path) -> SuiteSpec:

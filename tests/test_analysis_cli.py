@@ -359,45 +359,48 @@ class TestRoundTripNumbers:
 
 
 class TestSummarizeCache:
-    def test_unchanged_dir_is_a_cache_hit_and_byte_identical(self, tmp_path, capsys):
+    """The report memo behind the service's report endpoints."""
+
+    def test_unchanged_dir_is_a_cache_hit_and_byte_identical(self, tmp_path):
+        from repro.analysis.memo import cached_report
+
         write_campaign(tmp_path, total=6)
-        first = tmp_path / "r1.md"
-        assert main(["summarize", str(tmp_path), "--cache", "--out", str(first)]) == 0
-        assert "report cache miss" in capsys.readouterr().err
-        second = tmp_path / "r2.md"
-        assert main(["summarize", str(tmp_path), "--cache", "--out", str(second)]) == 0
-        assert "report cache hit" in capsys.readouterr().err
-        assert second.read_bytes() == first.read_bytes()
+        first = cached_report(tmp_path)
+        assert not first.hit
+        second = cached_report(tmp_path)
+        assert second.hit and second.key == first.key
+        assert second.text == first.text
         # The memoized output equals the uncached path byte for byte.
-        plain = tmp_path / "r3.md"
+        plain = tmp_path / "plain.md"
         assert main(["summarize", str(tmp_path), "--out", str(plain)]) == 0
-        assert plain.read_bytes() == first.read_bytes()
+        assert plain.read_text(encoding="utf-8") == first.text
 
-    def test_appended_records_move_the_key_and_prune_the_old_entry(
-        self, tmp_path, capsys
-    ):
+    def test_appended_records_move_the_key_and_prune_the_old_entry(self, tmp_path):
+        from repro.analysis.memo import cached_report
+
         write_campaign(tmp_path, total=4)
-        assert main(["summarize", str(tmp_path), "--cache"]) == 0
-        capsys.readouterr()
+        first = cached_report(tmp_path)
         write_campaign(tmp_path, total=2)  # appends to the same file
-        assert main(["summarize", str(tmp_path), "--cache"]) == 0
-        assert "report cache miss" in capsys.readouterr().err
-        cache_dir = tmp_path / ".report-cache"
+        second = cached_report(tmp_path)
+        assert not second.hit and second.key != first.key
+        assert second.records == first.records + 2
         # One live entry per report kind: the superseded key was pruned.
-        assert len(list(cache_dir.glob("summary-*.md"))) == 1
+        cache_dir = tmp_path / ".report-cache"
+        assert [path.name for path in cache_dir.glob("summary-*.md")] == [second.path.name]
 
-    def test_analysis_params_are_part_of_the_key(self, tmp_path, capsys):
-        write_campaign(tmp_path, total=4)
-        assert main(["summarize", str(tmp_path), "--cache"]) == 0
-        first_err = capsys.readouterr().err
-        assert main(["summarize", str(tmp_path), "--cache", "--seed", "9"]) == 0
-        second_err = capsys.readouterr().err
-        assert "report cache miss" in first_err
-        assert "report cache miss" in second_err
-
-    def test_cache_flag_on_a_single_file_uses_plain_path(self, tmp_path, capsys):
-        path = write_campaign(tmp_path, total=4)
-        assert main(["summarize", str(path), "--cache"]) == 0
-        out = capsys.readouterr()
-        assert "# Campaign analytics summary" in out.out
-        assert "report cache" not in out.err  # file sources skip the memo
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["summarize", "--cache"],
+            ["slice", "--by", "stress-axis", "--cache"],
+            ["slice", "--by", "stress-axis", "--seed", "1"],
+            ["slice", "--by", "stress-axis", "--resamples", "0"],
+        ],
+    )
+    def test_flags_nothing_reads_are_gone(self, tmp_path, capsys, argv):
+        # The memo serves the service only; a slice report draws no bootstrap.
+        write_campaign(tmp_path, total=2)
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], str(tmp_path), *argv[1:]])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

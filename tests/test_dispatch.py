@@ -642,6 +642,13 @@ class TestDispatchCli:
         assert dispatch_main(args) == 2
         assert "different dispatch plan" in capsys.readouterr().err
 
+    def test_merge_out_flag_is_gone(self, tmp_path, capsys):
+        # Every reader looks for merged files in <dir>/merged/.
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch_main(["merge", str(tmp_path), "--out", str(tmp_path / "elsewhere")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+
     def test_merge_before_done_exits_2(self, tmp_path, suite, stub_execute, capsys):
         directory = tmp_path / "dispatch"
         assert dispatch_main(self._plan_args(directory)) == 0

@@ -9,7 +9,6 @@ The CI ``sweep-smoke`` job covers the real-mission path end to end against
 committed baselines.
 """
 
-import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +23,6 @@ from repro.faults.cli import main as faults_main
 from repro.faults.search import (
     DispatchProbeBackend,
     Probe,
-    ServiceProbeBackend,
     bisect_severity,
     read_bisection,
     read_curve,
@@ -248,6 +246,27 @@ class TestSweep:
         run_sweep(serial, SPECS, severity_ladder(3), out_dir=tmp_path / "serial")
         assert curve_bytes(tmp_path / "killed") == curve_bytes(tmp_path / "serial")
 
+    def test_failed_report_write_keeps_the_previous_sweep_md(
+        self, tmp_path, stub_execute, suite, monkeypatch
+    ):
+        import repro.faults.search.sweep as sweep_module
+
+        backend = make_backend(tmp_path, suite)
+        run_sweep(backend, SPECS, severity_ladder(3), out_dir=tmp_path / "sweep")
+        report = tmp_path / "sweep" / "sweep.md"
+        before = report.read_bytes()
+        render = sweep_module.render_sweep_report
+        # A lone surrogate cannot be encoded, so the write raises once the
+        # report file is open: the previous bytes must survive it whole.
+        monkeypatch.setattr(
+            sweep_module, "render_sweep_report",
+            lambda *args, **kwargs: render(*args, **kwargs) + "\ud800",
+        )
+        with pytest.raises(UnicodeEncodeError):
+            run_sweep(backend, SPECS, severity_ladder(3), out_dir=tmp_path / "sweep")
+        assert report.read_bytes() == before
+        assert not list(report.parent.glob("*.tmp-*"))
+
 
 class ReorderingBackend:
     """Evaluates every batch in reversed order (and re-orders the answers)."""
@@ -368,113 +387,6 @@ class TestBackend:
         assert {r.system for r in results} == {"MLS-V1", "MLS-V2"}
 
 
-class TestServiceBackend:
-    @pytest.fixture
-    def server_factory(self, tmp_path):
-        from repro.service.client import ServiceClient
-        from repro.service.server import CampaignServer
-
-        servers = []
-
-        def make(workers=2, lease_seconds=5.0):
-            server = CampaignServer(
-                str(tmp_path / "service-root"), ("127.0.0.1", 0),
-                workers=workers, lease_seconds=lease_seconds,
-            )
-            threading.Thread(target=server.serve_forever, daemon=True).start()
-            server.start_pool()
-            servers.append(server)
-            return server, ServiceClient(server.url)
-
-        yield make
-        for server in servers:
-            server.shutdown()
-            server.server_close()
-
-    def test_sweep_through_service_matches_local(
-        self, tmp_path, stub_execute, suite, server_factory
-    ):
-        _, client = server_factory()
-        remote = ServiceProbeBackend(
-            client, suite, ["mls-v1"], repetitions=1, timeout=30.0
-        )
-        result = run_sweep(
-            remote, SPECS[:1], (0.0, 1.0), out_dir=tmp_path / "remote"
-        )
-        local = make_backend(tmp_path / "local", suite)
-        reference = run_sweep(
-            local, SPECS[:1], (0.0, 1.0), out_dir=tmp_path / "local"
-        )
-        assert result.points == reference.points
-        # Identical systems/suite provenance -> identical curve bytes.
-        assert curve_bytes(tmp_path / "remote") == curve_bytes(tmp_path / "local")
-
-    def test_resubmitted_probe_joins_existing_job(
-        self, tmp_path, stub_execute, suite, server_factory
-    ):
-        _, client = server_factory()
-        backend = ServiceProbeBackend(
-            client, suite, ["mls-v1"], repetitions=1, timeout=30.0
-        )
-        probes = sweep_probes(suite, SPECS[:1], (0.5,))
-        backend.evaluate(probes)
-        flights = len(stub_execute)
-        fresh = ServiceProbeBackend(
-            client, suite, ["mls-v1"], repetitions=1, timeout=30.0
-        )
-        outcomes = fresh.evaluate(probes)
-        assert len(stub_execute) == flights  # deduped server-side
-        assert outcomes[0].records
-
-
-class TestInlineSuiteSubmission:
-    def test_validate_inline_suite_roundtrip(self, suite):
-        from repro.service.jobs import validate_submission
-
-        payload = {
-            "suite": {
-                "name": suite.name,
-                "repetitions": 1,
-                "scenarios": [s.to_dict() for s in suite.scenarios],
-            },
-            "systems": ["mls-v1"],
-            "shards": 1,
-        }
-        submission = validate_submission(payload)
-        assert [s.scenario_id for s in submission.suite.scenarios] == [
-            s.scenario_id for s in suite.scenarios
-        ]
-
-    def test_inline_suite_field_problems_are_collected(self, suite):
-        from repro.service.jobs import validate_submission
-        from repro.world.spec_validation import SpecValidationError
-
-        payload = {
-            "suite": {"repetitions": 0, "scenarios": [], "bogus": 1},
-            "count": 3,
-            "systems": ["mls-v1"],
-        }
-        with pytest.raises(SpecValidationError) as excinfo:
-            validate_submission(payload)
-        fields = {issue.field for issue in excinfo.value.issues}
-        assert "suite.repetitions" in fields
-        assert "suite.scenarios" in fields
-        assert "suite.bogus" in fields
-        assert "count" in fields  # not applicable with an inline suite
-
-    def test_suite_and_preset_are_exclusive(self, suite):
-        from repro.service.jobs import validate_submission
-        from repro.world.spec_validation import SpecValidationError
-
-        payload = {
-            "suite": {"scenarios": [s.to_dict() for s in suite.scenarios]},
-            "preset": "smoke",
-            "systems": ["mls-v1"],
-        }
-        with pytest.raises(SpecValidationError, match="exactly one"):
-            validate_submission(payload)
-
-
 class TestCli:
     def test_sweep_cli_writes_curves_and_report(self, tmp_path, stub_execute, capsys):
         out = tmp_path / "sweep"
@@ -503,6 +415,16 @@ class TestCli:
         header, rows = read_bisection(out / "bisect.jsonl")
         assert header["cells"] == len(rows) == 6  # 3 smoke specs x 2 scenarios
         assert "## Critical severity per cell" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep", "bisect"])
+    def test_service_flag_is_gone(self, tmp_path, capsys, command):
+        # Probes fly only through Campaign.dispatch.
+        with pytest.raises(SystemExit) as excinfo:
+            faults_main(
+                [command, "--service", "http://127.0.0.1:9", "--out", str(tmp_path)]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --service" in capsys.readouterr().err
 
     def test_cli_rejects_bad_severities(self, tmp_path, capsys):
         code = faults_main(

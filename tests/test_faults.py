@@ -668,23 +668,19 @@ class TestCampaignIntegration:
         jobs = campaign.jobs()
         assert all(job.faults == FAULT_PRESETS["smoke"] for job in jobs)
 
-    def test_suite_spec_fault_axis_is_inherited_and_overridable(self):
-        spec = SuiteSpec(name="faulty", count=2, faults=FAULT_PRESETS["vehicle"])
-        campaign = Campaign("mls-v1").suite(spec)
-        assert campaign._resolved_faults() == FAULT_PRESETS["vehicle"]
-        campaign.faults("sensor")
-        assert campaign._resolved_faults() == FAULT_PRESETS["sensor"]
-        campaign.faults()  # explicit clear beats the suite axis
-        assert campaign._resolved_faults() == ()
+    def test_a_suite_spec_has_no_fault_axis(self):
+        # The fault axis is the campaign's (Campaign.faults, --faults).
+        with pytest.raises(TypeError, match="faults"):
+            SuiteSpec(name="faulty", count=2, faults=FAULT_PRESETS["vehicle"])
+        with pytest.raises(ValueError, match="faults"):
+            SuiteSpec.from_dict(
+                {"name": "faulty", "faults": [s.to_dict() for s in FAULT_PRESETS["smoke"]]}
+            )
+        assert "faults" not in SuiteSpec(name="x", count=3, seed=5).to_dict()
 
-    def test_suite_spec_faults_round_trip_and_do_not_change_scenarios(self):
-        plain = SuiteSpec(name="x", count=3, seed=5)
-        faulty = SuiteSpec(name="x", count=3, seed=5, faults=FAULT_PRESETS["smoke"])
-        assert SuiteSpec.from_dict(faulty.to_dict()) == faulty
-        assert "faults" not in plain.to_dict()
-        a = [s.fingerprint() for s in generate_suite(plain)]
-        b = [s.fingerprint() for s in generate_suite(faulty)]
-        assert a == b
+    def test_faults_without_arguments_clear_the_axis(self):
+        campaign = Campaign("mls-v1").suite("smoke").faults("sensor").faults()
+        assert all(job.faults == () for job in campaign.jobs())
 
     def test_context_fingerprint_guards_fault_axis(self):
         mission = MissionConfig()
@@ -695,31 +691,6 @@ class TestCampaignIntegration:
         assert base != with_faults
         # Fault-free fingerprints are unchanged from the pre-fault layout.
         assert base == campaign_context_fingerprint(mission, "desktop", ())
-
-    def test_analyze_keeps_suite_spec_faults(self, monkeypatch):
-        # analyze() swaps the SuiteSpec for its generated suite around run();
-        # the spec's fault axis must survive the swap.
-        import repro.bench.campaign as campaign_module
-
-        captured: list[tuple] = []
-
-        def fake_execute(job):
-            captured.append(job.faults)
-            return RunRecord(
-                scenario_id=job.scenario.scenario_id,
-                system_name=job.system.name,
-                outcome=RunOutcome.SUCCESS,
-                repetition=job.repetition,
-            )
-
-        monkeypatch.setattr(campaign_module, "_execute_job", fake_execute)
-        monkeypatch.setattr(campaign_module, "_shared_network", lambda: None)
-        spec = SuiteSpec(name="faulty", count=2, faults=FAULT_PRESETS["vehicle"])
-        campaign = Campaign("mls-v1").suite(spec)
-        campaign.analyze()
-        assert captured and all(f == FAULT_PRESETS["vehicle"] for f in captured)
-        # The original spec setting (and its fault axis) is restored.
-        assert campaign._resolved_faults() == FAULT_PRESETS["vehicle"]
 
     def test_jobs_remain_picklable_with_faults(self):
         import pickle

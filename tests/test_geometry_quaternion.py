@@ -44,10 +44,6 @@ class TestQuaternionBasics:
         matrix_result = q.rotation_matrix() @ v.to_array()
         np.testing.assert_allclose(matrix_result, q.rotate(v).to_array(), atol=1e-9)
 
-    def test_normalize_zero_raises(self):
-        with pytest.raises(ValueError):
-            Quaternion(0, 0, 0, 0).normalized()
-
 
 class TestQuaternionProperties:
     @given(angles, angles, angles)

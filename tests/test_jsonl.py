@@ -8,6 +8,9 @@ framing contract itself.
 from __future__ import annotations
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.jsonl import (
     read_frame_header,
     read_jsonl_frame,
     validate_frame_header,
+    write_or_print,
 )
 
 KIND = "campaign-result"
@@ -262,3 +266,33 @@ class TestAtomicText:
                 raise error()
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestWriteOrPrint:
+    def test_out_file_is_replaced_and_named(self, tmp_path, capsys):
+        path = tmp_path / "sub" / "report.md"
+        write_or_print("old\n", path)
+        write_or_print("new\n", path)
+        assert path.read_text() == "new\n"
+        assert list(path.parent.iterdir()) == [path]
+        assert capsys.readouterr().out == f"wrote {path}\nwrote {path}\n"
+
+    def test_no_out_prints_one_trailing_newline(self, capsys):
+        write_or_print("a\n", None)
+        write_or_print("b", None)
+        assert capsys.readouterr().out == "a\nb\n"
+
+    def test_a_pipe_is_written_through_not_replaced(self, tmp_path):
+        # ``--out /dev/null`` (CI's gate step) and pipes cannot be replaced.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_text()), daemon=True
+        )
+        reader.start()
+        write_or_print("report\n", fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["report\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)

@@ -4,16 +4,12 @@ Mission execution is stubbed, so these tests pin how the command builds its
 ``Campaign`` chain (platform, fault axis, execution mode), not the flights.
 """
 
-import dataclasses
-import json
-
 import pytest
 
 import repro.bench.campaign as campaign_module
 from repro.core.metrics import RunOutcome, RunRecord
 from repro.faults.spec import FAULT_PRESETS
 from repro.scenarios import main as scenarios_main
-from repro.world.scenario_gen import SUITE_PRESETS
 
 SMOKE = ["run", "--preset", "smoke", "--count", "3", "--seed", "3", "--systems", "mls-v1"]
 
@@ -69,17 +65,6 @@ def test_platform_reaches_every_job(flown):
     assert scenarios_main([*SMOKE, "--platform", "field"]) == 0
     assert len(flown) == 3
     assert {job.platform for job in flown} == {"field"}
-
-
-def test_faults_override_a_spec_fault_axis(tmp_path, flown):
-    path = tmp_path / "spec.json"
-    spec = dataclasses.replace(SUITE_PRESETS["smoke"], faults=FAULT_PRESETS["smoke"])
-    path.write_text(json.dumps(spec.to_dict()))
-    assert scenarios_main(
-        ["run", "--spec", str(path), "--systems", "mls-v1", "--faults", "sensor"]
-    ) == 0
-    assert FAULT_PRESETS["sensor"] != FAULT_PRESETS["smoke"]
-    assert flown and all(job.faults == FAULT_PRESETS["sensor"] for job in flown)
 
 
 def test_dispatch_with_out_exits_2(tmp_path, flown, capsys):

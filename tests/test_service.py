@@ -104,6 +104,25 @@ class TestSubmissionValidation:
         with pytest.raises(SpecValidationError, match="exactly one"):
             validate_submission({"preset": "smoke", "spec": {"count": 1}})
 
+    def test_spec_with_faults_is_refused(self):
+        # The fault axis is the submission's "faults", never the spec's.
+        with pytest.raises(SpecValidationError) as excinfo:
+            validate_submission({"spec": {"count": 1, "faults": "smoke"}})
+        assert [issue.field for issue in excinfo.value.issues] == ["spec.faults"]
+
+    def test_inline_suite_submission_is_refused(self, server_factory, stub_execute):
+        # A job's suite is a preset or a SuiteSpec, never inline scenarios.
+        suite = generate_suite("smoke", count=2, seed=3)
+        _, client = server_factory(start_pool=False)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit({
+                "suite": {"scenarios": [s.to_dict() for s in suite.scenarios]},
+                "systems": ["mls-v1"],
+            })
+        assert excinfo.value.status == 400
+        assert [issue["field"] for issue in excinfo.value.payload["issues"]] == ["suite"]
+        assert not stub_execute
+
     def test_inline_spec_issues_are_prefixed(self):
         with pytest.raises(SpecValidationError) as excinfo:
             validate_submission({"spec": {"count": 0, "wrong": 1}})

@@ -67,22 +67,22 @@ class TestValidateSuiteSpec:
 
 class TestValidateFaultAxis:
     def test_preset_name_resolves_without_paths(self):
-        specs = validate_fault_axis("smoke", allow_paths=False)
+        specs = validate_fault_axis("smoke")
         assert specs == FAULT_PRESETS["smoke"]
 
     def test_path_like_string_refused_without_paths(self):
         with pytest.raises(SpecValidationError, match="file paths are not accepted"):
-            validate_fault_axis("plans/faults.json", allow_paths=False)
+            validate_fault_axis("plans/faults.json")
 
     def test_inline_spec_list(self):
         payload = [spec.to_dict() for spec in FAULT_PRESETS["smoke"]]
-        specs = validate_fault_axis(payload, allow_paths=False)
+        specs = validate_fault_axis(payload)
         assert all(isinstance(spec, FaultSpec) for spec in specs)
         assert [s.to_dict() for s in specs] == payload
 
     def test_bad_list_items_reported_per_index(self):
         with pytest.raises(SpecValidationError) as excinfo:
-            validate_fault_axis([42, {"kind": "nope"}], allow_paths=False)
+            validate_fault_axis([42, {"kind": "nope"}])
         fields = [issue.field for issue in excinfo.value.issues]
         assert fields[0] == "faults[0]"
         assert fields[1] == "faults[1]"
@@ -118,32 +118,23 @@ class TestScenariosCliSpec:
         ) == 0
         assert "3" in capsys.readouterr().out
 
-    def test_run_from_spec_file_flies_its_faults(self, tmp_path, monkeypatch):
-        import dataclasses
-
+    def test_run_from_spec_file_flies_its_faults(self, tmp_path, monkeypatch, capsys):
+        """A spec file that would fly its own fault axis is refused (exit 2,
+        the field named): the fault axis comes only from ``--faults``."""
         import repro.bench.campaign as campaign_module
-        from repro.core.metrics import RunOutcome, RunRecord
 
         flown = []
-
-        def fake_execute(job):
-            flown.append(job)
-            return RunRecord(
-                scenario_id=job.scenario.scenario_id,
-                system_name=job.system.name,
-                outcome=RunOutcome.SUCCESS,
-                repetition=job.repetition,
-            )
-
-        monkeypatch.setattr(campaign_module, "_execute_job", fake_execute)
-        monkeypatch.setattr(campaign_module, "_shared_network", lambda: None)
-        faults = tuple(FAULT_PRESETS["smoke"])
+        monkeypatch.setattr(campaign_module, "_execute_job", flown.append)
+        data = SUITE_PRESETS["smoke"].to_dict()
+        data["faults"] = [spec.to_dict() for spec in FAULT_PRESETS["smoke"]]
         path = tmp_path / "spec.json"
-        spec = dataclasses.replace(SUITE_PRESETS["smoke"], faults=faults)
-        path.write_text(json.dumps(spec.to_dict()))
-        assert scenarios_main(["run", "--spec", str(path), "--systems", "mls-v1"]) == 0
-        assert len(faults) == 3
-        assert flown and all(job.faults == faults for job in flown)
+        path.write_text(json.dumps(data))
+        assert scenarios_main(
+            ["run", "--spec", str(path), "--systems", "mls-v1", "--faults", "smoke"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "faults: a suite spec carries no fault axis" in err
+        assert not flown
 
     def test_invalid_spec_exits_2_with_issue_list(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
